@@ -33,6 +33,18 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` in one step: a reader or an interrupted
+    run sees either the previous file or the new one, never a partial one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def corrdiff_payload(w: CorrDiff, conventions: Conventions) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -90,7 +102,7 @@ class CorrCache:
         payload["checksum"] = _checksum(
             {k: v for k, v in payload.items() if k != "checksum"})
         path = self._path(w.f, w.g, w.h, conv)
-        path.write_text(_canonical(payload) + "\n", encoding="utf-8")
+        _write_atomic(path, _canonical(payload) + "\n")
 
     # -- calibration record -------------------------------------------
 
@@ -121,7 +133,7 @@ class CorrCache:
             "epsilon": epsilon,
         }
         payload["checksum"] = _checksum(payload)
-        self._conv_path().write_text(_canonical(payload) + "\n", encoding="utf-8")
+        _write_atomic(self._conv_path(), _canonical(payload) + "\n")
 
 
 def default_cache_dir() -> str | None:

@@ -21,7 +21,7 @@ from math import factorial
 
 from .bernoulli import bernoulli
 from .curve import FramedCurve
-from .errors import LogBranchError
+from .errors import EorecError, LogBranchError
 from .poly import Poly
 from .psi import PsiTable, psi_table
 from .recursion import CorrDiff, CorrStore
@@ -252,7 +252,7 @@ def energy_table(stores: list[CorrStore], g_values: list[int]) -> tuple[list[Ene
             try:
                 direct = free_energy_direct(store, g)
                 shortcut = free_energy_shortcut(store, g)
-            except Exception as exc:  # reported per row, not fatal
+            except (EorecError, ArithmeticError) as exc:  # reported per row
                 rows.append(EnergyRow(g=g, f=store.f, direct=None, shortcut=None,
                                       reference=ref, sign=None, paths_equal=False,
                                       magnitude_ok=False, error=str(exc)))

@@ -1,9 +1,8 @@
 """Sparse multivariate Laurent polynomials over Q.
 
-These are the coefficients of the recursion integrand: one variable per
-point slot of the correlator being assembled (variable 0 is the free slot
-attached to the kernel, the rest are the fixed slots).  Terms map exponent
-tuples to rationals; zero coefficients are never stored.
+These are the coefficients of the recursion kernel K(w; z) as a z-series:
+Laurent polynomials in the free-slot coordinate w (one variable).  Terms
+map exponent tuples to rationals; zero coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -115,47 +114,6 @@ class MLaurent:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def slices(self, var: int) -> dict[int, "MLaurent"]:
-        """Group terms by the exponent of one variable (that exponent zeroed)."""
-        out: dict[int, dict] = {}
-        for k, v in self.terms.items():
-            e = k[var]
-            rest = list(k)
-            rest[var] = 0
-            out.setdefault(e, {})[tuple(rest)] = v
-        return {e: MLaurent(self.nvars, t) for e, t in out.items()}
-
-    def exponent_range(self, var: int) -> tuple[int, int] | None:
-        es = [k[var] for k in self.terms]
-        if not es:
-            return None
-        return min(es), max(es)
-
-    def constant_value(self) -> Fraction:
-        """The value of a constant element (raises if any variable survives)."""
-        if not self.terms:
-            return QZERO
-        if set(self.terms) != {(0,) * self.nvars}:
-            raise ValueError("not a constant")
-        return self.terms[(0,) * self.nvars]
-
-    def relabel(self, nvars: int, mapping: dict[int, int] | None = None) -> "MLaurent":
-        """Re-embed into a ring with ``nvars`` variables.
-
-        ``mapping`` sends old variable indices to new ones; identity by
-        default.  Unmapped exponents must be zero.
-        """
-        out = {}
-        for k, v in self.terms.items():
-            key = [0] * nvars
-            for old, e in enumerate(k):
-                if not e:
-                    continue
-                new = mapping.get(old, old) if mapping else old
-                key[new] = e
-            out[tuple(key)] = v
-        return MLaurent(nvars, out)
 
     def __repr__(self) -> str:
         return f"MLaurent({self.nvars}, {self.terms!r})"

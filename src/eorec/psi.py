@@ -138,6 +138,7 @@ class PsiTable:
         self.f = f
         self._forms: list[PsiForm] = [psi_form(0, f)]
         self._chain: RatFn | None = None
+        self._pieces: tuple[RatFn, RatFn, RatFn] | None = None
         calibrated = self._calibrate()
         if forced_sign is None:
             self.sign = calibrated
@@ -170,7 +171,11 @@ class PsiTable:
         return self.form(n).leading()
 
     def _extend(self, n: int) -> None:
-        A, B, C = _operator_pieces(self.f)
+        if n < len(self._forms):
+            return
+        if self._pieces is None:
+            self._pieces = _operator_pieces(self.f)
+        A, B, C = self._pieces
         while len(self._forms) <= n:
             m = len(self._forms)
             prev = self._forms[m - 1]
@@ -210,8 +215,7 @@ def psi_table(f: int) -> PsiTable:
 def peel(slices: dict, table: PsiTable) -> dict:
     """Expand exponent->coefficient data in the shifted basis.
 
-    ``slices`` maps z-exponents to coefficients in any module over Q
-    (rationals, or multivariate Laurent coefficients during tensor peel).
+    ``slices`` maps z-exponents to rational coefficients.
     Returns index -> coefficient with  input = sum coeff[n] * psihat_n.
     Raises :class:`PeelError` when the input is outside the span.
     """

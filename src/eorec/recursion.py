@@ -1,13 +1,24 @@
 """The topological recursion on the framed curve.
 
 Correlators W(g,h) are stored as symmetric coefficient tensors over sorted
-basis multi-indices: the coefficient of ``prod_i Psi_{n_i}(y_i)``.  The
-residue step assembles the bracketed sum of the recursion as a z-series
-whose coefficients are sparse Laurent polynomials in one variable per point
-slot (variable 0 is the free slot carrying the kernel), extracts the z^-1
-coefficient and peels it slot by slot back into tensor form; the peel must
-terminate with zero remainder, which turns the closure theorem for this
-basis into a runtime assertion.
+basis multi-indices: the coefficient of ``prod_i Psi_{n_i}(y_i)``.
+
+With the framing, the window and the basis fixed, the residue step is
+linear in the bracket of the recursion, and the fixed slots of a lower
+tensor only come along for the ride.  Every W(g,h) is therefore a sum of
+lower tensor entries times small rational tables, memoised per frame:
+
+* ``R[a,b]``: the residue of K(w;z) psihat_a(z) psihat_b(s(z)) s'(z);
+* ``E[b]``: the Bergman-leg pair B(q,p) psihat_b(q-bar) + psihat_b(q) B(q-bar,p);
+* ``D``: the Bergman self-pairing B(q, q-bar), which gives W(1,1);
+* ``W03``: two Bergman legs, which give W(0,3).
+
+Each residue reads only the z^e coefficients with e <= 0 of its integrand
+against the kernel coefficients K_{-1-e}(w), and every kernel coefficient
+is expanded in the basis once per frame.  These expansions, and the one of
+every Bergman leg, must terminate with zero remainder, which turns the
+closure theorem for this basis into a runtime assertion.  The assembled
+tensor is checked for slot symmetry and the dimension bound.
 
 Two orientation conventions are calibrated rather than assumed: the kernel
 sign (against the known (0,3) and (1,1) tensors) and the shift-recursion
@@ -24,7 +35,6 @@ from math import factorial
 from .curve import (FramedCurve, bergman_self_pairing, conjugate_series,
                     omega_diff_series, recursion_kernel)
 from .errors import CalibrationError, NotRepresentableError, PeelError, WindowError
-from .laurent import MLaurent
 from .psi import PsiTable, peel
 from .reference import reference_correlators
 from .series import Series
@@ -71,8 +81,14 @@ def window_policy(g: int, h: int, margin: int = 0) -> int:
     return a * g + b * h + c + margin
 
 
-def _distinct_permutations(idx: tuple[int, ...]):
-    return set(itertools.permutations(idx))
+def _orderings(w: CorrDiff, legs: int) -> dict[tuple[int, ...], list]:
+    """Every distinct ordering of w's entries, grouped by its first ``legs``
+    indices (the legs at q and q-bar); the rest stay at fixed slots."""
+    out: dict[tuple[int, ...], list] = {}
+    for idx, c in w.coeffs.items():
+        for perm in set(itertools.permutations(idx)):
+            out.setdefault(perm[:legs], []).append((perm[legs:], c))
+    return out
 
 
 def multiset_permutation_count(idx: tuple[int, ...]) -> int:
@@ -82,8 +98,26 @@ def multiset_permutation_count(idx: tuple[int, ...]) -> int:
     return n
 
 
+def _principal(a: Series, b: Series, into: dict | None = None) -> dict[int, Fraction]:
+    """Coefficients of a*b at exponents <= 0, the only ones a kernel residue reads."""
+    out = {} if into is None else into
+    sa, sb = a.eff_start(), b.eff_start()
+    if sa is None or sb is None:
+        return out
+    for ea in range(sa, 1 - sb):
+        x = a.coeff(ea)
+        if not x:
+            continue
+        for eb in range(sb, 1 - ea):
+            y = b.coeff(eb)
+            if y:
+                out[ea + eb] = out.get(ea + eb, QZERO) + x * y
+    return out
+
+
 class _Frame:
-    """Prepared local data for one (curve, window); memoizes slot series."""
+    """Prepared local data for one (curve, window); memoizes slot series and
+    the rational residue tables of the recursion."""
 
     def __init__(self, curve: FramedCurve, psi: PsiTable, window: int, sigma_kernel: int):
         self.curve = curve
@@ -99,7 +133,11 @@ class _Frame:
         self._inv_s_pows: list[Series] = [Series.constant(QONE), self.s.invert()]
         self._at_q: dict[int, Series] = {}
         self._at_qbar: dict[int, Series] = {}
-        self._pair: dict[tuple[int, int], Series] = {}
+        self._kernel_basis: dict[int, dict] = {}
+        self._r: dict[tuple[int, int], dict] = {}
+        self._e: dict[int, dict] = {}
+        self._d: dict | None = None
+        self._w03: dict | None = None
 
     def s_pow(self, k: int) -> Series:
         while len(self._s_pows) <= k:
@@ -129,12 +167,78 @@ class _Frame:
             out = self._at_qbar[n] = acc * self.s_prime
         return out
 
-    def pair_q_qbar(self, a: int, b: int) -> Series:
-        """Product of the q-leg of index a and the q-bar leg of index b."""
-        out = self._pair.get((a, b))
+    # -- residue tables ---------------------------------------------------
+
+    def kernel_basis(self, j: int) -> dict[int, Fraction]:
+        """K_j(w), the z^j coefficient of the kernel, expanded in the basis."""
+        out = self._kernel_basis.get(j)
         if out is None:
-            out = self._pair[(a, b)] = self.psihat_at_q(a) * self.psihat_at_qbar(b)
+            coeff = self.kernel.coeff(j)  # WindowError past the certified window
+            out = self._kernel_basis[j] = peel(
+                {key[0]: c for key, c in coeff.terms.items()}, self.psi)
         return out
+
+    def residue(self, principal: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Res_z K(w;z) F(z) in the basis of w, from F's z^e coefficients, e <= 0."""
+        out: dict[int, Fraction] = {}
+        for e, c in principal.items():
+            if c:
+                for n, k in self.kernel_basis(-1 - e).items():
+                    out[n] = out.get(n, QZERO) + c * k
+        return {n: c for n, c in out.items() if c}
+
+    def r_table(self, a: int, b: int) -> dict[int, Fraction]:
+        """R[a,b]: the q-leg of index a against the q-bar leg of index b."""
+        out = self._r.get((a, b))
+        if out is None:
+            out = self._r[(a, b)] = self.residue(
+                _principal(self.psihat_at_q(a), self.psihat_at_qbar(b)))
+        return out
+
+    def e_table(self, b: int) -> dict[tuple[int, int], Fraction]:
+        """E[b]: B(q,p) with the q-bar leg of index b, plus the q-leg of index b
+        with B(q-bar,p); keyed (free index, index at p).
+
+        B(q,p) = sum_k u^-(k+2) d/dz z^(k+1) and B(q-bar,p) the same with s(z)
+        for z, u the coordinate of p; only k <= 2b+2 reaches the residue.
+        """
+        out = self._e.get(b)
+        if out is None:
+            at_q, at_qbar = self.psihat_at_q(b), self.psihat_at_qbar(b)
+            by_free: dict[int, dict] = {}
+            for k in range(2 * b + 3):
+                low = _principal(Series.monomial(Fraction(k + 1), k), at_qbar)
+                _principal(self.s_pow(k + 1).derive(), at_q, into=low)
+                for n, c in self.residue(low).items():
+                    by_free.setdefault(n, {})[-(k + 2)] = c
+            out = self._e[b] = {(n, m): c for n, poly in by_free.items()
+                                for m, c in peel(poly, self.psi).items()}
+        return out
+
+    def d_table(self) -> dict[int, Fraction]:
+        """D: the residue of the Bergman self-pairing B(q, q-bar)."""
+        if self._d is None:
+            self._d = self.residue(_principal(self.b_self, Series.constant(QONE)))
+        return self._d
+
+    def w03_table(self) -> dict[tuple[int, int, int], Fraction]:
+        """B(q,p1) B(q-bar,p2): both legs start at z^0, so only the product
+        u1^-2 s'(0) u2^-2 of their leading terms reaches the residue."""
+        if self._w03 is None:
+            leg = peel({-2: QONE}, self.psi)
+            free = self.residue({0: self.s_prime.coeff(0)})
+            self._w03 = {(n, m1, m2): c * x * y for n, c in free.items()
+                         for m1, x in leg.items() for m2, y in leg.items()}
+        return self._w03
+
+
+def _tail(h: int, *parts) -> tuple[int, ...]:
+    """Indices at fixed slots 1..h-1, filled from (slots, indices) pairs."""
+    out = [0] * (h - 1)
+    for slots, values in parts:
+        for p, v in zip(slots, values):
+            out[p - 1] = v
+    return tuple(out)
 
 
 class CorrStore:
@@ -184,58 +288,78 @@ class CorrStore:
         return got
 
     def compute(self, g: int, h: int, window: int | None = None) -> CorrDiff:
-        """Run the residue step for one target, escalating the window on demand."""
-        base = window if window is not None else window_policy(g, h, self.window_margin)
+        """Run the residue step for one target, escalating the window on demand.
+
+        Without an explicit window the smallest frame already built whose
+        window covers the policy is reused: certified coefficients are
+        exact, so a wider frame gives the same tensor.  An explicit window
+        always runs on its own frame.
+        """
+        size = window if window is not None else window_policy(g, h, self.window_margin)
         last: Exception | None = None
-        for attempt in range(WINDOW_RETRIES + 1):
+        for _ in range(WINDOW_RETRIES + 1):
+            if window is None:
+                size = min((w for w in self._frames if w >= size), default=size)
             try:
-                return self._compute_at(g, h, base + attempt * WINDOW_STEP)
+                return self._compute_at(g, h, size)
             except (WindowError, PeelError) as exc:
                 last = exc
+            size += WINDOW_STEP
         raise WindowError(
             f"window exhausted for W({g},{h}) after {WINDOW_RETRIES} escalations: {last}")
 
     # -- assembly -------------------------------------------------------
 
     def _compute_at(self, g: int, h: int, window: int) -> CorrDiff:
-        nvars = h           # variable 0 free, 1..h-1 fixed
-        n_fixed = h - 1
+        """Contract lower tensors with the frame's residue tables.
+
+        A fixed slot carried over from a lower tensor holds -psihat, so a
+        term carrying k of them takes (-1)^k; the free slot takes (-1)^h.
+        """
         frame = self.frame(window)
         fixed = tuple(range(1, h))
-        zero = MLaurent(nvars)
+        acc: dict[tuple[int, ...], Fraction] = {}
 
-        terms: list[Series] = []
-        first = self._first_term(frame, g, fixed, nvars)
-        if first is not None:
-            terms.append(first)
-        terms.extend(self._quadratic_terms(frame, g, fixed, nvars))
-        if not terms:
-            raise AssertionError(f"empty bracket for W({g},{h})")
-        bracket = terms[0]
-        for t in terms[1:]:
-            bracket = bracket + t
+        # first term: W(g-1, h+1) with its first two legs at q and q-bar
+        if g == 1 and h == 1:
+            for n, c in frame.d_table().items():
+                acc[(n,)] = c
+        elif g >= 1:
+            carried = -QONE if (h - 1) % 2 else QONE
+            for (a, b), tails in _orderings(self.correlator(g - 1, h + 1), 2).items():
+                table = frame.r_table(a, b)
+                for tail, c in tails:
+                    for n, r in table.items():
+                        key = (n,) + tail
+                        acc[key] = acc.get(key, QZERO) + carried * c * r
 
-        kernel = Series(frame.kernel.start,
-                        [c.relabel(nvars) for c in frame.kernel.coeffs],
-                        exact=frame.kernel.exact, zero=zero)
-        integrand = kernel * bracket
-        res = integrand.residue()
-        if not isinstance(res, MLaurent):
-            res = MLaurent.const(nvars, res)
-
-        for var in range(nvars):
-            rng = res.exponent_range(var)
-            if rng is not None and rng[1] > -2:
-                raise PeelError(
-                    f"residue of W({g},{h}) has slot-{var} exponent {rng[1]} above -2")
-
-        tensor = _peel_tensor(res, self.psi, nvars)
-        sign = QONE if h % 2 == 0 else -QONE
-        full = {idx: sign * c for idx, c in tensor.items()}
-
+        # quadratic terms W(g-l, J + q) W(l, J^c + q-bar)
+        for l in range(g + 1):
+            for r in range(h):
+                for J in itertools.combinations(fixed, r):
+                    Jc = tuple(v for v in fixed if v not in J)
+                    left, right = (g - l, len(J) + 1), (l, len(Jc) + 1)
+                    # terms with a vanishing one-point factor drop before
+                    # the partner (possibly the target itself) is evaluated
+                    if left == (0, 1) or right == (0, 1):
+                        continue
+                    if left == right == (0, 2):
+                        for (n, m1, m2), c in frame.w03_table().items():
+                            key = (n,) + _tail(h, (J, (m1,)), (Jc, (m2,)))
+                            acc[key] = acc.get(key, QZERO) + c
+                    elif left == (0, 2):
+                        # E[b] holds both orientations of the Bergman leg;
+                        # the mirror term right == (0, 2) is skipped below
+                        self._bergman_leg_term(frame, acc, g, h, J, Jc)
+                    elif right != (0, 2):
+                        self._pair_term(frame, acc, h, left, J, right, Jc)
         coeffs: dict = {}
         seen: dict = {}
-        for idx, c in full.items():
+        sign = QONE if h % 2 == 0 else -QONE
+        for idx, c in acc.items():
+            if not c:
+                continue
+            c = sign * c
             key = tuple(sorted(idx))
             if key in coeffs:
                 if coeffs[key] != c:
@@ -253,103 +377,34 @@ class CorrStore:
                     f"index {key} violates the dimension bound {bound} in W({g},{h})")
         return CorrDiff(g=g, h=h, f=self.f, coeffs=coeffs)
 
-    def _first_term(self, frame: _Frame, g: int, fixed: tuple[int, ...],
-                    nvars: int) -> Series | None:
-        """W(g-1, h+1) with its first two legs at q and q-bar."""
-        if g == 0:
-            return None
-        if g == 1 and not fixed:
-            return _lift(frame.b_self, nvars)
-        w = self.correlator(g - 1, len(fixed) + 2)
-        groups: dict[tuple[int, int], MLaurent] = {}
-        for idx, c in w.coeffs.items():
-            for perm in _distinct_permutations(idx):
-                m = _fixed_product(self.psi, perm[2:], fixed, nvars, c)
-                key = (perm[0], perm[1])
-                groups[key] = groups.get(key, MLaurent(nvars)) + m
-        return _grouped_sum(
-            {key: frame.pair_q_qbar(*key) for key in groups}, groups, nvars)
+    def _bergman_leg_term(self, frame: _Frame, acc: dict, g: int, h: int,
+                          J: tuple[int, ...], Jc: tuple[int, ...]) -> None:
+        """B(q, p_j) against W(g, h-1) at q-bar and its mirror, via E[b]."""
+        carried = -QONE if (h - 2) % 2 else QONE
+        for (b,), tails in _orderings(self.correlator(g, h - 1), 1).items():
+            table = frame.e_table(b)
+            for tail, c in tails:
+                for (n, m), e in table.items():
+                    key = (n,) + _tail(h, (J, (m,)), (Jc, tail))
+                    acc[key] = acc.get(key, QZERO) + carried * c * e
 
-    def _quadratic_terms(self, frame: _Frame, g: int, fixed: tuple[int, ...],
-                         nvars: int) -> list[Series]:
-        out = []
-        for l in range(g + 1):
-            for r in range(len(fixed) + 1):
-                for J in itertools.combinations(fixed, r):
-                    Jc = tuple(v for v in fixed if v not in J)
-                    # terms with a vanishing one-point factor drop before
-                    # the partner (possibly the target itself) is evaluated
-                    if (g - l, len(J) + 1) == (0, 1) or (l, len(Jc) + 1) == (0, 1):
-                        continue
-                    fq = self._factor(frame, g - l, J, nvars, bar=False)
-                    fqb = self._factor(frame, l, Jc, nvars, bar=True)
-                    out.append(fq * fqb)
-        return out
-
-    def _factor(self, frame: _Frame, g: int, slots: tuple[int, ...], nvars: int,
-                bar: bool) -> Series:
-        """One factor of the quadratic sum, with its recursion leg at q or q-bar."""
-        h = len(slots) + 1
-        if (g, h) == (0, 2):
-            return self._b_leg(frame, slots[0], nvars, bar)
-        w = self.correlator(g, h)
-        groups: dict[int, MLaurent] = {}
-        for idx, c in w.coeffs.items():
-            for perm in _distinct_permutations(idx):
-                m = _fixed_product(self.psi, perm[1:], slots, nvars, c)
-                groups[perm[0]] = groups.get(perm[0], MLaurent(nvars)) + m
-        legs = {n: (frame.psihat_at_qbar(n) if bar else frame.psihat_at_q(n))
-                for n in groups}
-        return _grouped_sum(legs, groups, nvars)
-
-    def _b_leg(self, frame: _Frame, var: int, nvars: int, bar: bool) -> Series:
-        """Bergman kernel with one leg at q (or q-bar) and one at a fixed slot."""
-        zero = MLaurent(nvars)
-        if not bar:
-            coeffs = [MLaurent.from_var_dict(nvars, var, {-(k + 2): Fraction(k + 1)})
-                      for k in range(frame.window + 1)]
-            return Series(0, coeffs, exact=False, zero=zero)
-        acc = Series(0, [], exact=True, zero=zero)
-        for k in range(frame.window + 1):
-            mono = MLaurent.from_var_dict(nvars, var, {-(k + 2): Fraction(k + 1)})
-            acc = acc + frame.s_pow(k).scale(mono)
-        return acc * _lift(frame.s_prime, nvars)
-
-
-def _lift(s: Series, nvars: int) -> Series:
-    return Series(s.start, [MLaurent.const(nvars, c) for c in s.coeffs],
-                  exact=s.exact, zero=MLaurent(nvars))
-
-
-def _fixed_product(psi: PsiTable, indices, slots, nvars: int, c: Fraction) -> MLaurent:
-    m = MLaurent.const(nvars, c)
-    for n, var in zip(indices, slots):
-        m = m * MLaurent.from_var_dict(nvars, var,
-                                       {e: -v for e, v in psi.shifted(n).items()})
-    return m
-
-
-def _grouped_sum(legs: dict, groups: dict, nvars: int) -> Series:
-    acc = Series(0, [], exact=True, zero=MLaurent(nvars))
-    for key, m in groups.items():
-        if m:
-            acc = acc + legs[key].scale(m)
-    return acc
-
-
-def _peel_tensor(res: MLaurent, psi: PsiTable, nvars: int,
-                 var: int = 0) -> dict[tuple[int, ...], Fraction]:
-    """Peel every slot of the residue; remainder must vanish slotwise."""
-    if not res:
-        return {}
-    if var == nvars:
-        return {(): res.constant_value()}
-    expanded = peel(res.slices(var), psi)
-    out: dict[tuple[int, ...], Fraction] = {}
-    for n, rest in expanded.items():
-        for tail, c in _peel_tensor(rest, psi, nvars, var + 1).items():
-            out[(n,) + tail] = c
-    return out
+    def _pair_term(self, frame: _Frame, acc: dict, h: int, left: tuple[int, int],
+                   J: tuple[int, ...], right: tuple[int, int],
+                   Jc: tuple[int, ...]) -> None:
+        """Two lower tensors with their legs at q and q-bar, via R[a,b]."""
+        carried = -QONE if (h - 1) % 2 else QONE
+        at_q = _orderings(self.correlator(*left), 1)
+        at_qbar = _orderings(self.correlator(*right), 1)
+        for (a,), tails_q in at_q.items():
+            for (b,), tails_qbar in at_qbar.items():
+                table = frame.r_table(a, b)
+                for tq, cq in tails_q:
+                    for tqb, cqb in tails_qbar:
+                        c = carried * cq * cqb
+                        tail = _tail(h, (J, tq), (Jc, tqb))
+                        for n, r in table.items():
+                            key = (n,) + tail
+                            acc[key] = acc.get(key, QZERO) + c * r
 
 
 def calibrate_sigma_kernel(f: int, window_margin: int = 0) -> int:
@@ -357,12 +412,13 @@ def calibrate_sigma_kernel(f: int, window_margin: int = 0) -> int:
 
     Both targets sit one recursion step above the base data, so they flip
     together under the kernel sign; a mixed outcome means a real bug.
+    (1,1) goes first so that (0,3) reuses its wider frame.
     """
     probe = CorrStore(f, Conventions(sigma_kernel=1, sigma_psirec=PsiTable(f).sign),
                       window_margin=window_margin)
     ref = reference_correlators(f)
     outcomes = []
-    for key in ((0, 3), (1, 1)):
+    for key in ((1, 1), (0, 3)):
         got = probe.correlator(*key).coeffs
         want = ref[key]
         if got == want:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curve import conjugate_series
+from .errors import LogBranchError
 from .hodge import (bernoulli_energy, energy_table, hodge_extract,
                     lambda_top_coefficient, lambda_triple, residue_theta_psi)
 from .poly import Poly
@@ -140,9 +141,17 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
     # residue table of the primitive against the basis
     for store in stores:
         f = store.f
-        audited_sign = None
+        surviving = []
         for n in range(0, 9):
-            rho = residue_theta_psi(store.curve, n, table=store.psi)
+            try:
+                rho = residue_theta_psi(store.curve, n, table=store.psi)
+            except LogBranchError as exc:
+                surviving.append(n)
+                add(CheckRecord(
+                    name="theta-psi-residue",
+                    params={"f": f, "n": n},
+                    expected="a rational residue", actual=str(exc), passed=False))
+                continue
             if n == 1:
                 want = Fraction(1, f * (f + 1))
                 ok = abs(rho) == want
@@ -162,7 +171,9 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
             name="log-symbol-cancellation",
             params={"f": f, "n": "0..8"},
             expected="no surviving branch symbol",
-            actual="cancelled in every residue", passed=True,
+            actual=("cancelled in every residue" if not surviving else
+                    "survives at n = " + ", ".join(map(str, surviving))),
+            passed=not surviving,
             note="a surviving symbol raises instead of returning"))
 
     # lambda-word reduction identity
@@ -270,18 +281,19 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
                 actual=", ".join(sorted(format_rational(r) for r in ratios)),
                 passed=ok))
 
-    # critical-value discrepancy report
+    # critical-value discrepancy report: x* = x(y*) against its closed form
     for store in stores:
         f = store.f
-        direct = store.curve.x_poly.eval(store.curve.y_star)
+        x_star = store.curve.x_star
+        closed = Fraction((-1) ** (f + 1) * f ** f, (f + 1) ** (f + 1))
         printed = Fraction(f ** f) * Fraction(-1 - f) ** (f + 1)
         add(CheckRecord(
             name="critical-value",
             params={"f": f},
-            expected=format_rational(direct),
-            actual=format_rational(store.curve.x_star),
-            passed=store.curve.x_star == direct,
+            expected=format_rational(closed),
+            actual=format_rational(x_star),
+            passed=x_star == closed,
             note=f"alternative closed form evaluates to {format_rational(printed)}"
-                 f"{' (agrees)' if printed == direct else ' (differs; engine value is normative)'}"))
+                 f"{' (agrees)' if printed == x_star else ' (differs; engine value is normative)'}"))
 
     return report

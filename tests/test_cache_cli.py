@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,27 @@ class TestCache:
         w = CorrDiff(g=0, h=3, f=2, coeffs={(0, 0, 0): Q(-36)})
         payload = corrdiff_payload(w, CONV)
         assert payload["terms"] == [{"n": [0, 0, 0], "c": "-36"}]
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        cache = CorrCache(tmp_path)
+        old = CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 8)})
+        cache.store(old, CONV)
+        cache.store_conventions(CONV, epsilon=None)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def interrupted(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        new = CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 7)})
+        with pytest.raises(OSError, match="disk full"):
+            cache.store(new, CONV)
+        with pytest.raises(OSError, match="disk full"):
+            cache.store_conventions(CONV, epsilon=-1)
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert cache.load(1, 1, 1, CONV).coeffs == old.coeffs
+        assert cache.load_conventions() == (CONV, None)
 
 
 class TestCli:

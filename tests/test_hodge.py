@@ -166,3 +166,25 @@ class TestFreeEnergies:
             assert abs(ratio) == (2 * g - 2) * lambda_triple(g)
             # sign pattern (-1)^(g-1) from the top-degree reduction
             assert ratio == (-1) ** (g - 1) * (2 * g - 2) * lambda_triple(g)
+
+    def test_energy_table_reports_engine_errors_per_row(self, stores, monkeypatch):
+        from eorec import WindowError, hodge
+
+        def fail(store, g):
+            raise WindowError("window too small")
+
+        monkeypatch.setattr(hodge, "free_energy_direct", fail)
+        rows, epsilon = energy_table(stores[:1], [2])
+        assert epsilon is None
+        assert rows[0].error == "window too small" and not rows[0].magnitude_ok
+
+    def test_energy_table_propagates_programming_errors(self, stores, monkeypatch):
+        from eorec import hodge
+
+        def broken(store, g):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(hodge, "free_energy_direct", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            energy_table(stores[:1], [2])
+
