@@ -17,12 +17,12 @@ from .hodge import (EnergyRow, HodgeTable, bernoulli_energy, energy_table,
                     lambda_top_coefficient, lambda_triple, residue_theta_psi,
                     theta_series)
 from .laurent import MLaurent
-from .poly import Poly, RatFn, lagrange_interpolate
+from .poly import Poly, RatFn
 from .psi import PsiForm, PsiTable, psi_form, psi_peel, psi_table, shift_step
 from .recursion import Conventions, CorrDiff, CorrStore, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
 from .scalars import LOG_SYMBOL, LogExt, format_rational, parse_rational
-from .series import Series, ibp_residue_check, series_log1p
+from .series import Series, series_log1p
 from .verify import VerifyReport, build_stores, run_verification
 
 __version__ = "0.1.0"
@@ -34,11 +34,10 @@ __all__ = [
     "EnergyRow", "HodgeTable", "bernoulli_energy", "energy_table",
     "free_energy_direct", "free_energy_shortcut", "hodge_extract",
     "lambda_top_coefficient", "lambda_triple", "residue_theta_psi",
-    "theta_series", "MLaurent", "Poly", "RatFn", "lagrange_interpolate",
-    "PsiForm", "PsiTable", "psi_form", "psi_peel", "psi_table", "shift_step",
+    "theta_series", "MLaurent", "Poly", "RatFn", "PsiForm", "PsiTable",
+    "psi_form", "psi_peel", "psi_table", "shift_step",
     "Conventions", "CorrDiff", "CorrStore", "window_policy",
     "reference_correlators", "two_point_genus_one_readings", "LOG_SYMBOL",
-    "LogExt", "format_rational", "parse_rational", "Series",
-    "ibp_residue_check", "series_log1p", "VerifyReport", "build_stores",
-    "run_verification",
+    "LogExt", "format_rational", "parse_rational", "Series", "series_log1p",
+    "VerifyReport", "build_stores", "run_verification",
 ]

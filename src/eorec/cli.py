@@ -16,8 +16,8 @@ import sys
 
 from .cache import CorrCache, default_cache_dir
 from .errors import EorecError, NotRepresentableError
-from .hodge import energy_table, hodge_extract, lambda_triple
-from .recursion import Conventions, CorrStore
+from .hodge import energies_by_genus, energy_table, hodge_extract, lambda_triple
+from .recursion import Conventions, calibrate
 from .scalars import format_rational
 from .verify import build_stores, run_verification
 
@@ -37,8 +37,6 @@ def _parse_framings(text: str) -> list[int]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--f", type=_parse_framings, default=[1, 2, 3],
                    metavar="F[,F...]", help="framings (comma list, default 1,2,3)")
-    p.add_argument("--window-margin", type=int, default=0,
-                   help="extra truncation margin added to the window policy")
     p.add_argument("--cache-dir", default=None,
                    help="exact tensor cache directory (default: $EOREC_CACHE_DIR)")
     p.add_argument("--format", choices=("json", "text"), default="json",
@@ -94,8 +92,7 @@ def _resolve_conventions(args, cache: CorrCache | None) -> tuple[Conventions, in
     if persisted is not None:
         conv, eps = persisted
     else:
-        probe = CorrStore(args.f[0], conventions=None, window_margin=args.window_margin)
-        conv, eps = probe.conventions, None
+        conv, eps = calibrate(args.f[0]), None
         if cache is not None:
             cache.store_conventions(conv, eps)
     if ko is not None or po is not None:
@@ -116,15 +113,11 @@ def _emit(payload: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.window_margin < 0:
-        print("eorec: --window-margin must be >= 0", file=sys.stderr)
-        return 2
     cache_dir = args.cache_dir or default_cache_dir()
     cache = CorrCache(cache_dir) if cache_dir else None
     try:
         conv, epsilon, overridden = _resolve_conventions(args, cache)
-        stores = build_stores(args.f, conventions=conv,
-                              window_margin=args.window_margin, cache=cache)
+        stores = build_stores(args.f, conventions=conv, cache=cache)
     except EorecError as exc:
         print(f"eorec: {exc}", file=sys.stderr)
         return 2
@@ -218,23 +211,17 @@ def _cmd_free_energy(args, stores, conv, cache, overridden) -> int:
     payload_rows = []
     all_ok = True
     for row in rows:
-        ok = (row.error is None and row.paths_equal and row.magnitude_ok
-              and row.sign is not None)
-        all_ok = all_ok and ok
+        all_ok = all_ok and row.passed
         payload_rows.append({
             "g": row.g, "f": row.f,
             "direct": None if row.direct is None else format_rational(row.direct),
             "shortcut": None if row.shortcut is None else format_rational(row.shortcut),
             "reference": format_rational(row.reference),
             "sign": row.sign, "paths_equal": row.paths_equal,
-            "magnitude_ok": row.magnitude_ok, "pass": ok,
+            "magnitude_ok": row.magnitude_ok, "pass": row.passed,
             **({"error": row.error} if row.error else {}),
         })
-    # framing independence per genus
-    by_g: dict[int, set] = {}
-    for row in rows:
-        by_g.setdefault(row.g, set()).add(row.direct)
-    framing_ok = all(len(v) == 1 for v in by_g.values())
+    framing_ok = all(len(v) == 1 for v in energies_by_genus(rows).values())
     all_ok = all_ok and framing_ok and epsilon is not None
     payload = {"command": "free-energy",
                "conventions": _conv_payload(conv, epsilon),

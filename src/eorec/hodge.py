@@ -67,8 +67,7 @@ def _theta(curve: FramedCurve, window: int) -> Series:
     return got
 
 
-def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None,
-                      margin: int = 0) -> Fraction:
+def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None) -> Fraction:
     """Residue of theta against Psi_n = -psihat_n dy at the ramification point.
 
     The branch symbol must cancel exactly; the rational part is returned.
@@ -76,7 +75,7 @@ def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None,
     """
     if table is None:
         table = psi_table(curve.f)
-    theta = _theta(curve, 2 * n + 3 + margin)
+    theta = _theta(curve, 2 * n + 3)
     leg = Series.from_dict({e: -c for e, c in table.shifted(n).items()}, exact=True)
     res = (theta * leg).residue()
     if isinstance(res, LogExt):
@@ -239,6 +238,20 @@ class EnergyRow:
     paths_equal: bool
     magnitude_ok: bool
     error: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return (self.error is None and self.paths_equal and self.magnitude_ok
+                and self.sign is not None)
+
+
+def energies_by_genus(rows: list[EnergyRow]) -> dict[int, set]:
+    """The distinct direct energies of each genus; framing independence
+    holds where a genus has exactly one."""
+    by_g: dict[int, set] = {}
+    for row in rows:
+        by_g.setdefault(row.g, set()).add(row.direct)
+    return by_g
 
 
 def energy_table(stores: list[CorrStore], g_values: list[int]) -> tuple[list[EnergyRow], int | None]:

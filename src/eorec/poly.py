@@ -8,7 +8,7 @@ denominator monic and coprime to the numerator.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -224,16 +224,3 @@ class RatFn:
 
     def __repr__(self) -> str:
         return f"RatFn({self.num!r}, {self.den!r})"
-
-
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
-    """Exact interpolating polynomial through distinct sample points."""
-    out = Poly()
-    for i, (xi, yi) in enumerate(points):
-        li = Poly.const(yi)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            li = li * Poly([-xj, 1]) * (QONE / (xi - xj))
-        out = out + li
-    return out

@@ -20,6 +20,9 @@ every Bergman leg, must terminate with zero remainder, which turns the
 closure theorem for this basis into a runtime assertion.  The assembled
 tensor is checked for slot symmetry and the dimension bound.
 
+The dimension bound also sizes every frame in advance (``window_policy``),
+so a ``WindowError`` or ``PeelError`` during assembly is a bug and propagates.
+
 Two orientation conventions are calibrated rather than assumed: the kernel
 sign (against the known (0,3) and (1,1) tensors) and the shift-recursion
 sign of the basis (inside :mod:`eorec.psi`).
@@ -34,18 +37,13 @@ from math import factorial
 
 from .curve import (FramedCurve, bergman_self_pairing, conjugate_series,
                     omega_diff_series, recursion_kernel)
-from .errors import CalibrationError, NotRepresentableError, PeelError, WindowError
-from .psi import PsiTable, peel
+from .errors import CalibrationError, NotRepresentableError
+from .psi import PsiTable, peel, psi_table
 from .reference import reference_correlators
 from .series import Series
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
-
-#: window policy: base size in z for a target (g,h), escalation step, retries
-WINDOW_BASE = (6, 2, 8)
-WINDOW_STEP = 4
-WINDOW_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -76,9 +74,15 @@ class CorrDiff:
         return max((sum(k) for k in self.coeffs), default=0)
 
 
-def window_policy(g: int, h: int, margin: int = 0) -> int:
-    a, b, c = WINDOW_BASE
-    return a * g + b * h + c + margin
+def window_policy(g: int, h: int) -> int:
+    """The smallest frame window for W(g,h), from the dimension bound.
+
+    Lower tensors carry an index sum <= 3g-5+h on their legs at q and q-bar
+    and Psi_n has a pole of order 2n+2, so ``R[a,b]`` and ``E[b]`` read K_j(w)
+    only up to j = 2(3g-3+h)-1.  A window W certifies K_j for j <= W-2, and
+    the one-form difference needs W >= 4.
+    """
+    return max(4, 2 * (3 * g - 3 + h) + 1)
 
 
 def _orderings(w: CorrDiff, legs: int) -> dict[tuple[int, ...], list]:
@@ -244,20 +248,17 @@ def _tail(h: int, *parts) -> tuple[int, ...]:
 class CorrStore:
     """Append-only memo of correlator tensors under fixed conventions."""
 
-    def __init__(self, f: int, conventions: Conventions | None = None,
-                 window_margin: int = 0, cache=None):
+    def __init__(self, f: int, conventions: Conventions | None = None, cache=None):
         self.curve = FramedCurve(f)
         self.f = f
-        self.window_margin = window_margin
         self.cache = cache
         if conventions is None:
-            psi = PsiTable(f)
-            sigma_k = calibrate_sigma_kernel(f, window_margin=window_margin)
-            conventions = Conventions(sigma_kernel=sigma_k, sigma_psirec=psi.sign)
-            self.psi = psi
-        else:
-            self.psi = PsiTable(f, forced_sign=conventions.sigma_psirec)
+            conventions = calibrate(f)
         self.conventions = conventions
+        # the shared table of this framing, unless an audit flips its sign
+        shared = psi_table(f)
+        self.psi = (shared if conventions.sigma_psirec == shared.sign
+                    else PsiTable(f, forced_sign=conventions.sigma_psirec))
         self.table: dict[tuple[int, int], CorrDiff] = {}
         self._frames: dict[int, _Frame] = {}
 
@@ -288,25 +289,17 @@ class CorrStore:
         return got
 
     def compute(self, g: int, h: int, window: int | None = None) -> CorrDiff:
-        """Run the residue step for one target, escalating the window on demand.
+        """Run the residue step for one target on one frame.
 
-        Without an explicit window the smallest frame already built whose
-        window covers the policy is reused: certified coefficients are
-        exact, so a wider frame gives the same tensor.  An explicit window
-        always runs on its own frame.
+        Without an explicit window the smallest frame already built that
+        covers ``window_policy(g, h)`` is reused: certified coefficients
+        are exact, so a wider frame gives the same tensor.  An explicit
+        window always runs on its own frame.
         """
-        size = window if window is not None else window_policy(g, h, self.window_margin)
-        last: Exception | None = None
-        for _ in range(WINDOW_RETRIES + 1):
-            if window is None:
-                size = min((w for w in self._frames if w >= size), default=size)
-            try:
-                return self._compute_at(g, h, size)
-            except (WindowError, PeelError) as exc:
-                last = exc
-            size += WINDOW_STEP
-        raise WindowError(
-            f"window exhausted for W({g},{h}) after {WINDOW_RETRIES} escalations: {last}")
+        if window is None:
+            need = window_policy(g, h)
+            window = min((w for w in self._frames if w >= need), default=need)
+        return self._compute_at(g, h, window)
 
     # -- assembly -------------------------------------------------------
 
@@ -407,15 +400,20 @@ class CorrStore:
                             acc[key] = acc.get(key, QZERO) + c * r
 
 
-def calibrate_sigma_kernel(f: int, window_margin: int = 0) -> int:
+def calibrate(f: int) -> Conventions:
+    """Conventions of framing f: the basis sign its shared table calibrated
+    and the kernel sign probed on that same table."""
+    return Conventions(sigma_kernel=calibrate_sigma_kernel(f),
+                       sigma_psirec=psi_table(f).sign)
+
+
+def calibrate_sigma_kernel(f: int) -> int:
     """Fix the kernel orientation against the (0,3) and (1,1) tensors.
 
     Both targets sit one recursion step above the base data, so they flip
     together under the kernel sign; a mixed outcome means a real bug.
-    (1,1) goes first so that (0,3) reuses its wider frame.
     """
-    probe = CorrStore(f, Conventions(sigma_kernel=1, sigma_psirec=PsiTable(f).sign),
-                      window_margin=window_margin)
+    probe = CorrStore(f, Conventions(sigma_kernel=1, sigma_psirec=psi_table(f).sign))
     ref = reference_correlators(f)
     outcomes = []
     for key in ((1, 1), (0, 3)):

@@ -322,10 +322,3 @@ def series_log1p(u: Series, order: int | None = None) -> Series:
         acc = acc + term
         k += 1
     return acc
-
-
-def ibp_residue_check(f: Series, g: Series) -> bool:
-    """Integration-by-parts identity on residues: Res g df = -Res f dg."""
-    lhs = (g * f.derive()).residue()
-    rhs = (f * g.derive()).residue()
-    return lhs + rhs == 0

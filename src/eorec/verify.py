@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .curve import conjugate_series
 from .errors import LogBranchError
-from .hodge import (bernoulli_energy, energy_table, hodge_extract,
+from .hodge import (energies_by_genus, energy_table, hodge_extract,
                     lambda_top_coefficient, lambda_triple, residue_theta_psi)
 from .poly import Poly
 from .recursion import CorrStore, Conventions, window_policy
@@ -98,12 +98,12 @@ def _poly_str(p: Poly) -> str:
 
 
 def build_stores(framings: list[int], conventions: Conventions | None = None,
-                 window_margin: int = 0, cache=None) -> list[CorrStore]:
-    """Stores for each framing under one shared set of conventions."""
+                 cache=None) -> list[CorrStore]:
+    """Stores for each framing under one shared set of conventions; without
+    conventions the first framing calibrates them."""
     stores = []
     for f in framings:
-        store = CorrStore(f, conventions=conventions, window_margin=window_margin,
-                          cache=cache)
+        store = CorrStore(f, conventions=conventions, cache=cache)
         conventions = store.conventions
         stores.append(store)
     return stores
@@ -225,7 +225,7 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
     for store in stores:
         for (g, h) in ((1, 1), (2, 1)):
             base = store.correlator(g, h)
-            widened = store.compute(g, h, window=window_policy(g, h, store.window_margin) + 4)
+            widened = store.compute(g, h, window=window_policy(g, h) + 4)
             add(CheckRecord(
                 name="truncation-stability",
                 params={"f": store.f, "g": g, "h": h},
@@ -238,10 +238,7 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
     epsilon: int | None = None
     if g_values:
         rows, epsilon = energy_table(stores, g_values)
-        by_g: dict[int, set] = {}
         for row in rows:
-            ok = (row.error is None and row.paths_equal and row.magnitude_ok
-                  and row.sign is not None)
             add(CheckRecord(
                 name="free-energy",
                 params={"g": row.g, "f": row.f},
@@ -249,9 +246,8 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
                 actual=(row.error if row.error
                         else f"direct {format_rational(row.direct)}, "
                              f"shortcut {format_rational(row.shortcut)}"),
-                passed=ok))
-            by_g.setdefault(row.g, set()).add(row.direct)
-        for g, values in sorted(by_g.items()):
+                passed=row.passed))
+        for g, values in sorted(energies_by_genus(rows).items()):
             add(CheckRecord(
                 name="free-energy-framing-independence",
                 params={"g": g},

@@ -11,12 +11,14 @@ from fractions import Fraction
 import pytest
 
 from eorec import (FramedCurve, Poly, bernoulli_energy, conjugate_series,
-                   energy_table, hodge_extract, ibp_residue_check,
-                   lambda_top_coefficient, lambda_triple, psi_form, psi_peel,
-                   psi_table, reference_correlators, residue_theta_psi,
-                   shift_step, two_point_genus_one_readings, window_policy)
+                   energy_table, hodge_extract, lambda_top_coefficient,
+                   lambda_triple, psi_form, psi_peel, psi_table,
+                   reference_correlators, residue_theta_psi, shift_step,
+                   two_point_genus_one_readings, window_policy)
 from eorec.series import Series
 from eorec.verify import build_stores
+
+from oracles import ibp_residue_check
 
 Q = Fraction
 FRAMINGS = [1, 2, 3]

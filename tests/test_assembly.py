@@ -1,15 +1,19 @@
-"""The tensor assembly: pinned outputs, an independent top-degree oracle
-and the frame policy of ``CorrStore.compute``."""
+"""The tensor assembly: pinned outputs, an independent top-degree oracle,
+the a priori window and the frame policy of ``CorrStore.compute``."""
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from eorec import Conventions, CorrStore, format_rational, window_policy
+from eorec import (Conventions, CorrStore, PeelError, WindowError, format_rational,
+                   window_policy)
 
 from wk import wk
+
+CONV = Conventions(sigma_kernel=-1, sigma_psirec=1)
 
 #: every stable W(g,h) with 2g-2+h <= 5
 TARGETS = [(g, h) for g in range(4) for h in range(1, 8)
@@ -102,6 +106,46 @@ def test_top_degree_is_witten_kontsevich(stores, g, h):
         for idx in _sorted_tuples(h, degree):
             key = tuple(sorted(idx))
             assert w.coeff(key) == scale * wk(g, idx), (store.f, key)
+
+
+@pytest.mark.parametrize("g,h", [t for t in TARGETS if window_policy(*t) > 4])
+def test_policy_window_is_tight(stores, g, h):
+    """One term less than the dimension bound asks for and a kernel
+    coefficient the tables read is no longer certified."""
+    for store in stores:
+        store.correlator(g, h)
+        probe = CorrStore(store.f, store.conventions)
+        probe.table = dict(store.table)  # lower tensors only; no frame
+        with pytest.raises(WindowError):
+            probe._compute_at(g, h, window_policy(g, h) - 1)
+
+
+def test_compute_runs_once_per_target_on_one_frame(monkeypatch):
+    calls = []
+    real = CorrStore._compute_at
+
+    def spy(self, g, h, window):
+        calls.append((g, h, window))
+        return real(self, g, h, window)
+
+    monkeypatch.setattr(CorrStore, "_compute_at", spy)
+    CorrStore(1, CONV).compute(2, 2)
+    assert calls[0] == (2, 2, window_policy(2, 2))
+    assert set(Counter((g, h) for g, h, _ in calls).values()) == {1}
+    assert {w for _, _, w in calls} == {window_policy(2, 2)}
+
+
+@pytest.mark.parametrize("error", [PeelError, WindowError])
+def test_assembly_errors_propagate_unchanged(monkeypatch, error):
+    raised = error("assembly failed")
+
+    def failing(self, g, h, window):
+        raise raised
+
+    monkeypatch.setattr(CorrStore, "_compute_at", failing)
+    with pytest.raises(error) as exc:
+        CorrStore(1, CONV).compute(2, 1)
+    assert exc.value is raised
 
 
 def test_explicit_window_builds_its_own_frame():

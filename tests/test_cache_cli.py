@@ -150,6 +150,12 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["verify", "--f", "1", "--g-max", "7"])
 
+    def test_window_margin_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["free-energy", "--window-margin", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --window-margin" in capsys.readouterr().err
+
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EOREC_CACHE_DIR", str(tmp_path))
         assert main(["correlator", "--f", "1", "--g", "1", "--h", "1"]) == 0

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eorec import Poly, RatFn, lagrange_interpolate
+from eorec import Poly, RatFn
+
+from oracles import lagrange_interpolate
 
 Q = Fraction
 

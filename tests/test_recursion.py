@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from eorec import (Conventions, CorrStore, psi_table, reference_correlators,
+from eorec import (Conventions, CorrStore, PsiTable, psi_table, reference_correlators,
                    two_point_genus_one_readings, window_policy)
+from eorec.recursion import calibrate
 from eorec.errors import NotRepresentableError
 
 Q = Fraction
@@ -30,6 +31,22 @@ class TestCalibration:
 
     def test_memoization_returns_same_object(self, store_f1):
         assert store_f1.correlator(1, 1) is store_f1.correlator(1, 1)
+
+    def test_calibration_and_stores_share_one_basis_table(self, monkeypatch):
+        shared = psi_table(2)
+        built = []
+        real = PsiTable.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PsiTable, "__init__", counting)
+        conv = calibrate(2)
+        assert conv == Conventions(sigma_kernel=-1, sigma_psirec=1)
+        assert CorrStore(2).psi is shared
+        assert CorrStore(2, conv).psi is shared
+        assert built == []
 
 
 class TestKnownTensors:

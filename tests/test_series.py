@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eorec import LogExt, Series, ibp_residue_check, series_log1p
+from eorec import LogExt, Series, series_log1p
 from eorec.errors import WindowError
+
+from oracles import ibp_residue_check
 
 Q = Fraction
 
