@@ -16,7 +16,7 @@ import sys
 
 from .cache import CorrCache, default_cache_dir
 from .errors import EorecError, NotRepresentableError
-from .hodge import energies_by_genus, energy_table, hodge_extract, lambda_triple
+from .hodge import dilaton, energies_by_genus, energy_table, hodge_extract
 from .recursion import Conventions, calibrate
 from .scalars import format_rational
 from .verify import build_stores, run_verification
@@ -174,14 +174,12 @@ def _cmd_hodge(args, stores, conv, epsilon) -> int:
         row = {"f": store.f,
                "bracket": {str(n): format_rational(c)
                            for n, c in sorted(table.bracket.items())}}
-        ratio = table.value(1) / (store.f * (store.f + 1))
-        row["bracket1_over_ff1"] = format_rational(ratio)
-        ratios.add(ratio)
-        if args.g >= 2:
-            target = (2 * args.g - 2) * lambda_triple(args.g)
-            row["dilaton_target"] = format_rational(target)
-            row["dilaton_sign"] = (None if abs(ratio) != target
-                                   else (1 if ratio == target else -1))
+        d = dilaton(table)
+        row["bracket1_over_ff1"] = format_rational(d.ratio)
+        ratios.add(d.ratio)
+        if d.target is not None:
+            row["dilaton_target"] = format_rational(d.target)
+            row["dilaton_sign"] = d.sign
         rows.append(row)
     payload = {"command": "hodge", "g": args.g,
                "conventions": _conv_payload(conv, epsilon),

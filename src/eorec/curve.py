@@ -52,9 +52,6 @@ class FramedCurve:
         shifted = self.x_poly.taylor_shift(self.y_star)
         return Series(0, shifted.coeffs, exact=True)
 
-    def prepare(self, window: int) -> "LocalFrame":
-        return LocalFrame(self, window)
-
 
 def _poly_of_series(p: Poly, s: Series) -> Series:
     if s.eff_start() is not None and s.eff_start() < 0:

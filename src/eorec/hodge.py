@@ -170,11 +170,7 @@ def _rewrite_word(word: tuple[int, int, int], g: int) -> Fraction | None:
     flat = sorted((d for d, c in counts.items() if d > 0 for _ in range(c)),
                   reverse=True)
     expected = [d for d in (g, g - 1, g - 2) if d > 0]
-    if flat == expected:
-        return mult
-    if not flat or sum(flat) != sum(expected):
-        return None
-    return None
+    return mult if flat == expected else None
 
 
 def lambda_triple(g: int) -> Fraction:
@@ -184,6 +180,30 @@ def lambda_triple(g: int) -> Fraction:
     return (Fraction(1, 2 * factorial(2 * g - 2))
             * abs(bernoulli(2 * g - 2)) / (2 * g - 2)
             * abs(bernoulli(2 * g)) / (2 * g))
+
+
+@dataclass(frozen=True)
+class Dilaton:
+    """The dilaton relation on the index-1 bracket of one framing.
+
+    ``ratio`` = bracket[1] / (f(f+1)) is framing independent and, for
+    g >= 2, equals +/- ``target`` = (2g-2) <l_g l_{g-1} l_{g-2}>_g.
+    """
+
+    ratio: Fraction
+    target: Fraction | None  # None below genus 2
+
+    @property
+    def sign(self) -> int | None:
+        """ratio / target when the magnitudes agree, else None."""
+        if self.target is None or abs(self.ratio) != self.target:
+            return None
+        return 1 if self.ratio == self.target else -1
+
+
+def dilaton(table: HodgeTable) -> Dilaton:
+    target = (2 * table.g - 2) * lambda_triple(table.g) if table.g >= 2 else None
+    return Dilaton(ratio=table.value(1) / (table.f * (table.f + 1)), target=target)
 
 
 def bernoulli_energy(g: int) -> Fraction:
@@ -255,11 +275,16 @@ def energies_by_genus(rows: list[EnergyRow]) -> dict[int, set]:
 
 
 def energy_table(stores: list[CorrStore], g_values: list[int]) -> tuple[list[EnergyRow], int | None]:
-    """One row per (g, f) plus the single global sign, when coherent."""
+    """One row per (g, f) in ascending genus, plus the single global sign,
+    when coherent.
+
+    The widest genus is computed first: its frame covers every lower target,
+    so each store builds one frame.
+    """
     rows: list[EnergyRow] = []
     epsilon: int | None = None
     coherent = True
-    for g in sorted(g_values):
+    for g in sorted(g_values, reverse=True):
         for store in stores:
             ref = bernoulli_energy(g)
             try:
@@ -283,4 +308,5 @@ def energy_table(stores: list[CorrStore], g_values: list[int]) -> tuple[list[Ene
                                   reference=ref, sign=sign,
                                   paths_equal=direct == shortcut,
                                   magnitude_ok=magnitude_ok))
+    rows.sort(key=lambda row: row.g)
     return rows, (epsilon if coherent else None)

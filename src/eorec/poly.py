@@ -1,8 +1,7 @@
-"""Dense univariate polynomials and reduced rational functions over Q.
+"""Dense univariate polynomials over Q.
 
 Polynomials are stored lowest degree first with no trailing zeros; the zero
-polynomial has an empty coefficient tuple.  Rational functions keep the
-denominator monic and coprime to the numerator.
+polynomial has an empty coefficient tuple.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from fractions import Fraction
 from typing import Iterable
 
 QZERO = Fraction(0)
-QONE = Fraction(1)
 
 
 class Poly:
@@ -102,14 +100,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def monic(self) -> "Poly":
-        if not self.coeffs:
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return Poly([c / lead for c in self.coeffs])
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -127,13 +117,6 @@ class Poly:
                     rem[k + j] -= c * b
         return Poly(quot), Poly(rem)
 
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic greatest common divisor."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
-
     def taylor_shift(self, c: Fraction) -> "Poly":
         """Return p(y + c) as a polynomial in y."""
         out = Poly()
@@ -143,84 +126,3 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
-
-
-class RatFn:
-    """Reduced rational function num/den with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = Poly([1])):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            self.num, self.den = Poly(), Poly([1])
-            return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
-        lead = den.coeffs[-1]
-        if lead != 1:
-            num = num * (QONE / lead)
-            den = den.monic()
-        self.num, self.den = num, den
-
-    @staticmethod
-    def const(c) -> "RatFn":
-        return RatFn(Poly.const(c))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RatFn):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "RatFn") -> "RatFn":
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RatFn") -> "RatFn":
-        return RatFn(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RatFn":
-        return RatFn(-self.num, self.den)
-
-    def __mul__(self, other) -> "RatFn":
-        if isinstance(other, (int, Fraction)):
-            return RatFn(self.num * other, self.den)
-        return RatFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "RatFn") -> "RatFn":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
-
-    def inverse(self) -> "RatFn":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero rational function")
-        return RatFn(self.den, self.num)
-
-    def derivative(self) -> "RatFn":
-        return RatFn(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def eval(self, y: Fraction) -> Fraction:
-        d = self.den.eval(y)
-        if not d:
-            raise ZeroDivisionError(f"pole at y={y}")
-        return self.num.eval(y) / d
-
-    def taylor_shift(self, c: Fraction) -> "RatFn":
-        return RatFn(self.num.taylor_shift(c), self.den.taylor_shift(c))
-
-    def __repr__(self) -> str:
-        return f"RatFn({self.num!r}, {self.den!r})"

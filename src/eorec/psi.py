@@ -8,7 +8,15 @@ with
     B(y) = y(y+1) / ((1+f) y + f),
     C(y) = 1 / ((1+f) ((1+f) y + f)).
 
-In the shifted coordinate z = y + f/(1+f) the scalar is a Laurent
+Every G_n = (B d/dy)^n C has a power of lin = (1+f) y + f as denominator,
+so the operator side is polynomial arithmetic on a pair (P, k) meaning
+P / lin^k, from G_0 = (1/(1+f), 1).  Since A B = 1, with
+Q = P' lin - k (1+f) P,
+
+    psihat_n = dG_n/dy = Q / lin^(k+1),    G_(n+1) = y(y+1) Q / lin^(k+2).
+
+In the shifted coordinate z = y + f/(1+f) the linear factor is (1+f) z, so
+psihat_n is one Taylor shift of Q over ((1+f) z)^(k+1): a Laurent
 polynomial with exponents in [-(2n+2), -2] and no residue term.  The same
 family satisfies a one-step shift recursion
 
@@ -27,9 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from typing import Iterator
 
 from .errors import CalibrationError, PeelError
-from .poly import Poly, RatFn
+from .poly import Poly
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -37,53 +47,40 @@ QONE = Fraction(1)
 
 @dataclass(frozen=True)
 class PsiForm:
-    """One basis scalar in both coordinates (hat convention, no dy)."""
+    """One basis scalar in the shifted coordinate (hat convention, no dy)."""
 
     n: int
     f: int
-    scalar_y: RatFn
     scalar_z: dict  # exponent -> Fraction, exact Laurent polynomial
 
     def leading(self) -> Fraction:
         return self.scalar_z[-(2 * self.n + 2)]
 
 
-def _operator_pieces(f: int) -> tuple[RatFn, RatFn, RatFn]:
+def _operator_forms(f: int) -> Iterator[dict]:
+    """psihat_0, psihat_1, ... in z, from the operator definition."""
     lin = Poly([f, f + 1])           # (1+f) y + f
     yy1 = Poly([0, 1, 1])            # y (y + 1)
-    B = RatFn(yy1, lin)
-    A = B.inverse()
-    C = RatFn(Poly([1]), lin * (f + 1))
-    return A, B, C
+    a = Fraction(f, f + 1)
+    P, k = Poly([Fraction(1, f + 1)]), 1
+    for n in count():
+        Q = P.derivative() * lin - P * (k * (f + 1))
+        scale = (f + 1) ** (k + 1)
+        out = {i - k - 1: c / scale
+               for i, c in enumerate(Q.taylor_shift(-a).coeffs) if c}
+        _check_shape(out, n)
+        yield out
+        P, k = yy1 * Q, k + 2
 
 
 def psi_form(n: int, f: int) -> PsiForm:
     """Basis scalar from the operator definition (fresh chain)."""
     if n < 0 or f < 1:
         raise ValueError("need n >= 0 and framing f >= 1")
-    A, B, C = _operator_pieces(f)
-    G = C
-    for _ in range(n + 1):
-        G = B * G.derivative()
-    hat = A * G
-    return PsiForm(n, f, hat, _shift_to_z(hat, n, f))
-
-
-def _shift_to_z(hat: RatFn, n: int, f: int) -> dict:
-    """Re-expand the y-form at y = y* + z; the denominator must be a pure power."""
-    a = Fraction(f, f + 1)
-    num = hat.num.taylor_shift(-a)
-    den = hat.den.taylor_shift(-a)
-    k = den.degree
-    if any(den.coeffs[:k]):
-        raise ArithmeticError("pole away from the ramification point")
-    lead = den.coeffs[k]
-    out = {}
-    for i, c in enumerate(num.coeffs):
-        if c:
-            out[i - k] = c / lead
-    _check_shape(out, n)
-    return out
+    forms = _operator_forms(f)
+    for _ in range(n):
+        next(forms)
+    return PsiForm(n, f, next(forms))
 
 
 def _check_shape(d: dict, n: int) -> None:
@@ -128,17 +125,15 @@ class PsiTable:
     The operator definition is normative; every extension step cross-checks
     the shift recursion under the single calibrated sign and aborts on
     disagreement.  ``forced_sign=-1`` instead builds the alternating-sign
-    variant of the shifted family from the same base case (audit mode; the
-    y-forms keep their operator meaning).
+    variant of the shifted family from the same base case (audit mode).
     """
 
     def __init__(self, f: int, forced_sign: int | None = None):
         if f < 1:
             raise ValueError("framing must be >= 1")
         self.f = f
-        self._forms: list[PsiForm] = [psi_form(0, f)]
-        self._chain: RatFn | None = None
-        self._pieces: tuple[RatFn, RatFn, RatFn] | None = None
+        self._operator = _operator_forms(f)
+        self._forms: list[PsiForm] = [PsiForm(0, f, next(self._operator))]
         calibrated = self._calibrate()
         if forced_sign is None:
             self.sign = calibrated
@@ -171,33 +166,18 @@ class PsiTable:
         return self.form(n).leading()
 
     def _extend(self, n: int) -> None:
-        if n < len(self._forms):
-            return
-        if self._pieces is None:
-            self._pieces = _operator_pieces(self.f)
-        A, B, C = self._pieces
         while len(self._forms) <= n:
             m = len(self._forms)
-            prev = self._forms[m - 1]
-            stepped = shift_step(prev.scalar_z, self.f, self.sign)
+            stepped = shift_step(self._forms[m - 1].scalar_z, self.f, self.sign)
             if self.forced:
                 # audit basis: shifted family from the recursion alone
-                hat_y = prev.scalar_y  # y-form kept for reference only
                 _check_shape(stepped, m)
-                self._forms.append(PsiForm(m, self.f, hat_y, stepped))
+                self._forms.append(PsiForm(m, self.f, stepped))
                 continue
-            if self._chain is None:
-                self._chain = C
-                for _ in range(m):  # G_m = (B d/dy)^m C
-                    self._chain = B * self._chain.derivative()
-            self._chain = B * self._chain.derivative()
-            hat = A * self._chain
-            form = PsiForm(m, self.f, hat, _shift_to_z(hat, m, self.f))
+            form = PsiForm(m, self.f, next(self._operator))
             if stepped != form.scalar_z:
                 raise CalibrationError(
                     f"shift recursion disagrees with the operator definition at n={m}")
-            if not form.leading():
-                raise ArithmeticError(f"vanishing leading coefficient at n={m}")
             self._forms.append(form)
 
 

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .curve import conjugate_series
 from .errors import LogBranchError
-from .hodge import (energies_by_genus, energy_table, hodge_extract,
-                    lambda_top_coefficient, lambda_triple, residue_theta_psi)
+from .hodge import (dilaton, energies_by_genus, energy_table, hodge_extract,
+                    lambda_top_coefficient, residue_theta_psi)
 from .poly import Poly
 from .recursion import CorrStore, Conventions, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
@@ -264,16 +264,13 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
 
         # bracket consistency across framings
         for g in g_values:
-            ratios = set()
-            for store in stores:
-                table = hodge_extract(store.correlator(g, 1))
-                ratios.add(table.value(1) / (store.f * (store.f + 1)))
-            target = (2 * g - 2) * lambda_triple(g)
-            ok = len(ratios) == 1 and abs(next(iter(ratios))) == target
+            checks = [dilaton(hodge_extract(store.correlator(g, 1))) for store in stores]
+            ratios = {d.ratio for d in checks}
+            ok = len(ratios) == 1 and checks[0].sign is not None
             add(CheckRecord(
                 name="bracket-dilaton-consistency",
                 params={"g": g},
-                expected=f"+/- {format_rational(target)}, framing independent",
+                expected=f"+/- {format_rational(checks[0].target)}, framing independent",
                 actual=", ".join(sorted(format_rational(r) for r in ratios)),
                 passed=ok))
 

@@ -3,10 +3,11 @@ from math import factorial
 
 import pytest
 
-from eorec import (FramedCurve, LogExt, Poly, bernoulli, bernoulli_energy,
-                   energy_table, free_energy_direct, free_energy_shortcut,
-                   hodge_extract, lambda_top_coefficient, lambda_triple,
-                   residue_theta_psi, theta_series)
+from eorec import (Conventions, CorrStore, FramedCurve, HodgeTable, LogExt, Poly,
+                   bernoulli, bernoulli_energy, energy_table, free_energy_direct,
+                   free_energy_shortcut, hodge_extract, lambda_top_coefficient,
+                   lambda_triple, residue_theta_psi, theta_series, window_policy)
+from eorec.hodge import dilaton
 
 Q = Fraction
 
@@ -146,6 +147,13 @@ class TestFreeEnergies:
         assert epsilon == -1
         assert all(r.paths_equal and r.magnitude_ok and r.sign == -1 for r in rows)
 
+    def test_energy_table_builds_one_frame_from_the_widest_genus(self):
+        store = CorrStore(1, Conventions(sigma_kernel=-1, sigma_psirec=1))
+        rows, epsilon = energy_table([store], [2, 3, 4])
+        assert [r.g for r in rows] == [2, 3, 4]
+        assert epsilon == -1 and all(r.passed for r in rows)
+        assert set(store._frames) == {window_policy(4, 1)} == {21}
+
     def test_shortcut_composition_example(self, stores):
         # g = 2, f = 2: bracket[1] = -1/480, residue magnitude 1/6
         store = stores[1]
@@ -166,6 +174,14 @@ class TestFreeEnergies:
             assert abs(ratio) == (2 * g - 2) * lambda_triple(g)
             # sign pattern (-1)^(g-1) from the top-degree reduction
             assert ratio == (-1) ** (g - 1) * (2 * g - 2) * lambda_triple(g)
+
+    def test_dilaton_sign_needs_the_magnitude(self):
+        target = 2 * lambda_triple(2)
+        for ratio, sign in ((target, 1), (-target, -1), (2 * target, None)):
+            d = dilaton(HodgeTable(g=2, f=2, bracket={1: 6 * ratio}))
+            assert (d.ratio, d.target, d.sign) == (ratio, target, sign)
+        d = dilaton(HodgeTable(g=1, f=2, bracket={1: Q(1)}))
+        assert (d.ratio, d.target, d.sign) == (Q(1, 6), None, None)
 
     def test_energy_table_reports_engine_errors_per_row(self, stores, monkeypatch):
         from eorec import WindowError, hodge

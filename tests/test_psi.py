@@ -4,29 +4,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eorec import PsiTable, Poly, RatFn, psi_form, psi_peel, psi_table, shift_step
-from eorec.errors import PeelError
+from eorec import PsiTable, Poly, psi_form, psi_peel, psi_table, shift_step
+from eorec import psi as psi_module
+from eorec.errors import CalibrationError, PeelError
 
 from oracles import lagrange_interpolate
 
 Q = Fraction
 
 
+def _y_numerator(form, f):
+    """Numerator of psihat_n over lin^(2n+2), lin = f + (f+1) y, read back
+    from the z-form: at z = y + f/(1+f) the linear factor is (1+f) z."""
+    top = 2 * form.n + 2
+    assert set(form.scalar_z) <= set(range(-top, -1))
+    z_num = Poly([form.scalar_z.get(i - top, 0) for i in range(top - 1)])
+    return z_num.taylor_shift(Q(f, f + 1)) * (1 + f) ** top
+
+
 class TestOperatorDefinition:
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_index_zero_matches_display(self, f):
         # psihat_0 = -1 / (f + (f+1) y)^2
-        lin = Poly([f, f + 1])
-        want = RatFn(Poly([-1]), lin * lin)
-        assert psi_form(0, f).scalar_y == want
+        assert _y_numerator(psi_form(0, f), f) == Poly([-1])
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_index_one_matches_display(self, f):
         # psihat_1 = (3(1+f) y(y+1) - (1+2y)(f+(f+1)y)) / (f+(f+1)y)^4
         lin = Poly([f, f + 1])
         num = Poly([0, 1, 1]) * (3 * (1 + f)) - Poly([1, 2]) * lin
-        den = lin * lin * lin * lin
-        assert psi_form(1, f).scalar_y == RatFn(num, den)
+        assert _y_numerator(psi_form(1, f), f) == num
 
     def test_shifted_forms_framing_one(self):
         t = psi_table(1)
@@ -51,11 +58,29 @@ class TestShiftRecursion:
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_agrees_with_operator_to_ten(self, f):
+        # through index 17; free-energy --g-max 6 reads up to index 16
         t = psi_table(f)
-        for n in range(1, 11):
+        for n in range(1, 18):
             stepped = shift_step(t.shifted(n - 1), f, t.sign)
             assert stepped == t.shifted(n)
             assert stepped == psi_form(n, f).scalar_z
+
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_disagreement_after_calibration_raises(self, f, monkeypatch):
+        real = psi_module.shift_step
+        want = psi_table(f).shifted(2)
+
+        def perturbed(prev, f, sign):
+            out = real(prev, f, sign)
+            if -min(prev) // 2 >= 3:  # stepping psihat_(m-1), lead -2m, to m
+                out[-2] = out.get(-2, 0) + 1
+            return out
+
+        monkeypatch.setattr(psi_module, "shift_step", perturbed)
+        t = PsiTable(f)
+        assert t.shifted(2) == want
+        with pytest.raises(CalibrationError, match="n=3"):
+            t.shifted(5)
 
     def test_forced_opposite_sign_alternates(self):
         t = PsiTable(1, forced_sign=-1)

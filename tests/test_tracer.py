@@ -1,0 +1,32 @@
+"""The benchmark's per-layer tracer still finds what it patches in ``src/``.
+
+``perfbench/tracer.py`` wraps eorec functions and methods by name from
+outside the package, so renaming one of them breaks the benchmark's
+per-layer metrics without failing any engine test.  This runs one traced
+benchmark job the way ``perfbench/run.py`` does, in a fresh process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_job_counts_every_patched_layer(tmp_path):
+    env = dict(os.environ)
+    env.pop("EOREC_CACHE_DIR", None)  # no cache: every layer does real work
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave perfbench/ as checked in
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"),
+         "--report", str(report), "--spans", str(tmp_path / "spans.jsonl"),
+         "--", "correlator", "--f", "1", "--g", "0", "--h", "4"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(report.read_text())["trace"]
+    for metric in ("psi.shifted.calls", "curve.frames", "laurent.mul.term_pairs"):
+        assert trace[metric] > 0, metric
