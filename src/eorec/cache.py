@@ -3,9 +3,10 @@
 One JSON file per (f, g, h, kernel sign, shift-recursion sign), holding the
 tensor with rationals serialized as decimal ``p/q`` strings, a format
 version and a content checksum.  A version or checksum mismatch triggers
-recomputation; stale files are never silently reused.  The calibration
-record (``conventions.json``) persists the signs discovered on first use of
-a cache directory, plus the global energy sign once an energy run has
+recomputation; stale files are never silently reused, and every rejection
+is a warning on the ``eorec`` logger.  The calibration record
+(``conventions.json``) persists the signs discovered on first use of a
+cache directory, plus the global energy sign once an energy run has
 established it.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +23,24 @@ from .scalars import format_rational, parse_rational
 
 FORMAT_VERSION = 1
 ENV_CACHE_DIR = "EOREC_CACHE_DIR"
+
+
+def _warn(message: str) -> None:
+    """Report a rejected file as a warning on the ``eorec`` logger.
+
+    ``logging`` is imported on the first rejection, because importing it at
+    start-up costs about 10 ms that a run on a clean cache never uses.  The
+    logger carries Python's last-resort handler (the bare message on the
+    current stderr) as its own: any handler on the root logger, such as
+    pytest's log capture, would otherwise silence it.  Records still
+    propagate to the root.
+    """
+    import logging
+
+    log = logging.getLogger("eorec")
+    if not log.handlers:
+        log.addHandler(logging.lastResort)
+    log.warning(message)
 
 
 def _canonical(payload: dict) -> str:
@@ -82,18 +100,15 @@ class CorrCache:
             blob = json.loads(path.read_text(encoding="utf-8"))
             stored = blob.pop("checksum")
         except (json.JSONDecodeError, KeyError, OSError):
-            print(f"eorec: unreadable cache file {path.name}, recomputing",
-                  file=sys.stderr)
+            _warn(f"eorec: unreadable cache file {path.name}, recomputing")
             return None
         if blob.get("format_version") != FORMAT_VERSION or stored != _checksum(blob):
-            print(f"eorec: stale or corrupt cache file {path.name}, recomputing",
-                  file=sys.stderr)
+            _warn(f"eorec: stale or corrupt cache file {path.name}, recomputing")
             return None
         key = (blob.get("f"), blob.get("g"), blob.get("h"),
                blob.get("sigma_kernel"), blob.get("sigma_psirec"))
         if key != (f, g, h, conv.sigma_kernel, conv.sigma_psirec):
-            print(f"eorec: mismatched cache key in {path.name}, recomputing",
-                  file=sys.stderr)
+            _warn(f"eorec: mismatched cache key in {path.name}, recomputing")
             return None
         return corrdiff_from_payload(blob)
 
@@ -117,9 +132,10 @@ class CorrCache:
             blob = json.loads(path.read_text(encoding="utf-8"))
             stored = blob.pop("checksum")
         except (json.JSONDecodeError, KeyError, OSError):
+            _warn("eorec: unreadable calibration record, recalibrating")
             return None
         if blob.get("format_version") != FORMAT_VERSION or stored != _checksum(blob):
-            print("eorec: stale calibration record, recalibrating", file=sys.stderr)
+            _warn("eorec: stale calibration record, recalibrating")
             return None
         conv = Conventions(sigma_kernel=blob["sigma_kernel"],
                            sigma_psirec=blob["sigma_psirec"])

@@ -1,10 +1,12 @@
 """Everything downstream of the correlators.
 
-* the primitive of omega = log y dx/x as a local series whose coefficients
-  live in the rank-one log extension (the branch constant of the log at the
-  ramification point is the opaque symbol, and it must cancel from every
-  residue handed back to callers);
-* the residue pairing of that primitive against each basis one-form, which
+* the primitive theta of omega = log y dx/x as a local series whose
+  coefficients live in the rank-one log extension (the branch constant of
+  the log at the ramification point is the opaque symbol, and it must
+  cancel from every residue handed back to callers); each coefficient has a
+  closed form, and one primitive per framing serves every basis index;
+* the residue pairing of theta against each basis one-form, a dot product
+  of the basis scalar's principal part with the coefficients of theta; it
   vanishes except at index 1;
 * extraction of triple-Hodge brackets from one-point tensors;
 * the top-degree coefficient of the product of the three dual Hodge
@@ -26,63 +28,77 @@ from .poly import Poly
 from .psi import PsiTable, psi_table
 from .recursion import CorrDiff, CorrStore
 from .scalars import LogExt
-from .series import Series, series_log1p
+from .series import Series
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
 def theta_series(curve: FramedCurve, window: int) -> Series:
-    """Local primitive of log y dx/x at the ramification point, valuation 2.
+    """Local primitive of log y dx/x at the ramification point, valuation 2,
+    certified up to exponent window + 2.
 
-    Built from its differential
+    Its differential is
         (1+f) z log(z - a) / ((z - a)(z + b)) dz,   a = f/(1+f), b = 1/(1+f),
-    with log(z - a) = l + log1p(-z/a); the integration constant is dropped,
-    which is harmless because every pairing partner is residue free.
+    with log(z - a) = l + log(1 - z/a); the integration constant is dropped,
+    which is harmless because every pairing partner is residue free.  Since
+    a + b = 1, partial fractions give
+        (1+f) z / ((z - a)(z + b)) = sum_{m>=1} p_m z^m,
+        p_m = -(1+f) (a^-m + (-1)^(m-1) b^-m),
+    and log(1 - z/a) = -sum_{j>=1} z^j / (j a^j), so
+        theta_(m+1) = (p_m l - sum_{i+j=m} p_i / (j a^j)) / (m+1),
+    O(window^2) rational operations in all.
     """
     if window < 3:
         raise ValueError("window must be at least 3")
     f = curve.f
-    a = Fraction(f, f + 1)
-    b = Fraction(1, f + 1)
-    z = Series(1, [QONE], exact=True)
-    denom = Series(0, [-a * b, b - a, QONE], exact=True)  # (z - a)(z + b)
-    pre = z.scale(Fraction(f + 1)) * denom.invert(order=window)
-    log_tail = series_log1p(z.scale(-1 / a), order=window)
-    d_theta = pre.scale(LogExt(0, 1)) + (pre * log_tail).scale(LogExt(1, 0))
-    theta = d_theta.antiderive()
-    if theta.eff_start() != 2:
-        raise ArithmeticError("primitive does not vanish to second order")
-    return theta
+    inv_a = Fraction(f + 1, f)
+    inv_b = f + 1
+    top = window + 1
+    p = [QZERO] * (top + 1)    # p[m]: z^m of the rational factor
+    lg = [QZERO] * (top + 1)   # lg[j]: z^j of log(1 - z/a)
+    for m in range(1, top + 1):
+        p[m] = -(f + 1) * (inv_a ** m + (-1) ** (m - 1) * inv_b ** m)
+        lg[m] = -inv_a ** m / m
+    coeffs = [LogExt(0), LogExt(0)]
+    for m in range(1, top + 1):
+        rat = sum((p[i] * lg[m - i] for i in range(1, m)), QZERO)
+        coeffs.append(LogExt(rat / (m + 1), p[m] / (m + 1)))
+    return Series(0, coeffs, zero=LogExt(0))
 
 
-_THETA_CACHE: dict[tuple[int, int], Series] = {}
+_THETA: dict[int, Series] = {}  # framing -> widest primitive built so far
 
 
-def _theta(curve: FramedCurve, window: int) -> Series:
-    key = (curve.f, window)
-    got = _THETA_CACHE.get(key)
-    if got is None:
-        got = _THETA_CACHE[key] = theta_series(curve, window)
+def _theta(curve: FramedCurve, top: int) -> Series:
+    """A primitive certified at least up to exponent ``top``: the widest one
+    built for this framing, or a new one of just the needed window."""
+    got = _THETA.get(curve.f)
+    if got is None or got.window_end < top:
+        got = _THETA[curve.f] = theta_series(curve, max(3, top - 2))
     return got
 
 
 def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None) -> Fraction:
     """Residue of theta against Psi_n = -psihat_n dy at the ramification point.
 
+    psihat_n has exponents -(2n+2) .. -2 in z, so the residue is the dot
+    product -sum_e psihat_n[e] theta_(-1-e) over theta_1 .. theta_(2n+1).
     The branch symbol must cancel exactly; the rational part is returned.
     Vanishes for n = 0 and n >= 2; magnitude 1/(f(1+f)) at n = 1.
     """
     if table is None:
         table = psi_table(curve.f)
-    theta = _theta(curve, 2 * n + 3)
-    leg = Series.from_dict({e: -c for e, c in table.shifted(n).items()}, exact=True)
-    res = (theta * leg).residue()
-    if isinstance(res, LogExt):
-        if res.log:
-            raise LogBranchError(f"branch symbol survives the index-{n} residue: {res}")
-        return res.rat
-    return Fraction(res)
+    theta = _theta(curve, 2 * n + 1)
+    rat = log = QZERO
+    for e, c in table.shifted(n).items():
+        t = theta.coeff(-1 - e)
+        rat -= c * t.rat
+        log -= c * t.log
+    if log:
+        raise LogBranchError(f"branch symbol survives the index-{n} residue: "
+                             f"{LogExt(rat, log)}")
+    return rat
 
 
 @dataclass(frozen=True)
@@ -215,22 +231,11 @@ def bernoulli_energy(g: int) -> Fraction:
         / (2 * g * (2 * g - 2) * factorial(2 * g - 2))
 
 
-def _assert_residue_free(store: CorrStore, w: CorrDiff) -> None:
-    table = store.psi
-    res = QZERO
-    for idx, c in w.coeffs.items():
-        res += c * -table.shifted(idx[0]).get(-1, QZERO)
-    if res:
-        raise ArithmeticError("one-point correlator carries a residue at the "
-                              "ramification point")
-
-
 def free_energy_direct(store: CorrStore, g: int) -> Fraction:
     """(-1)^g/(2-2g) times the full residue pairing of theta with W(g,1)."""
     if g < 2:
         raise ValueError("needs genus >= 2")
     w = store.correlator(g, 1)
-    _assert_residue_free(store, w)
     total = QZERO
     for idx, c in w.coeffs.items():
         total += c * residue_theta_psi(store.curve, idx[0], table=store.psi)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 from fractions import Fraction
 
@@ -37,6 +38,69 @@ class TestCache:
         path.write_text(json.dumps(blob))
         assert cache.load(1, 1, 1, CONV) is None
         assert "recomputing" in capsys.readouterr().err
+
+    @staticmethod
+    def _stored(tmp_path):
+        cache = CorrCache(tmp_path)
+        cache.store(CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 8)}), CONV)
+        return cache, next(tmp_path.glob("corr_*.json"))
+
+    @staticmethod
+    def _warnings(caplog):
+        return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+    def test_unreadable_file_is_logged(self, tmp_path, caplog):
+        cache, path = self._stored(tmp_path)
+        path.write_text("{not json")
+        assert cache.load(1, 1, 1, CONV) is None
+        assert self._warnings(caplog) == [(
+            "eorec", logging.WARNING,
+            f"eorec: unreadable cache file {path.name}, recomputing")]
+
+    def test_stale_file_is_logged(self, tmp_path, caplog):
+        cache, path = self._stored(tmp_path)
+        blob = json.loads(path.read_text())
+        blob["format_version"] = 0
+        path.write_text(json.dumps(blob))
+        assert cache.load(1, 1, 1, CONV) is None
+        assert self._warnings(caplog) == [(
+            "eorec", logging.WARNING,
+            f"eorec: stale or corrupt cache file {path.name}, recomputing")]
+
+    def test_mismatched_key_is_logged(self, tmp_path, caplog):
+        cache, path = self._stored(tmp_path)
+        other = cache._path(2, 1, 1, CONV)
+        path.rename(other)  # an intact record of f = 1 under the f = 2 name
+        assert cache.load(2, 1, 1, CONV) is None
+        assert self._warnings(caplog) == [(
+            "eorec", logging.WARNING,
+            f"eorec: mismatched cache key in {other.name}, recomputing")]
+
+    def test_stale_calibration_record_is_logged(self, tmp_path, caplog):
+        cache = CorrCache(tmp_path)
+        cache.store_conventions(CONV, epsilon=-1)
+        path = tmp_path / "conventions.json"
+        blob = json.loads(path.read_text())
+        blob["epsilon"] = 1  # tamper without fixing the checksum
+        path.write_text(json.dumps(blob))
+        assert cache.load_conventions() is None
+        assert self._warnings(caplog) == [(
+            "eorec", logging.WARNING, "eorec: stale calibration record, recalibrating")]
+
+    def test_unreadable_calibration_record_is_logged(self, tmp_path, caplog):
+        cache = CorrCache(tmp_path)
+        (tmp_path / "conventions.json").write_text("{}")  # no checksum
+        assert cache.load_conventions() is None
+        assert self._warnings(caplog) == [(
+            "eorec", logging.WARNING,
+            "eorec: unreadable calibration record, recalibrating")]
+
+    def test_rejection_reaches_stderr_once(self, tmp_path, capsys):
+        cache, path = self._stored(tmp_path)
+        path.write_text("{not json")
+        cache.load(1, 1, 1, CONV)
+        assert capsys.readouterr().err == \
+            f"eorec: unreadable cache file {path.name}, recomputing\n"
 
     def test_store_uses_cache(self, tmp_path):
         cache = CorrCache(tmp_path)

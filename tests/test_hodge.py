@@ -6,8 +6,13 @@ import pytest
 from eorec import (Conventions, CorrStore, FramedCurve, HodgeTable, LogExt, Poly,
                    bernoulli, bernoulli_energy, energy_table, free_energy_direct,
                    free_energy_shortcut, hodge_extract, lambda_top_coefficient,
-                   lambda_triple, residue_theta_psi, theta_series, window_policy)
+                   Series, lambda_triple, psi_table, residue_theta_psi,
+                   theta_series, window_policy)
+from eorec import hodge
+from eorec.errors import LogBranchError
 from eorec.hodge import dilaton
+
+from oracles import theta_by_series
 
 Q = Fraction
 
@@ -80,6 +85,14 @@ class TestThetaSeries:
         c = theta.coeff(2)
         assert c.rat == 0 and c.log != 0
 
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_closed_form_matches_series_construction(self, f):
+        curve = FramedCurve(f)
+        for window in range(3, 31):
+            got, want = theta_series(curve, window), theta_by_series(curve, window)
+            assert (got.start, got.window_end, got.coeffs) == \
+                (want.start, want.window_end, want.coeffs), window
+
 
 class TestResidueTable:
     @pytest.mark.parametrize("f", [1, 2, 3])
@@ -99,6 +112,55 @@ class TestResidueTable:
 
     def test_hand_value(self):
         assert residue_theta_psi(FramedCurve(1), 1) == Q(1, 2)
+
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_matches_series_product_values(self, f):
+        # recorded from the series-product pairing, n = 0..20: only n = 1 survives
+        want = {1: {1: Q(1, 2)}, 2: {1: Q(1, 6)}, 3: {1: Q(1, 12)}}[f]
+        curve = FramedCurve(f)
+        assert [residue_theta_psi(curve, n) for n in range(21)] == \
+            [want.get(n, 0) for n in range(21)]
+
+    def test_pairing_forms_no_series_product(self, monkeypatch):
+        monkeypatch.setattr(hodge, "_THETA", {})
+        products = []
+        real = Series.__mul__
+
+        def counted(a, b):
+            products.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(Series, "__mul__", counted)
+        for f in (1, 2, 3):
+            table = psi_table(f)
+            for n in range(9):
+                residue_theta_psi(FramedCurve(f), n, table=table)
+        assert products == []
+
+    def test_one_primitive_per_framing_widened_on_demand(self, monkeypatch):
+        monkeypatch.setattr(hodge, "_THETA", {})
+        windows = []
+
+        def counted(curve, window):
+            windows.append(window)
+            return theta_series(curve, window)
+
+        monkeypatch.setattr(hodge, "theta_series", counted)
+        curve = FramedCurve(2)
+        for n in (5, 0, 1, 4, 5, 8, 2):
+            residue_theta_psi(curve, n)
+        assert windows == [9, 15]  # theta_(2n+1) up to n = 5, then n = 8
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_surviving_branch_symbol_raises(self, monkeypatch, n):
+        curve = FramedCurve(1)
+        theta = theta_series(curve, 2 * n + 3)
+        coeffs = list(theta.coeffs)
+        coeffs[2 * n + 1] = coeffs[2 * n + 1] + LogExt(0, 1)  # meets the z^-(2n+2) lead
+        monkeypatch.setattr(hodge, "_THETA",
+                            {1: Series(theta.start, coeffs, zero=theta.zero)})
+        with pytest.raises(LogBranchError, match=f"index-{n} residue"):
+            residue_theta_psi(curve, n)
 
 
 class TestHodgeExtraction:

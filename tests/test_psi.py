@@ -129,6 +129,14 @@ class TestShape:
                 assert fit.degree <= 2 * n
 
 
+def test_check_shape_rejects_a_residue_term():
+    # the cap at z^-2 is what keeps every pairing with a basis form residue free
+    good = {-4: Q(-3, 32), -2: Q(1, 8)}
+    psi_module._check_shape(good, 1)
+    with pytest.raises(ArithmeticError, match="top <= -2"):
+        psi_module._check_shape({**good, -1: Q(1)}, 1)
+
+
 class TestPeel:
     def test_identity_case(self):
         t = psi_table(1)
