@@ -164,8 +164,9 @@ def _cmd_correlator(args, stores, conv, epsilon) -> int:
 
 
 def _cmd_hodge(args, stores, conv, epsilon) -> int:
-    if args.g < 1:
-        print("eorec: --g must be >= 1 for Hodge extraction", file=sys.stderr)
+    if not 1 <= args.g <= HARD_G_CAP:
+        print(f"eorec: --g must be between 1 and {HARD_G_CAP} for Hodge extraction",
+              file=sys.stderr)
         return 2
     rows = []
     ratios = set()

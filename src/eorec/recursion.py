@@ -17,8 +17,11 @@ Each residue reads only the z^e coefficients with e <= 0 of its integrand
 against the kernel coefficients K_{-1-e}(w), and every kernel coefficient
 is expanded in the basis once per frame.  These expansions, and the one of
 every Bergman leg, must terminate with zero remainder, which turns the
-closure theorem for this basis into a runtime assertion.  The assembled
-tensor is checked for slot symmetry and the dimension bound.
+closure theorem for this basis into a runtime assertion.  Lower tensors
+stay sorted keys and the contraction accumulates on (free index | sorted
+tail), so the fixed slots are symmetric by construction; the assembled
+tensor is checked for free-slot symmetry (every distinct free index of a
+key gives the same value) and the dimension bound.
 
 The dimension bound also sizes every frame in advance (``window_policy``),
 so a ``WindowError`` or ``PeelError`` during assembly is a bug and propagates.
@@ -30,10 +33,10 @@ sign of the basis (inside :mod:`eorec.psi`).
 
 from __future__ import annotations
 
-import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .curve import (FramedCurve, bergman_self_pairing, conjugate_series,
                     omega_diff_series, recursion_kernel)
@@ -85,21 +88,29 @@ def window_policy(g: int, h: int) -> int:
     return max(4, 2 * (3 * g - 3 + h) + 1)
 
 
-def _orderings(w: CorrDiff, legs: int) -> dict[tuple[int, ...], list]:
-    """Every distinct ordering of w's entries, grouped by its first ``legs``
-    indices (the legs at q and q-bar); the rest stay at fixed slots."""
-    out: dict[tuple[int, ...], list] = {}
-    for idx, c in w.coeffs.items():
-        for perm in set(itertools.permutations(idx)):
-            out.setdefault(perm[:legs], []).append((perm[legs:], c))
+def _legs(key: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(v, key with one v removed) for each distinct value v of a sorted key."""
+    return [(v, key[:i] + key[i + 1:]) for i, v in enumerate(key)
+            if i == 0 or key[i - 1] != v]
+
+
+def _by_leg(w: CorrDiff) -> dict[int, list]:
+    """w's entries grouped by the index of one leg: v -> [(sorted rest, c)]."""
+    out: dict[int, list] = {}
+    for key, c in w.coeffs.items():
+        for v, rest in _legs(key):
+            out.setdefault(v, []).append((rest, c))
     return out
 
 
-def multiset_permutation_count(idx: tuple[int, ...]) -> int:
-    n = factorial(len(idx))
-    for v in set(idx):
-        n //= factorial(idx.count(v))
-    return n
+def _merge(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The sorted tail T = t1 + t2 and the number of ways to place t1 at the
+    fixed slots of T: prod_v C(count_T(v), count_t1(v))."""
+    tail = tuple(sorted(t1 + t2))
+    weight = 1
+    for v in set(t1):
+        weight *= comb(tail.count(v), t1.count(v))
+    return tail, weight
 
 
 def _principal(a: Series, b: Series, into: dict | None = None) -> dict[int, Fraction]:
@@ -236,15 +247,6 @@ class _Frame:
         return self._w03
 
 
-def _tail(h: int, *parts) -> tuple[int, ...]:
-    """Indices at fixed slots 1..h-1, filled from (slots, indices) pairs."""
-    out = [0] * (h - 1)
-    for slots, values in parts:
-        for p, v in zip(slots, values):
-            out[p - 1] = v
-    return tuple(out)
-
-
 class CorrStore:
     """Append-only memo of correlator tensors under fixed conventions."""
 
@@ -306,46 +308,45 @@ class CorrStore:
     def _compute_at(self, g: int, h: int, window: int) -> CorrDiff:
         """Contract lower tensors with the frame's residue tables.
 
-        A fixed slot carried over from a lower tensor holds -psihat, so a
-        term carrying k of them takes (-1)^k; the free slot takes (-1)^h.
+        Lower tensors stay sorted keys and the sum accumulates on (free
+        index n | sorted tail): a choice of fixed slots for a lower tensor
+        becomes a multiset split of the tail, weighted by ``_merge``.  A
+        fixed slot carried over from a lower tensor holds -psihat, so a term
+        carrying k of them takes (-1)^k; the free slot takes (-1)^h.
         """
         frame = self.frame(window)
-        fixed = tuple(range(1, h))
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], Fraction] = defaultdict(int)
 
-        # first term: W(g-1, h+1) with its first two legs at q and q-bar
+        # first term: W(g-1, h+1) with two of its legs at q and q-bar
         if g == 1 and h == 1:
             for n, c in frame.d_table().items():
                 acc[(n,)] = c
         elif g >= 1:
             carried = -QONE if (h - 1) % 2 else QONE
-            for (a, b), tails in _orderings(self.correlator(g - 1, h + 1), 2).items():
-                table = frame.r_table(a, b)
-                for tail, c in tails:
-                    for n, r in table.items():
-                        key = (n,) + tail
-                        acc[key] = acc.get(key, QZERO) + carried * c * r
+            for key, c in self.correlator(g - 1, h + 1).coeffs.items():
+                for a, rest in _legs(key):
+                    for b, tail in _legs(rest):
+                        for n, r in frame.r_table(a, b).items():
+                            acc[(n,) + tail] += carried * c * r
 
-        # quadratic terms W(g-l, J + q) W(l, J^c + q-bar)
+        # quadratic terms W(g-l, r+1) W(l, h-r): r fixed slots go left
         for l in range(g + 1):
             for r in range(h):
-                for J in itertools.combinations(fixed, r):
-                    Jc = tuple(v for v in fixed if v not in J)
-                    left, right = (g - l, len(J) + 1), (l, len(Jc) + 1)
-                    # terms with a vanishing one-point factor drop before
-                    # the partner (possibly the target itself) is evaluated
-                    if left == (0, 1) or right == (0, 1):
-                        continue
-                    if left == right == (0, 2):
-                        for (n, m1, m2), c in frame.w03_table().items():
-                            key = (n,) + _tail(h, (J, (m1,)), (Jc, (m2,)))
-                            acc[key] = acc.get(key, QZERO) + c
-                    elif left == (0, 2):
-                        # E[b] holds both orientations of the Bergman leg;
-                        # the mirror term right == (0, 2) is skipped below
-                        self._bergman_leg_term(frame, acc, g, h, J, Jc)
-                    elif right != (0, 2):
-                        self._pair_term(frame, acc, h, left, J, right, Jc)
+                left, right = (g - l, r + 1), (l, h - r)
+                # terms with a vanishing one-point factor drop before
+                # the partner (possibly the target itself) is evaluated
+                if left == (0, 1) or right == (0, 1):
+                    continue
+                if left == right == (0, 2):
+                    for (n, m1, m2), c in frame.w03_table().items():
+                        tail, weight = _merge((m1,), (m2,))
+                        acc[(n,) + tail] += weight * c
+                elif left == (0, 2):
+                    # E[b] holds both orientations of the Bergman leg;
+                    # the mirror term right == (0, 2) is skipped below
+                    self._bergman_leg_term(frame, acc, g, h)
+                elif right != (0, 2):
+                    self._pair_term(frame, acc, h, left, right)
         coeffs: dict = {}
         seen: dict = {}
         sign = QONE if h % 2 == 0 else -QONE
@@ -356,48 +357,45 @@ class CorrStore:
             key = tuple(sorted(idx))
             if key in coeffs:
                 if coeffs[key] != c:
-                    raise AssertionError(f"asymmetric tensor at {idx} for W({g},{h})")
+                    raise AssertionError(
+                        f"free slot breaks the symmetry at {idx} in W({g},{h})")
                 seen[key] += 1
             else:
                 coeffs[key] = c
                 seen[key] = 1
         bound = 3 * g - 3 + h
         for key, count in seen.items():
-            if count != multiset_permutation_count(key):
-                raise AssertionError(f"missing permutations of {key} in W({g},{h})")
+            if count != len(set(key)):
+                raise AssertionError(f"missing free indices of {key} in W({g},{h})")
             if sum(key) > bound:
                 raise AssertionError(
                     f"index {key} violates the dimension bound {bound} in W({g},{h})")
         return CorrDiff(g=g, h=h, f=self.f, coeffs=coeffs)
 
-    def _bergman_leg_term(self, frame: _Frame, acc: dict, g: int, h: int,
-                          J: tuple[int, ...], Jc: tuple[int, ...]) -> None:
+    def _bergman_leg_term(self, frame: _Frame, acc: dict, g: int, h: int) -> None:
         """B(q, p_j) against W(g, h-1) at q-bar and its mirror, via E[b]."""
         carried = -QONE if (h - 2) % 2 else QONE
-        for (b,), tails in _orderings(self.correlator(g, h - 1), 1).items():
-            table = frame.e_table(b)
-            for tail, c in tails:
-                for (n, m), e in table.items():
-                    key = (n,) + _tail(h, (J, (m,)), (Jc, tail))
-                    acc[key] = acc.get(key, QZERO) + carried * c * e
+        for b, tails in _by_leg(self.correlator(g, h - 1)).items():
+            for (n, m), e in frame.e_table(b).items():
+                for rest, c in tails:
+                    tail, weight = _merge((m,), rest)
+                    acc[(n,) + tail] += carried * weight * c * e
 
-    def _pair_term(self, frame: _Frame, acc: dict, h: int, left: tuple[int, int],
-                   J: tuple[int, ...], right: tuple[int, int],
-                   Jc: tuple[int, ...]) -> None:
+    def _pair_term(self, frame: _Frame, acc: dict, h: int,
+                   left: tuple[int, int], right: tuple[int, int]) -> None:
         """Two lower tensors with their legs at q and q-bar, via R[a,b]."""
         carried = -QONE if (h - 1) % 2 else QONE
-        at_q = _orderings(self.correlator(*left), 1)
-        at_qbar = _orderings(self.correlator(*right), 1)
-        for (a,), tails_q in at_q.items():
-            for (b,), tails_qbar in at_qbar.items():
+        at_q = _by_leg(self.correlator(*left))
+        at_qbar = _by_leg(self.correlator(*right))
+        for a, tails_q in at_q.items():
+            for b, tails_qbar in at_qbar.items():
                 table = frame.r_table(a, b)
                 for tq, cq in tails_q:
                     for tqb, cqb in tails_qbar:
-                        c = carried * cq * cqb
-                        tail = _tail(h, (J, tq), (Jc, tqb))
+                        tail, weight = _merge(tq, tqb)
+                        c = carried * weight * cq * cqb
                         for n, r in table.items():
-                            key = (n,) + tail
-                            acc[key] = acc.get(key, QZERO) + c * r
+                            acc[(n,) + tail] += c * r
 
 
 def calibrate(f: int) -> Conventions:

@@ -1,5 +1,6 @@
 """The tensor assembly: pinned outputs, an independent top-degree oracle,
-the a priori window and the frame policy of ``CorrStore.compute``."""
+the a priori window, the frame policy of ``CorrStore.compute`` and the
+free-slot symmetry check."""
 
 import hashlib
 import json
@@ -8,8 +9,10 @@ from fractions import Fraction
 
 import pytest
 
-from eorec import (Conventions, CorrStore, PeelError, WindowError, format_rational,
-                   window_policy)
+from eorec import (Conventions, CorrStore, PeelError, Series, WindowError,
+                   format_rational, window_policy)
+from eorec import recursion
+from eorec.psi import peel
 
 from wk import wk
 
@@ -67,6 +70,58 @@ PINNED = {
 }
 
 
+#: every stable W(g,h) with 6 <= 2g-2+h <= 8 at f = 1, 2, 3, and W(0,11) and
+#: W(1,9) at f = 1: digests recorded from the contraction that expanded every
+#: lower tensor into its orderings, before the switch to sorted tails (that
+#: run also reproduced all of PINNED); (f, g, h) -> digest of ``_digest``
+PINNED_DEEP = {
+    (1, 0, 8): "5b62d3f980fa3c6724cd588cc25b1a10248802ba432a40a6671c52d43ddfc655",
+    (1, 0, 9): "3a4d127cb62cef42eb9f17e81a8ff5c3fe2834375a09f0adad303dae8e9ae2f5",
+    (1, 0, 10): "3c3bff9926a4c76967cad86d0382531dedd28faef16a1622952e7ecff99dd51b",
+    (1, 0, 11): "76caea8cb9b8b2b9142fd2e067cc34ca9c4257b1a70da59ecc95d5273e848af8",
+    (1, 1, 6): "2586ccc89067258a0fd0b5e86242314532ab9f7e6d28ddd5acaaf49c8d5b6489",
+    (1, 1, 7): "c36ee13a403de804ac5f531a45adfeafeaa7833b541d8f8bcee1a09e832812fe",
+    (1, 1, 8): "4a4f2253f4c3789db18f01df1f0999190cb768287e6bb45c94e9d9e72cb605b7",
+    (1, 1, 9): "27b5f50b86cdcad172c9ae2f771dcc54ec1275f871be8cee1a6c943ae049b0bd",
+    (1, 2, 4): "a97bbfad1b9693324067ddc761f6f251c0cc0b624a223fbdf44d4e06d32b709a",
+    (1, 2, 5): "4154a81a98f88ced1f5b0286f9078f8449923bb073ec95fc0cd87ed423d9b506",
+    (1, 2, 6): "9ba9fe731e76e9bef49aee679725f109eb7d4c00b368826072b3efcde02b488c",
+    (1, 3, 2): "4643d95166eb1d36efa60c0f327a1f825fdd65bc0f2d43c3a099b00d505b31a6",
+    (1, 3, 3): "b7c8a52bae49c3e590b3f6ef3df1d254b0219a7e7f73e6f6d76e98ef21fbad01",
+    (1, 3, 4): "f9070a9f6587e5159d53163205d949321a59ae39788bbe93835550fdac2051d9",
+    (1, 4, 1): "9714542a01a84174fa9403a772019e360cfb9dd07c92c9d32d05875437f11bdc",
+    (1, 4, 2): "56a8231d343de0db8d80c028da31ff4f81d6c6cb15d7ebe6cc037c36cfa25103",
+    (2, 0, 8): "ed4be4ebbab125958a31d6a647438a5b318fedfeae8d32e02d40e125b6d3c76f",
+    (2, 0, 9): "4cc305eb69ca8e4037689873a8322ed450631fc5b2a981e46ea074657778506e",
+    (2, 0, 10): "63519fb07693e043fb41f65688ebf4f8f54c92888e2b54e85aecb34a473d15d2",
+    (2, 1, 6): "37aa5b8568d8a5cc735b087ecb343c2e0f3d248d4ccac4b367c48dce13a49867",
+    (2, 1, 7): "5f94c6b0fd49b7d6d8f890336b312a41e60df3ccc83680d7a33b2fd9db65b973",
+    (2, 1, 8): "d2eb341c9c54c83b1c0c351dd3c44c9769f899067a685e75a516828f8451fef7",
+    (2, 2, 4): "cdb7c292e7cf0688d0a41aee7c82038a8ff737c5e23a615ff1b5116a70a6bf17",
+    (2, 2, 5): "6d5b3766b96bfb240b0f2469bf4a5ac46f49392292900e7466cbb426fbf678ff",
+    (2, 2, 6): "1bd889b8e2186562a127399aa2dcac185c4b9cb29be2d3e86654af2bc8a87419",
+    (2, 3, 2): "7298f7e9aedf1dfd3e5c3ad3c06e83fdd07a6470d3dcffda17f0c86ce2ffcc15",
+    (2, 3, 3): "fdc8279ab92457775f9424cfdd5b33e28da53beabe3acf7869376c664a1af856",
+    (2, 3, 4): "31421314942e3394864e1775dd79701ae602bc0b108f84b83ac4ad55dd7c2f48",
+    (2, 4, 1): "81658847cd23bed2af3c6b9f7c6b4d87d5c49436c08579ead90981d28dd36640",
+    (2, 4, 2): "e341942fc8dfd78efffb19b0bd63608cbec574d29430c40af002d0954f84df48",
+    (3, 0, 8): "821bca66def4f4d524e30a89d3f57f8c4366e5309fad6bd4999f257c14b9f436",
+    (3, 0, 9): "c7ee25aecac7abcbf51e03df2c79c03a786a1033a9ad776eb99910d8cef19c49",
+    (3, 0, 10): "f69a0e12e138cd05c44fef52bd7048e64237e6ca35e4a452c57ca8e4b10324fd",
+    (3, 1, 6): "970107a1945873ca898306213c278a2e038e7e75088713b61b25291da30ded9b",
+    (3, 1, 7): "70e8fb46a159b6354ca28bf218d5a5df9af9e44d1b23081e7638c286d13b502f",
+    (3, 1, 8): "48c7ba264acb7c2380d75d6383936a2f4e054e488ae075a80109106e31d24187",
+    (3, 2, 4): "373f0df7a884d0578ddfd7746d2c9cddd1d3c103bb81f08ee53fab6e10ddf179",
+    (3, 2, 5): "a38a9ae71331dbe880d2f9170b27fc281156300ec0fa39416819b43803373b56",
+    (3, 2, 6): "fe94c5a953bc73f83438ee6adfbb00a69315afe4d0d615e67c6f3c26099ad05e",
+    (3, 3, 2): "6320601b943f4afeec6b470bac8c57adc3539ed4f54086536ae1753c625253e9",
+    (3, 3, 3): "5d4832a6ec2e2fed7f49202f7a08dcce814e4317ee5e2b7645b056bcd9799272",
+    (3, 3, 4): "0dfe10e9d6165f27a39fab02258e4a742734f432e2496482496e8cb99c19f1ae",
+    (3, 4, 1): "f63c6ab5803cf609af76e597ebd2094ef909a6f5eba93cea5115df6f79553de5",
+    (3, 4, 2): "70051c17e753a762866e0ae8b3cb3b982b16c798ff252a8eba84cb9f0702e8d5",
+}
+
+
 def _digest(coeffs: dict) -> str:
     blob = json.dumps([[list(k), format_rational(v)] for k, v in sorted(coeffs.items())],
                       separators=(",", ":"))
@@ -94,6 +149,19 @@ def test_targets_cover_the_pinned_range():
 def test_pinned_digests(stores, g, h):
     for store in stores:
         assert _digest(store.correlator(g, h).coeffs) == PINNED[(store.f, g, h)]
+
+
+def test_deep_table_covers_its_range():
+    want = {(f, g, h) for f in (1, 2, 3) for g in range(5) for h in range(1, 11)
+            if 6 <= 2 * g - 2 + h <= 8}
+    assert set(PINNED_DEEP) == want | {(1, 0, 11), (1, 1, 9)}
+
+
+@pytest.mark.parametrize("f,g,h", sorted(PINNED_DEEP))
+def test_pinned_deep_digests(stores, f, g, h):
+    store = stores[f - 1]
+    assert store.f == f
+    assert _digest(store.correlator(g, h).coeffs) == PINNED_DEEP[(f, g, h)]
 
 
 @pytest.mark.parametrize("g,h", TARGETS)
@@ -162,3 +230,38 @@ def test_explicit_window_builds_its_own_frame():
     got = store.compute(1, 1, window=wide)
     assert set(store._frames) == built | {wide}
     assert got.coeffs == store.correlator(1, 1).coeffs
+
+
+def _e_table_one_orientation(self, b):
+    """E[b] without its mirror: B(q,p) against the q-bar leg only."""
+    by_free = {}
+    for k in range(2 * b + 3):
+        low = recursion._principal(Series.monomial(Fraction(k + 1), k),
+                                   self.psihat_at_qbar(b))
+        for n, c in self.residue(low).items():
+            by_free.setdefault(n, {})[-(k + 2)] = c
+    return {(n, m): c for n, poly in by_free.items()
+            for m, c in peel(poly, self.psi).items()}
+
+
+def _unit_weight_merge(t1, t2):
+    return tuple(sorted(t1 + t2)), 1
+
+
+MUTATIONS = {
+    "merge-weight-1": (recursion, "_merge", _unit_weight_merge),
+    "one-E-orientation": (recursion._Frame, "e_table", _e_table_one_orientation),
+}
+
+
+@pytest.mark.parametrize("mutation,g,h", [
+    ("merge-weight-1", 0, 4), ("merge-weight-1", 1, 2),
+    ("one-E-orientation", 1, 2), ("one-E-orientation", 0, 5)])
+def test_free_slot_check_catches_broken_contraction(monkeypatch, mutation, g, h):
+    """The fixed slots are symmetric by construction, so a wrong split
+    weight or a lost Bergman-leg orientation shows only as a free index
+    whose value differs from another free index of the same key."""
+    CorrStore(1, CONV).correlator(g, h)  # the unbroken contraction passes
+    monkeypatch.setattr(*MUTATIONS[mutation])
+    with pytest.raises(AssertionError, match="free slot breaks the symmetry"):
+        CorrStore(1, CONV).correlator(g, h)

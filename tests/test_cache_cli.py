@@ -214,6 +214,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["verify", "--f", "1", "--g-max", "7"])
 
+    @pytest.mark.parametrize("g", [0, 7, 9])
+    def test_hodge_genus_cap(self, capsys, g):
+        assert main(["hodge", "--f", "1", "--g", str(g)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--g must be between 1 and 6" in captured.err
+
     def test_window_margin_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["free-energy", "--window-margin", "2"])
