@@ -73,12 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_gmax(value: int, minimum: int = 2) -> int:
-    if value < minimum or value > HARD_G_CAP:
-        raise SystemExit(f"eorec: --g-max must be between {minimum} and {HARD_G_CAP}")
-    return value
-
-
 def _resolve_conventions(args, cache: CorrCache | None) -> tuple[Conventions, int | None, bool]:
     """Calibrated or persisted conventions, with audit overrides applied.
 
@@ -111,8 +105,28 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n")
 
 
+def _out_of_range(args) -> str | None:
+    """Why the command rejects its indices, checked before anything is
+    calibrated or written; a bad ``--g-max`` exits at once."""
+    if args.command in ("free-energy", "verify"):
+        minimum = 2 if args.command == "free-energy" else 0
+        if not minimum <= args.g_max <= HARD_G_CAP:
+            raise SystemExit(f"eorec: --g-max must be between {minimum} and {HARD_G_CAP}")
+    elif args.command == "correlator":
+        if args.g > HARD_G_CAP or 2 * args.g - 2 + args.h > 2 * HARD_G_CAP - 1:
+            return (f"correlator indices beyond the desk-scale cap "
+                    f"(g <= {HARD_G_CAP}, 2g-2+h <= {2 * HARD_G_CAP - 1})")
+    elif not 1 <= args.g <= HARD_G_CAP:  # hodge
+        return f"--g must be between 1 and {HARD_G_CAP} for Hodge extraction"
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    error = _out_of_range(args)
+    if error:
+        print(f"eorec: {error}", file=sys.stderr)
+        return 2
     cache_dir = args.cache_dir or default_cache_dir()
     cache = CorrCache(cache_dir) if cache_dir else None
     try:
@@ -134,10 +148,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_correlator(args, stores, conv, epsilon) -> int:
-    if args.g > HARD_G_CAP or 2 * args.g - 2 + args.h > 2 * HARD_G_CAP - 1:
-        print(f"eorec: correlator indices beyond the desk-scale cap "
-              f"(g <= {HARD_G_CAP}, 2g-2+h <= {2 * HARD_G_CAP - 1})", file=sys.stderr)
-        return 2
     results = []
     for store in stores:
         try:
@@ -164,10 +174,6 @@ def _cmd_correlator(args, stores, conv, epsilon) -> int:
 
 
 def _cmd_hodge(args, stores, conv, epsilon) -> int:
-    if not 1 <= args.g <= HARD_G_CAP:
-        print(f"eorec: --g must be between 1 and {HARD_G_CAP} for Hodge extraction",
-              file=sys.stderr)
-        return 2
     rows = []
     ratios = set()
     for store in stores:
@@ -203,8 +209,7 @@ def _cmd_hodge(args, stores, conv, epsilon) -> int:
 
 
 def _cmd_free_energy(args, stores, conv, cache, overridden) -> int:
-    g_max = _check_gmax(args.g_max)
-    rows, epsilon = energy_table(stores, list(range(2, g_max + 1)))
+    rows, epsilon = energy_table(stores, list(range(2, args.g_max + 1)))
     if cache is not None and not overridden and epsilon is not None:
         cache.store_conventions(conv, epsilon)
     payload_rows = []
@@ -242,8 +247,7 @@ def _cmd_free_energy(args, stores, conv, cache, overridden) -> int:
 
 
 def _cmd_verify(args, stores, cache, overridden) -> int:
-    g_max = _check_gmax(args.g_max, minimum=0)
-    report = run_verification(stores, g_max=g_max)
+    report = run_verification(stores, g_max=args.g_max)
     if cache is not None and not overridden and report.epsilon is not None:
         cache.store_conventions(stores[0].conventions, report.epsilon)
     if args.output_format == "json":

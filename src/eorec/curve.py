@@ -22,6 +22,7 @@ from .laurent import MLaurent
 from .poly import Poly
 from .series import Series, series_log1p
 
+QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
@@ -66,7 +67,10 @@ def conjugate_series(curve: FramedCurve, window: int) -> Series:
     """The local involution s(z) = -z + c2 z^2 + ... to the given window.
 
     Solved order by order from x(y* + s(z)) = x(y* + z); each new
-    coefficient enters linearly through the quadratic lead of x.
+    coefficient enters linearly through the quadratic lead of x.  The powers
+    s^m, m = 2..f+1, are kept and gain one coefficient per order: [z^(n+1)]
+    of s^m needs only the known coefficients of s, except for the term
+    2 s_1 s_n of s^2, which is the unknown itself.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
@@ -74,36 +78,23 @@ def conjugate_series(curve: FramedCurve, window: int) -> Series:
     X2 = X.coeff(2)
     if not X2:
         raise WindowError("ramification point is not simple")  # cannot happen for f >= 1
-    xs = [X.coeff(k) for k in range(window + 2)]
-    s = [Fraction(0), Fraction(-1)]  # s = -z + ...
-    deg = curve.f + 1
+    xs = [X.coeff(k) for k in range(max(window, curve.f) + 2)]
+    s = [QZERO, -QONE]  # s = -z + ...
+    # pows[m-2] holds [z^k] s^m for k = 0..n at the start of order n
+    pows = [[QZERO, QZERO, QONE]] + [[QZERO] * 3 for _ in range(curve.f - 1)]
     for n in range(2, window + 1):
-        # powers of the current truncation of s, to order n+1
-        order = n + 1
-        comp = [Fraction(0)] * (order + 1)
-        power = [Fraction(1)] + [Fraction(0)] * order
-        for m in range(1, deg + 1):
-            power = _mul_trunc(power, s, order)
-            cm = xs[m] if m < len(xs) else Fraction(0)
-            if cm:
-                for i, p in enumerate(power):
-                    comp[i] += cm * p
-        target = xs[n + 1] if n + 1 < len(xs) else Fraction(0)
-        s.append((comp[n + 1] - target) / (2 * X2))
+        comp = QZERO
+        prev = s
+        for m, power in enumerate(pows, start=2):
+            # [z^(n+1)] of s^(m-1) * s over s_1 .. s_(n-1)
+            c = sum((prev[i] * s[n + 1 - i] for i in range(2, min(n + 1, len(prev)))
+                     if prev[i]), QZERO)
+            power.append(c)
+            comp += xs[m] * c
+            prev = power
+        s.append((comp - xs[n + 1]) / (2 * X2))
+        pows[0][n + 1] += 2 * s[1] * s[n]
     return Series(1, s[1:], exact=False)
-
-
-def _mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a):
-        if not x or i > order:
-            continue
-        for j, y in enumerate(b):
-            if i + j > order:
-                break
-            if y:
-                out[i + j] += x * y
-    return out
 
 
 def omega_diff_series(curve: FramedCurve, window: int, s: Series | None = None) -> Series:

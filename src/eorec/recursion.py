@@ -23,6 +23,15 @@ tail), so the fixed slots are symmetric by construction; the assembled
 tensor is checked for free-slot symmetry (every distinct free index of a
 key gives the same value) and the dimension bound.
 
+Tables and contraction run over the integers.  Each rational ingredient of
+a table (-psihat_a at q, -psihat_b(s) s' at q-bar, the derivatives of
+s^(k+1) and each kernel column K_j) is converted once per frame to integer
+numerators over one denominator, so a product of two legs is an integer
+convolution and a residue an integer dot product; each table is kept as
+numerators over its least common denominator.  The contraction reads each
+lower tensor the same way and sums Python ints over one running common
+denominator, and each entry of W(g,h) is formed as one ``Fraction``.
+
 The dimension bound also sizes every frame in advance (``window_policy``),
 so a ``WindowError`` or ``PeelError`` during assembly is a bug and propagates.
 
@@ -36,7 +45,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .curve import (FramedCurve, bergman_self_pairing, conjugate_series,
                     omega_diff_series, recursion_kernel)
@@ -94,10 +103,10 @@ def _legs(key: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
             if i == 0 or key[i - 1] != v]
 
 
-def _by_leg(w: CorrDiff) -> dict[int, list]:
-    """w's entries grouped by the index of one leg: v -> [(sorted rest, c)]."""
+def _by_leg(coeffs: dict) -> dict[int, list]:
+    """Tensor entries grouped by the index of one leg: v -> [(sorted rest, c)]."""
     out: dict[int, list] = {}
-    for key, c in w.coeffs.items():
+    for key, c in coeffs.items():
         for v, rest in _legs(key):
             out.setdefault(v, []).append((rest, c))
     return out
@@ -113,8 +122,51 @@ def _merge(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], i
     return tail, weight
 
 
-def _principal(a: Series, b: Series, into: dict | None = None) -> dict[int, Fraction]:
-    """Coefficients of a*b at exponents <= 0, the only ones a kernel residue reads."""
+def _integer_series(s: Series) -> tuple[int, Series]:
+    """(d, t) with s = t/d: t keeps s's window and has integer coefficients,
+    and d is the least common denominator of s's coefficients."""
+    den = lcm(*(c.denominator for c in s.coeffs))
+    return den, Series(s.start, [c.numerator * (den // c.denominator) for c in s.coeffs],
+                       exact=s.exact, zero=0)
+
+
+def _reduced(den: int, t: Series) -> tuple[int, Series]:
+    """The integer series t over den in lowest terms."""
+    g = gcd(den, *t.coeffs)
+    return den // g, Series(t.start, [c // g for c in t.coeffs], exact=t.exact, zero=0)
+
+
+def _product(a: tuple[int, Series], b: tuple[int, Series]) -> tuple[int, Series]:
+    """The product of two integer series over their denominators."""
+    return _reduced(a[0] * b[0], a[1] * b[1])
+
+
+def _power(pows: list, k: int) -> tuple[int, Series]:
+    """x^k from the list [1, x, x^2, ...] of integer series over their
+    denominators, extended on demand."""
+    while len(pows) <= k:
+        pows.append(_product(pows[-1], pows[1]))
+    return pows[k]
+
+
+def _numerators(values: dict) -> tuple[int, dict]:
+    """(d, {k: v*d}): rational values as integers over their least common
+    denominator."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+
+
+def _lowest_terms(den: int, nums: dict) -> tuple[int, dict]:
+    """Cancel the factor that den shares with every numerator and drop zeros,
+    so den becomes the least common denominator of the entries."""
+    g = gcd(den, *nums.values())
+    return den // g, {k: v // g for k, v in nums.items() if v}
+
+
+def _principal(a: Series, b: Series, into: dict | None = None,
+               scale: int = 1) -> dict[int, int]:
+    """scale * a * b at exponents <= 0, the only ones a kernel residue reads,
+    for series with integer coefficients."""
     out = {} if into is None else into
     sa, sb = a.eff_start(), b.eff_start()
     if sa is None or sb is None:
@@ -123,16 +175,43 @@ def _principal(a: Series, b: Series, into: dict | None = None) -> dict[int, Frac
         x = a.coeff(ea)
         if not x:
             continue
+        x *= scale
         for eb in range(sb, 1 - ea):
             y = b.coeff(eb)
             if y:
-                out[ea + eb] = out.get(ea + eb, QZERO) + x * y
+                out[ea + eb] = out.get(ea + eb, 0) + x * y
     return out
+
+
+class _Sum:
+    """Integer numerators over one running common denominator."""
+
+    __slots__ = ("den", "num")
+
+    def __init__(self):
+        self.den = 1
+        self.num: dict = defaultdict(int)
+
+    def factor(self, den: int) -> int:
+        """The multiplier that puts a term over ``den`` on the running
+        denominator, after widening it to a multiple of ``den`` (which
+        rescales every numerator held so far)."""
+        if self.den % den:
+            grow = den // gcd(self.den, den)
+            for key in self.num:
+                self.num[key] *= grow
+            self.den *= grow
+        return self.den // den
 
 
 class _Frame:
     """Prepared local data for one (curve, window); memoizes slot series and
-    the rational residue tables of the recursion."""
+    the residue tables of the recursion.
+
+    Every table and every series that enters one is held as integer
+    numerators over one denominator, a pair (d, numerators); each rational
+    ingredient is converted once per frame.
+    """
 
     def __init__(self, curve: FramedCurve, psi: PsiTable, window: int, sigma_kernel: int):
         self.curve = curve
@@ -143,74 +222,85 @@ class _Frame:
         self.kernel = recursion_kernel(curve, window, sign=sigma_kernel,
                                        s=self.s, D=self.D)
         self.b_self = bergman_self_pairing(self.s)
-        self.s_prime = self.s.derive()
-        self._s_pows: list[Series] = [Series.constant(QONE), self.s]
-        self._inv_s_pows: list[Series] = [Series.constant(QONE), self.s.invert()]
-        self._at_q: dict[int, Series] = {}
-        self._at_qbar: dict[int, Series] = {}
-        self._kernel_basis: dict[int, dict] = {}
-        self._r: dict[tuple[int, int], dict] = {}
-        self._e: dict[int, dict] = {}
-        self._d: dict | None = None
-        self._w03: dict | None = None
+        one = (1, Series.constant(1, zero=0))
+        self._s_prime = _integer_series(self.s.derive())
+        self._s_pows: list = [one, _integer_series(self.s)]
+        self._inv_s_pows: list = [one, _integer_series(self.s.invert())]
+        self._ds_pows: dict[int, tuple[int, Series]] = {}
+        self._at_q: dict[int, tuple[int, Series]] = {}
+        self._at_qbar: dict[int, tuple[int, Series]] = {}
+        self._kernel_basis: dict[int, tuple[int, dict]] = {}
+        self._r: dict[tuple[int, int], tuple[int, dict]] = {}
+        self._e: dict[int, tuple[int, dict]] = {}
+        self._d: tuple[int, dict] | None = None
+        self._w03: tuple[int, dict] | None = None
 
-    def s_pow(self, k: int) -> Series:
-        while len(self._s_pows) <= k:
-            self._s_pows.append(self._s_pows[-1] * self.s)
-        return self._s_pows[k]
+    def ds_pow(self, k: int) -> tuple[int, Series]:
+        """d/dz s(z)^k over one denominator."""
+        out = self._ds_pows.get(k)
+        if out is None:
+            den, power = _power(self._s_pows, k)
+            out = self._ds_pows[k] = _reduced(den, power.derive())
+        return out
 
-    def inv_s_pow(self, k: int) -> Series:
-        while len(self._inv_s_pows) <= k:
-            self._inv_s_pows.append(self._inv_s_pows[-1] * self._inv_s_pows[1])
-        return self._inv_s_pows[k]
-
-    def psihat_at_q(self, n: int) -> Series:
-        """-psihat_n(z), the scalar of Psi_n with its leg at q."""
+    def psihat_at_q(self, n: int) -> tuple[int, Series]:
+        """-psihat_n(z), the scalar of Psi_n with its leg at q, over one
+        denominator."""
         out = self._at_q.get(n)
         if out is None:
             d = {e: -c for e, c in self.psi.shifted(n).items()}
-            out = self._at_q[n] = Series.from_dict(d, exact=True)
+            out = self._at_q[n] = _integer_series(Series.from_dict(d, exact=True))
         return out
 
-    def psihat_at_qbar(self, n: int) -> Series:
-        """-psihat_n(s(z)) s'(z), the scalar of Psi_n with its leg at q-bar."""
+    def psihat_at_qbar(self, n: int) -> tuple[int, Series]:
+        """-psihat_n(s(z)) s'(z), the scalar of Psi_n with its leg at q-bar,
+        over one denominator."""
         out = self._at_qbar.get(n)
         if out is None:
-            acc = Series(0, [], exact=True)
-            for e, c in self.psi.shifted(n).items():
-                acc = acc + self.inv_s_pow(-e).scale(-c)
-            out = self._at_qbar[n] = acc * self.s_prime
+            terms = [(-c, _power(self._inv_s_pows, -e))
+                     for e, c in self.psi.shifted(n).items()]
+            den = lcm(*(c.denominator * d for c, (d, _) in terms))
+            acc = Series(0, [], exact=True, zero=0)
+            for c, (d, t) in terms:
+                acc = acc + t.scale(c.numerator * (den // (c.denominator * d)))
+            out = self._at_qbar[n] = _product((den, acc), self._s_prime)
         return out
 
     # -- residue tables ---------------------------------------------------
 
-    def kernel_basis(self, j: int) -> dict[int, Fraction]:
-        """K_j(w), the z^j coefficient of the kernel, expanded in the basis."""
+    def kernel_basis(self, j: int) -> tuple[int, dict[int, int]]:
+        """K_j(w), the z^j coefficient of the kernel, expanded in the basis
+        over one denominator."""
         out = self._kernel_basis.get(j)
         if out is None:
             coeff = self.kernel.coeff(j)  # WindowError past the certified window
-            out = self._kernel_basis[j] = peel(
-                {key[0]: c for key, c in coeff.terms.items()}, self.psi)
+            out = self._kernel_basis[j] = _numerators(peel(
+                {key[0]: c for key, c in coeff.terms.items()}, self.psi))
         return out
 
-    def residue(self, principal: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Res_z K(w;z) F(z) in the basis of w, from F's z^e coefficients, e <= 0."""
-        out: dict[int, Fraction] = {}
-        for e, c in principal.items():
-            if c:
-                for n, k in self.kernel_basis(-1 - e).items():
-                    out[n] = out.get(n, QZERO) + c * k
-        return {n: c for n, c in out.items() if c}
+    def residue(self, den: int, principal: dict[int, int]) -> tuple[int, dict[int, int]]:
+        """Res_z K(w;z) F(z) in the basis of w, from the numerators over den of
+        F's z^e coefficients, e <= 0: a dot product with the kernel columns.
+        The result is not in lowest terms."""
+        cols = [(c, self.kernel_basis(-1 - e)) for e, c in principal.items() if c]
+        kden = lcm(*(d for _, (d, _) in cols))
+        out: dict[int, int] = defaultdict(int)
+        for c, (d, col) in cols:
+            c *= kden // d
+            for n, k in col.items():
+                out[n] += c * k
+        return den * kden, out
 
-    def r_table(self, a: int, b: int) -> dict[int, Fraction]:
+    def r_table(self, a: int, b: int) -> tuple[int, dict[int, int]]:
         """R[a,b]: the q-leg of index a against the q-bar leg of index b."""
         out = self._r.get((a, b))
         if out is None:
-            out = self._r[(a, b)] = self.residue(
-                _principal(self.psihat_at_q(a), self.psihat_at_qbar(b)))
+            (da, at_q), (db, at_qbar) = self.psihat_at_q(a), self.psihat_at_qbar(b)
+            out = self._r[(a, b)] = _lowest_terms(
+                *self.residue(da * db, _principal(at_q, at_qbar)))
         return out
 
-    def e_table(self, b: int) -> dict[tuple[int, int], Fraction]:
+    def e_table(self, b: int) -> tuple[int, dict[tuple[int, int], int]]:
         """E[b]: B(q,p) with the q-bar leg of index b, plus the q-leg of index b
         with B(q-bar,p); keyed (free index, index at p).
 
@@ -219,31 +309,38 @@ class _Frame:
         """
         out = self._e.get(b)
         if out is None:
-            at_q, at_qbar = self.psihat_at_q(b), self.psihat_at_qbar(b)
+            (dq, at_q), (dqb, at_qbar) = self.psihat_at_q(b), self.psihat_at_qbar(b)
             by_free: dict[int, dict] = {}
             for k in range(2 * b + 3):
-                low = _principal(Series.monomial(Fraction(k + 1), k), at_qbar)
-                _principal(self.s_pow(k + 1).derive(), at_q, into=low)
-                for n, c in self.residue(low).items():
-                    by_free.setdefault(n, {})[-(k + 2)] = c
-            out = self._e[b] = {(n, m): c for n, poly in by_free.items()
-                                for m, c in peel(poly, self.psi).items()}
+                ds, ds_pow = self.ds_pow(k + 1)
+                den = lcm(dqb, ds * dq)
+                low = _principal(Series.monomial(k + 1, k), at_qbar, scale=den // dqb)
+                _principal(ds_pow, at_q, into=low, scale=den // (ds * dq))
+                rden, res = self.residue(den, low)
+                for n, c in res.items():
+                    by_free.setdefault(n, {})[-(k + 2)] = Fraction(c, rden)
+            out = self._e[b] = _numerators({(n, m): c for n, poly in by_free.items()
+                                            for m, c in peel(poly, self.psi).items()})
         return out
 
-    def d_table(self) -> dict[int, Fraction]:
+    def d_table(self) -> tuple[int, dict[int, int]]:
         """D: the residue of the Bergman self-pairing B(q, q-bar)."""
         if self._d is None:
-            self._d = self.residue(_principal(self.b_self, Series.constant(QONE)))
+            b = self.b_self  # a coefficient past its window raises WindowError
+            den, principal = _numerators({e: b.coeff(e) for e in range(b.start, 1)})
+            self._d = _lowest_terms(*self.residue(den, principal))
         return self._d
 
-    def w03_table(self) -> dict[tuple[int, int, int], Fraction]:
+    def w03_table(self) -> tuple[int, dict[tuple[int, int, int], int]]:
         """B(q,p1) B(q-bar,p2): both legs start at z^0, so only the product
         u1^-2 s'(0) u2^-2 of their leading terms reaches the residue."""
         if self._w03 is None:
-            leg = peel({-2: QONE}, self.psi)
-            free = self.residue({0: self.s_prime.coeff(0)})
-            self._w03 = {(n, m1, m2): c * x * y for n, c in free.items()
-                         for m1, x in leg.items() for m2, y in leg.items()}
+            dl, leg = _numerators(peel({-2: QONE}, self.psi))
+            ds, s_prime = self._s_prime
+            df, free = self.residue(ds, {0: s_prime.coeff(0)})
+            self._w03 = _lowest_terms(df * dl * dl, {
+                (n, m1, m2): c * x * y for n, c in free.items()
+                for m1, x in leg.items() for m2, y in leg.items()})
         return self._w03
 
 
@@ -312,22 +409,30 @@ class CorrStore:
         index n | sorted tail): a choice of fixed slots for a lower tensor
         becomes a multiset split of the tail, weighted by ``_merge``.  A
         fixed slot carried over from a lower tensor holds -psihat, so a term
-        carrying k of them takes (-1)^k; the free slot takes (-1)^h.
+        carrying k of them takes (-1)^k; the free slot takes (-1)^h.  Lower
+        tensors and tables enter as integer numerators, the sum runs over
+        Python ints on one running denominator, and each entry of the
+        result is formed as one ``Fraction``.
         """
         frame = self.frame(window)
-        acc: dict[tuple[int, ...], Fraction] = defaultdict(int)
+        acc = _Sum()
+        num = acc.num
 
         # first term: W(g-1, h+1) with two of its legs at q and q-bar
         if g == 1 and h == 1:
-            for n, c in frame.d_table().items():
-                acc[(n,)] = c
+            acc.den, table = frame.d_table()
+            num.update(((n,), c) for n, c in table.items())
         elif g >= 1:
-            carried = -QONE if (h - 1) % 2 else QONE
-            for key, c in self.correlator(g - 1, h + 1).coeffs.items():
+            carried = -1 if (h - 1) % 2 else 1
+            den, coeffs = _numerators(self.correlator(g - 1, h + 1).coeffs)
+            for key, c in coeffs.items():
+                c *= carried
                 for a, rest in _legs(key):
                     for b, tail in _legs(rest):
-                        for n, r in frame.r_table(a, b).items():
-                            acc[(n,) + tail] += carried * c * r
+                        tden, table = frame.r_table(a, b)
+                        ct = c * acc.factor(den * tden)
+                        for n, r in table.items():
+                            num[(n,) + tail] += ct * r
 
         # quadratic terms W(g-l, r+1) W(l, h-r): r fixed slots go left
         for l in range(g + 1):
@@ -338,30 +443,30 @@ class CorrStore:
                 if left == (0, 1) or right == (0, 1):
                     continue
                 if left == right == (0, 2):
-                    for (n, m1, m2), c in frame.w03_table().items():
+                    den, table = frame.w03_table()
+                    scale = acc.factor(den)
+                    for (n, m1, m2), c in table.items():
                         tail, weight = _merge((m1,), (m2,))
-                        acc[(n,) + tail] += weight * c
+                        num[(n,) + tail] += weight * scale * c
                 elif left == (0, 2):
                     # E[b] holds both orientations of the Bergman leg;
                     # the mirror term right == (0, 2) is skipped below
                     self._bergman_leg_term(frame, acc, g, h)
                 elif right != (0, 2):
                     self._pair_term(frame, acc, h, left, right)
-        coeffs: dict = {}
+        canonical: dict = {}
         seen: dict = {}
-        sign = QONE if h % 2 == 0 else -QONE
-        for idx, c in acc.items():
+        for idx, c in num.items():
             if not c:
                 continue
-            c = sign * c
             key = tuple(sorted(idx))
-            if key in coeffs:
-                if coeffs[key] != c:
+            if key in canonical:
+                if canonical[key] != c:
                     raise AssertionError(
                         f"free slot breaks the symmetry at {idx} in W({g},{h})")
                 seen[key] += 1
             else:
-                coeffs[key] = c
+                canonical[key] = c
                 seen[key] = 1
         bound = 3 * g - 3 + h
         for key, count in seen.items():
@@ -370,32 +475,43 @@ class CorrStore:
             if sum(key) > bound:
                 raise AssertionError(
                     f"index {key} violates the dimension bound {bound} in W({g},{h})")
-        return CorrDiff(g=g, h=h, f=self.f, coeffs=coeffs)
+        den = acc.den if h % 2 == 0 else -acc.den
+        return CorrDiff(g=g, h=h, f=self.f,
+                        coeffs={key: Fraction(c, den) for key, c in canonical.items()})
 
-    def _bergman_leg_term(self, frame: _Frame, acc: dict, g: int, h: int) -> None:
+    def _bergman_leg_term(self, frame: _Frame, acc: _Sum, g: int, h: int) -> None:
         """B(q, p_j) against W(g, h-1) at q-bar and its mirror, via E[b]."""
-        carried = -QONE if (h - 2) % 2 else QONE
-        for b, tails in _by_leg(self.correlator(g, h - 1)).items():
-            for (n, m), e in frame.e_table(b).items():
+        carried = -1 if (h - 2) % 2 else 1
+        num = acc.num
+        den, coeffs = _numerators(self.correlator(g, h - 1).coeffs)
+        for b, tails in _by_leg(coeffs).items():
+            eden, table = frame.e_table(b)
+            scale = carried * acc.factor(den * eden)
+            for (n, m), e in table.items():
+                e *= scale
                 for rest, c in tails:
                     tail, weight = _merge((m,), rest)
-                    acc[(n,) + tail] += carried * weight * c * e
+                    num[(n,) + tail] += weight * c * e
 
-    def _pair_term(self, frame: _Frame, acc: dict, h: int,
+    def _pair_term(self, frame: _Frame, acc: _Sum, h: int,
                    left: tuple[int, int], right: tuple[int, int]) -> None:
         """Two lower tensors with their legs at q and q-bar, via R[a,b]."""
-        carried = -QONE if (h - 1) % 2 else QONE
-        at_q = _by_leg(self.correlator(*left))
-        at_qbar = _by_leg(self.correlator(*right))
-        for a, tails_q in at_q.items():
+        carried = -1 if (h - 1) % 2 else 1
+        num = acc.num
+        dq, coeffs_q = _numerators(self.correlator(*left).coeffs)
+        dqb, coeffs_qbar = _numerators(self.correlator(*right).coeffs)
+        at_qbar = _by_leg(coeffs_qbar)
+        for a, tails_q in _by_leg(coeffs_q).items():
             for b, tails_qbar in at_qbar.items():
-                table = frame.r_table(a, b)
+                tden, table = frame.r_table(a, b)
+                scale = carried * acc.factor(dq * dqb * tden)
                 for tq, cq in tails_q:
+                    cq *= scale
                     for tqb, cqb in tails_qbar:
                         tail, weight = _merge(tq, tqb)
-                        c = carried * weight * cq * cqb
+                        c = weight * cq * cqb
                         for n, r in table.items():
-                            acc[(n,) + tail] += c * r
+                            num[(n,) + tail] += c * r
 
 
 def calibrate(f: int) -> Conventions:

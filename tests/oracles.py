@@ -1,11 +1,14 @@
 """Exact reference routines that only the tests use: polynomial
-interpolation, the integration-by-parts residue identity, and the primitive
-theta built by series arithmetic."""
+interpolation, the integration-by-parts residue identity, the primitive
+theta built by series arithmetic, the involution solved by recomputing
+powers, and the residue tables of a frame built in ``Fraction``
+arithmetic."""
 
 from fractions import Fraction
 from typing import Sequence
 
 from eorec import FramedCurve, LogExt, Poly, Series, series_log1p
+from eorec.psi import peel
 
 QONE = Fraction(1)
 
@@ -42,3 +45,120 @@ def theta_by_series(curve: FramedCurve, window: int) -> Series:
     log_tail = series_log1p(z.scale(-1 / a), order=window)
     d_theta = pre.scale(LogExt(0, 1)) + (pre * log_tail).scale(LogExt(1, 0))
     return d_theta.antiderive()
+
+
+def conjugate_series_by_powers(curve: FramedCurve, window: int) -> Series:
+    """The involution s(z) solved order by order, recomputing every power of
+    the current truncation of s at each order: O(f window^3) products."""
+    X = curve.x_shifted()
+    X2 = X.coeff(2)
+    xs = [X.coeff(k) for k in range(window + 2)]
+    s = [Fraction(0), Fraction(-1)]
+    deg = curve.f + 1
+    for n in range(2, window + 1):
+        order = n + 1
+        comp = [Fraction(0)] * (order + 1)
+        power = [Fraction(1)] + [Fraction(0)] * order
+        for m in range(1, deg + 1):
+            power = _mul_trunc(power, s, order)
+            cm = xs[m] if m < len(xs) else Fraction(0)
+            if cm:
+                for i, p in enumerate(power):
+                    comp[i] += cm * p
+        target = xs[n + 1] if n + 1 < len(xs) else Fraction(0)
+        s.append((comp[n + 1] - target) / (2 * X2))
+    return Series(1, s[1:], exact=False)
+
+
+def _mul_trunc(a: list, b: list, order: int) -> list:
+    out = [Fraction(0)] * (order + 1)
+    for i, x in enumerate(a):
+        if not x or i > order:
+            continue
+        for j, y in enumerate(b):
+            if i + j > order:
+                break
+            if y:
+                out[i + j] += x * y
+    return out
+
+
+def _principal(a: Series, b: Series, into: dict | None = None) -> dict:
+    """Coefficients of a*b at exponents <= 0, the only ones a kernel residue reads."""
+    out = {} if into is None else into
+    sa, sb = a.eff_start(), b.eff_start()
+    if sa is None or sb is None:
+        return out
+    for ea in range(sa, 1 - sb):
+        x = a.coeff(ea)
+        if not x:
+            continue
+        for eb in range(sb, 1 - ea):
+            y = b.coeff(eb)
+            if y:
+                out[ea + eb] = out.get(ea + eb, Fraction(0)) + x * y
+    return out
+
+
+class FractionTables:
+    """R[a,b], E[b], D and W03 of one frame, each entry summed in ``Fraction``
+    arithmetic from the frame's rational series and kernel."""
+
+    def __init__(self, frame):
+        self.frame = frame
+        self.psi = frame.psi
+        self.inv_s_pows = [Series.constant(QONE)]
+        self.columns: dict = {}
+
+    def at_q(self, n: int) -> Series:
+        return Series.from_dict({e: -c for e, c in self.psi.shifted(n).items()})
+
+    def at_qbar(self, n: int) -> Series:
+        pows = self.inv_s_pows
+        acc = Series(0, [], exact=True)
+        for e, c in self.psi.shifted(n).items():
+            while len(pows) <= -e:
+                pows.append(pows[-1] * self.frame.s.invert())
+            acc = acc + pows[-e].scale(-c)
+        return acc * self.frame.s.derive()
+
+    def residue(self, principal: dict) -> dict:
+        out: dict = {}
+        for e, c in principal.items():
+            if c:
+                for n, k in self.column(-1 - e).items():
+                    out[n] = out.get(n, Fraction(0)) + c * k
+        return {n: c for n, c in out.items() if c}
+
+    def column(self, j: int) -> dict:
+        out = self.columns.get(j)
+        if out is None:
+            coeff = self.frame.kernel.coeff(j)
+            out = self.columns[j] = peel({key[0]: x for key, x in coeff.terms.items()},
+                                         self.psi)
+        return out
+
+    def r(self, a: int, b: int) -> dict:
+        return self.residue(_principal(self.at_q(a), self.at_qbar(b)))
+
+    def e(self, b: int) -> dict:
+        at_q, at_qbar = self.at_q(b), self.at_qbar(b)
+        s_pow = Series.constant(QONE)
+        by_free: dict = {}
+        for k in range(2 * b + 3):
+            s_pow = s_pow * self.frame.s
+            low = _principal(Series.monomial(Fraction(k + 1), k), at_qbar)
+            _principal(s_pow.derive(), at_q, into=low)
+            for n, c in self.residue(low).items():
+                by_free.setdefault(n, {})[-(k + 2)] = c
+        return {(n, m): c for n, poly in by_free.items()
+                for m, c in peel(poly, self.psi).items()}
+
+    def d(self) -> dict:
+        return self.residue(_principal(self.frame.b_self, Series.constant(QONE)))
+
+    def w03(self) -> dict:
+        leg = peel({-2: QONE}, self.psi)
+        free = self.residue({0: self.frame.s.derive().coeff(0)})
+        return {(n, m1, m2): c * x * y for n, c in free.items()
+                for m1, x in leg.items() for m2, y in leg.items()}

@@ -1,6 +1,7 @@
 """The tensor assembly: pinned outputs, an independent top-degree oracle,
-the a priori window, the frame policy of ``CorrStore.compute`` and the
-free-slot symmetry check."""
+the a priori window, the frame policy of ``CorrStore.compute``, the integer
+residue tables against their ``Fraction`` construction and the free-slot
+symmetry check."""
 
 import hashlib
 import json
@@ -14,6 +15,7 @@ from eorec import (Conventions, CorrStore, PeelError, Series, WindowError,
 from eorec import recursion
 from eorec.psi import peel
 
+from oracles import FractionTables
 from wk import wk
 
 CONV = Conventions(sigma_kernel=-1, sigma_psirec=1)
@@ -232,16 +234,42 @@ def test_explicit_window_builds_its_own_frame():
     assert got.coeffs == store.correlator(1, 1).coeffs
 
 
+def _fractions(table):
+    den, nums = table
+    return {k: Fraction(c, den) for k, c in nums.items()}
+
+
+@pytest.mark.parametrize("window", [9, 21])
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_integer_tables_match_fraction_tables(stores, f, window):
+    """Every entry of R[a,b], E[b], D and W03 equals its construction in
+    Fraction arithmetic, for every leg index a frame of this window serves
+    (lower index sums up to (window-5)/2, from the dimension bound)."""
+    store = stores[f - 1]
+    frame = recursion._Frame(store.curve, store.psi, window,
+                             store.conventions.sigma_kernel)
+    oracle = FractionTables(frame)
+    top = (window - 5) // 2
+    for a in range(top + 1):
+        for b in range(top + 1 - a):
+            assert _fractions(frame.r_table(a, b)) == oracle.r(a, b), (a, b)
+    for b in range(top + 1):
+        assert _fractions(frame.e_table(b)) == oracle.e(b), b
+    assert _fractions(frame.d_table()) == oracle.d()
+    assert _fractions(frame.w03_table()) == oracle.w03()
+
+
 def _e_table_one_orientation(self, b):
     """E[b] without its mirror: B(q,p) against the q-bar leg only."""
+    den, at_qbar = self.psihat_at_qbar(b)
     by_free = {}
     for k in range(2 * b + 3):
-        low = recursion._principal(Series.monomial(Fraction(k + 1), k),
-                                   self.psihat_at_qbar(b))
-        for n, c in self.residue(low).items():
-            by_free.setdefault(n, {})[-(k + 2)] = c
-    return {(n, m): c for n, poly in by_free.items()
-            for m, c in peel(poly, self.psi).items()}
+        low = recursion._principal(Series.monomial(k + 1, k), at_qbar)
+        rden, res = self.residue(den, low)
+        for n, c in res.items():
+            by_free.setdefault(n, {})[-(k + 2)] = Fraction(c, rden)
+    return recursion._numerators({(n, m): c for n, poly in by_free.items()
+                                  for m, c in peel(poly, self.psi).items()})
 
 
 def _unit_weight_merge(t1, t2):

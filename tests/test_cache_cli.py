@@ -145,6 +145,19 @@ class TestCache:
         assert cache.load_conventions() == (CONV, None)
 
 
+#: calls rejected for their indices -> (exit code, or None for SystemExit; message)
+REJECTED = {
+    "correlator --g 7 --h 1": (2, "beyond the desk-scale cap"),
+    "correlator --g 0 --h 14": (2, "beyond the desk-scale cap"),
+    "hodge --g 0": (2, "--g must be between 1 and 6"),
+    "hodge --g 7": (2, "--g must be between 1 and 6"),
+    "free-energy --g-max 1": (None, "--g-max must be between 2 and 6"),
+    "free-energy --g-max 7": (None, "--g-max must be between 2 and 6"),
+    "verify --g-max -1": (None, "--g-max must be between 0 and 6"),
+    "verify --g-max 7": (None, "--g-max must be between 0 and 6"),
+}
+
+
 class TestCli:
     def test_correlator_json(self, capsys):
         assert main(["correlator", "--f", "1", "--g", "1", "--h", "1"]) == 0
@@ -220,6 +233,23 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--g must be between 1 and 6" in captured.err
+
+    @pytest.mark.parametrize("argv", list(REJECTED))
+    def test_rejected_call_leaves_the_cache_empty(self, capsys, tmp_path, argv):
+        """Indices out of range are rejected before calibration, so no
+        calibration record is written."""
+        code, message = REJECTED[argv]
+        argv = argv.split() + ["--f", "1", "--cache-dir", str(tmp_path)]
+        if code is None:  # --g-max exits with its message, as before
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert message in exc.value.code
+        else:
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_window_margin_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,6 +6,8 @@ from eorec import (FramedCurve, MLaurent, Series, bergman_self_pairing,
                    conjugate_series, omega_diff_series, recursion_kernel)
 from eorec.poly import Poly
 
+from oracles import conjugate_series_by_powers
+
 Q = Fraction
 
 
@@ -154,3 +156,13 @@ def test_bergman_self_pairing_f1():
     b = bergman_self_pairing(s)
     assert b.coeff(-2) == Q(-1, 4)
     assert all(not b.coeff(k) for k in range(-1, 3))
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_involution_matches_power_recomputation(f):
+    """Keeping the powers of s gives the coefficients of recomputing them."""
+    curve = FramedCurve(f)
+    for window in range(2, 31):
+        got, want = conjugate_series(curve, window), conjugate_series_by_powers(curve, window)
+        assert (got.start, got.coeffs, got.window_end) == \
+            (want.start, want.coeffs, want.window_end), window
