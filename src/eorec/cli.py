@@ -15,9 +15,9 @@ import json
 import sys
 
 from .cache import CorrCache, default_cache_dir
-from .errors import EorecError, NotRepresentableError
+from .errors import EorecError
 from .hodge import dilaton, energies_by_genus, energy_table, hodge_extract
-from .recursion import Conventions, calibrate
+from .recursion import Conventions, calibrate, unrepresentable
 from .scalars import format_rational
 from .verify import build_stores, run_verification
 
@@ -116,6 +116,7 @@ def _out_of_range(args) -> str | None:
         if args.g > HARD_G_CAP or 2 * args.g - 2 + args.h > 2 * HARD_G_CAP - 1:
             return (f"correlator indices beyond the desk-scale cap "
                     f"(g <= {HARD_G_CAP}, 2g-2+h <= {2 * HARD_G_CAP - 1})")
+        return unrepresentable(args.g, args.h)
     elif not 1 <= args.g <= HARD_G_CAP:  # hodge
         return f"--g must be between 1 and {HARD_G_CAP} for Hodge extraction"
     return None
@@ -150,11 +151,7 @@ def main(argv: list[str] | None = None) -> int:
 def _cmd_correlator(args, stores, conv, epsilon) -> int:
     results = []
     for store in stores:
-        try:
-            w = store.correlator(args.g, args.h)
-        except NotRepresentableError as exc:
-            print(f"eorec: {exc}", file=sys.stderr)
-            return 2
+        w = store.correlator(args.g, args.h)
         results.append({
             "f": store.f, "g": w.g, "h": w.h,
             "terms": [{"n": list(idx), "c": format_rational(c)}

@@ -10,7 +10,8 @@ shifted coordinate z = y - y*:
 * the one-form difference D(z) dz = omega(q) - omega(q_bar) where
   omega = log y dx/x;
 * the recursion kernel K(w; z), a z-series whose coefficients are Laurent
-  polynomials in the free-slot coordinate w = y_p - y*.
+  polynomials in the free-slot coordinate w = y_p - y*, summed over the
+  integers from the powers of s and 1/D.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from .errors import WindowError
 from .laurent import MLaurent
 from .poly import Poly
-from .series import Series, series_log1p
+from .series import Series, integer_power, integer_powers, integer_series
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -101,19 +102,18 @@ def omega_diff_series(curve: FramedCurve, window: int, s: Series | None = None) 
     """Scalar D(z) with omega(q) - omega(q_bar) = D(z) dz; valuation 2.
 
     D = log((y* + z)/(y* + s(z))) * x'(z)/x(z) evaluated along y = y* + z.
-    The log of the ratio tends to 1, so it expands through log1p and no
-    branch constant enters.
+    The log of the ratio vanishes at z = 0, so it is the primitive with zero
+    constant of 1/(y* + z) - s'(z)/(y* + s(z)), and no branch constant
+    enters.
     """
     if window < 4:
         raise ValueError("window must be at least 4")
     if s is None:
         s = conjugate_series(curve, window)
     y_star = Series.constant(curve.y_star)
-    num = Series(1, [QONE], exact=True)  # z
-    ratio_num = (num - s)  # z - s(z)
-    denom = y_star + s
-    u = ratio_num * denom.invert()
-    log_ratio = series_log1p(u)
+    z = Series(1, [QONE], exact=True)
+    log_ratio = ((y_star + z).invert(order=window)
+                 - s.derive() * (y_star + s).invert()).antiderive()
     X = curve.x_shifted()
     D = log_ratio * X.derive() * X.invert(order=window)
     if D.eff_start() != 2:
@@ -121,38 +121,56 @@ def omega_diff_series(curve: FramedCurve, window: int, s: Series | None = None) 
     return D
 
 
-def bergman_self_pairing(s: Series) -> Series:
-    """Scalar of B(q, q_bar) against dz^2: s'(z) / (z - s(z))^2."""
-    z = Series(1, [QONE], exact=True)
-    return s.derive() * ((z - s) * (z - s)).invert()
+def bergman_self_pairing(s: Series, s_pows: list | None = None) -> Series:
+    """Scalar of B(q, q_bar) against dz^2: s'(z) / (z - s(z))^2.
+
+    (z - s)^2 = z^2 - 2 z s + s^2 takes s^2 from ``s_pows``, the integer
+    powers of s (``integer_powers``) that a frame shares with the kernel.
+    """
+    if s_pows is None:
+        s_pows = integer_powers(s)
+    den, square = integer_power(s_pows, 2)
+    gap = Series.monomial(QONE, 2) + s.shift(1).scale(-2) + square.scale(Fraction(1, den))
+    return s.derive() * gap.invert()
 
 
 def recursion_kernel(curve: FramedCurve, window: int, sign: int = 1,
-                     s: Series | None = None, D: Series | None = None) -> Series:
+                     s: Series | None = None, D: Series | None = None,
+                     s_pows: list | None = None) -> Series:
     """K(w; z) = sign * (1/2) [1/(w - s(z)) - 1/(w - z)] / D(z).
 
     Returned as a z-series with coefficients that are Laurent polynomials
     in the single variable w (poles only at w = 0); the lowest z-exponent
-    is -1.
+    is -1.  Since 1/(w - s) - 1/(w - z) = sum_k w^-(k+1) (s^k - z^k), the
+    coefficient of w^-(k+1) in K_j is sign/2 [z^j] (s^k - z^k)/D.  Each is
+    summed over the integers, from the integer powers of s in ``s_pows``
+    (``integer_powers``) and 1/D over one denominator, and formed as one
+    ``Fraction``.
     """
     if s is None:
         s = conjugate_series(curve, window)
     if D is None:
         D = omega_diff_series(curve, window, s=s)
-    zero1 = MLaurent(1)
-    z = Series(1, [QONE], exact=True)
-    acc = Series(0, [], exact=True, zero=zero1)
-    s_pow = s
-    z_pow = z
-    for k in range(1, window + 1):
-        diff = s_pow - z_pow  # known to s's window
-        w_mono = MLaurent.from_var_dict(1, 0, {-(k + 1): QONE})
-        acc = acc + diff.scale(w_mono)
-        if k < window:
-            s_pow = s_pow * s
-            z_pow = z_pow * z
-    half = Fraction(sign, 2)
-    kernel = (acc * D.invert()).scale(MLaurent.const(1, half))
+    if s_pows is None:
+        s_pows = integer_powers(s)
+    inv = D.invert()
+    den, inv_d = integer_series(inv)  # 1/D starts at z^lo
+    lo = inv.start
+    # s - z starts at z^1: the window of (s - z) (1/D)
+    start, end = 1 + lo, min(s.window_end + lo, inv.window_end + 1)
+    columns = [{} for _ in range(start, end + 1)]
+    for k in range(1, end - lo + 1):
+        d, power = integer_power(s_pows, k)
+        # d (s^k - z^k) at z^(k+i), i = 0 .. end-lo-k
+        diff = [power.coeff(k + i) for i in range(end - lo - k + 1)]
+        diff[0] -= d
+        for j in range(k + lo, end + 1):
+            top = j - lo - k  # z^(k+i) meets z^(j-k-i) of 1/D, stored at top-i
+            c = sum(diff[i] * inv_d.coeffs[top - i] for i in range(top + 1))
+            if c:
+                columns[j - start][(-(k + 1),)] = Fraction(c, d * den)
+    acc = Series(start, [MLaurent(1, col) for col in columns], zero=MLaurent(1))
+    kernel = acc.scale(MLaurent.const(1, Fraction(sign, 2)))
     if kernel.eff_start() != -1:
         raise WindowError("kernel does not exhibit its simple pole; window too small")
     return kernel

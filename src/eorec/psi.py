@@ -15,8 +15,12 @@ Q = P' lin - k (1+f) P,
 
     psihat_n = dG_n/dy = Q / lin^(k+1),    G_(n+1) = y(y+1) Q / lin^(k+2).
 
-In the shifted coordinate z = y + f/(1+f) the linear factor is (1+f) z, so
-psihat_n is one Taylor shift of Q over ((1+f) z)^(k+1): a Laurent
+The chain runs on integer polynomials: with m = 1+f, p = m P and q = m Q
+satisfy q = p' lin - k m p and p_(n+1) = y(y+1) q from p_0 = 1.  In the
+shifted coordinate z = y + f/(1+f) the linear factor is m z, so psihat_n is
+one Taylor shift of q over m^(k+2) z^(k+1).  In u = m z that shift is by
+the integer -f, so it runs over the integers too, and each coefficient is
+formed as one ``Fraction`` over a power of m.  The result is a Laurent
 polynomial with exponents in [-(2n+2), -2] and no residue term.  The same
 family satisfies a one-step shift recursion
 
@@ -39,7 +43,6 @@ from itertools import count
 from typing import Iterator
 
 from .errors import CalibrationError, PeelError
-from .poly import Poly
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -58,19 +61,41 @@ class PsiForm:
 
 
 def _operator_forms(f: int) -> Iterator[dict]:
-    """psihat_0, psihat_1, ... in z, from the operator definition."""
-    lin = Poly([f, f + 1])           # (1+f) y + f
-    yy1 = Poly([0, 1, 1])            # y (y + 1)
-    a = Fraction(f, f + 1)
-    P, k = Poly([Fraction(1, f + 1)]), 1
+    """psihat_0, psihat_1, ... in z, from the operator definition.
+
+    The chain runs on p = m P and q = m Q with m = 1+f, which stay integer
+    polynomials in y: p_0 = 1, q = p' lin - k m p and p_(n+1) = y(y+1) q.
+    """
+    m = f + 1
+    p, k = [1], 1
     for n in count():
-        Q = P.derivative() * lin - P * (k * (f + 1))
-        scale = (f + 1) ** (k + 1)
-        out = {i - k - 1: c / scale
-               for i, c in enumerate(Q.taylor_shift(-a).coeffs) if c}
+        q = [-k * m * c for c in p]
+        for i in range(1, len(p)):
+            q[i - 1] += i * f * p[i]
+            q[i] += i * m * p[i]
+        out = _shifted_form(q, k, f)
         _check_shape(out, n)
         yield out
-        P, k = yy1 * Q, k + 2
+        p = [0] + q + [0]
+        for i, c in enumerate(q):
+            p[i + 2] += c
+        k += 2
+
+
+def _shifted_form(q: list, k: int, f: int) -> dict:
+    """psihat = q(y) / (m^(k+2) z^(k+1)) at y = z - f/m, m = 1+f, as
+    exponent -> Fraction.
+
+    In u = m z the shift is by the integer -f: with d = deg q and
+    qt(v) = m^d q(v/m) = sum_j r_j (v+f)^j, q(z - f/m) = sum_j r_j m^(j-d) z^j.
+    """
+    m = f + 1
+    d = len(q) - 1
+    r = [c * m ** (d - i) for i, c in enumerate(q)]
+    for i in range(d):  # Taylor shift by -f, one synthetic division per degree
+        for j in range(d - 1, i - 1, -1):
+            r[j] -= f * r[j + 1]
+    return {j - k - 1: Fraction(c, m ** (d + k + 2 - j)) for j, c in enumerate(r) if c}
 
 
 def psi_form(n: int, f: int) -> PsiForm:

@@ -52,7 +52,8 @@ from .curve import (FramedCurve, bergman_self_pairing, conjugate_series,
 from .errors import CalibrationError, NotRepresentableError
 from .psi import PsiTable, peel, psi_table
 from .reference import reference_correlators
-from .series import Series
+from .series import (Series, integer_power, integer_powers, integer_product,
+                     integer_series, reduced)
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -84,6 +85,18 @@ class CorrDiff:
 
     def max_total_index(self) -> int:
         return max((sum(k) for k in self.coeffs), default=0)
+
+
+def unrepresentable(g: int, h: int) -> str | None:
+    """Why W(g,h) has no tensor form (invalid indices, a base case of the
+    recursion or an unstable pair), or None when it has one."""
+    if g < 0 or h < 1:
+        return f"invalid correlator indices (g={g}, h={h})"
+    if (g, h) in ((0, 1), (0, 2)):
+        return f"W({g},{h}) is a recursion base case with no tensor form"
+    if 2 * g - 2 + h < 1:
+        return f"unstable correlator (g={g}, h={h})"
+    return None
 
 
 def window_policy(g: int, h: int) -> int:
@@ -120,33 +133,6 @@ def _merge(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], i
     for v in set(t1):
         weight *= comb(tail.count(v), t1.count(v))
     return tail, weight
-
-
-def _integer_series(s: Series) -> tuple[int, Series]:
-    """(d, t) with s = t/d: t keeps s's window and has integer coefficients,
-    and d is the least common denominator of s's coefficients."""
-    den = lcm(*(c.denominator for c in s.coeffs))
-    return den, Series(s.start, [c.numerator * (den // c.denominator) for c in s.coeffs],
-                       exact=s.exact, zero=0)
-
-
-def _reduced(den: int, t: Series) -> tuple[int, Series]:
-    """The integer series t over den in lowest terms."""
-    g = gcd(den, *t.coeffs)
-    return den // g, Series(t.start, [c // g for c in t.coeffs], exact=t.exact, zero=0)
-
-
-def _product(a: tuple[int, Series], b: tuple[int, Series]) -> tuple[int, Series]:
-    """The product of two integer series over their denominators."""
-    return _reduced(a[0] * b[0], a[1] * b[1])
-
-
-def _power(pows: list, k: int) -> tuple[int, Series]:
-    """x^k from the list [1, x, x^2, ...] of integer series over their
-    denominators, extended on demand."""
-    while len(pows) <= k:
-        pows.append(_product(pows[-1], pows[1]))
-    return pows[k]
 
 
 def _numerators(values: dict) -> tuple[int, dict]:
@@ -218,14 +204,14 @@ class _Frame:
         self.psi = psi
         self.window = window
         self.s = conjugate_series(curve, window)
+        # integer powers of s, shared by the kernel, B(q, q-bar) and ds_pow
+        self._s_pows = integer_powers(self.s)
         self.D = omega_diff_series(curve, window, s=self.s)
         self.kernel = recursion_kernel(curve, window, sign=sigma_kernel,
-                                       s=self.s, D=self.D)
-        self.b_self = bergman_self_pairing(self.s)
-        one = (1, Series.constant(1, zero=0))
-        self._s_prime = _integer_series(self.s.derive())
-        self._s_pows: list = [one, _integer_series(self.s)]
-        self._inv_s_pows: list = [one, _integer_series(self.s.invert())]
+                                       s=self.s, D=self.D, s_pows=self._s_pows)
+        self.b_self = bergman_self_pairing(self.s, s_pows=self._s_pows)
+        self._s_prime = integer_series(self.s.derive())
+        self._inv_s_pows = integer_powers(self.s.invert())
         self._ds_pows: dict[int, tuple[int, Series]] = {}
         self._at_q: dict[int, tuple[int, Series]] = {}
         self._at_qbar: dict[int, tuple[int, Series]] = {}
@@ -239,8 +225,8 @@ class _Frame:
         """d/dz s(z)^k over one denominator."""
         out = self._ds_pows.get(k)
         if out is None:
-            den, power = _power(self._s_pows, k)
-            out = self._ds_pows[k] = _reduced(den, power.derive())
+            den, power = integer_power(self._s_pows, k)
+            out = self._ds_pows[k] = reduced(den, power.derive())
         return out
 
     def psihat_at_q(self, n: int) -> tuple[int, Series]:
@@ -249,7 +235,7 @@ class _Frame:
         out = self._at_q.get(n)
         if out is None:
             d = {e: -c for e, c in self.psi.shifted(n).items()}
-            out = self._at_q[n] = _integer_series(Series.from_dict(d, exact=True))
+            out = self._at_q[n] = integer_series(Series.from_dict(d, exact=True))
         return out
 
     def psihat_at_qbar(self, n: int) -> tuple[int, Series]:
@@ -257,13 +243,13 @@ class _Frame:
         over one denominator."""
         out = self._at_qbar.get(n)
         if out is None:
-            terms = [(-c, _power(self._inv_s_pows, -e))
+            terms = [(-c, integer_power(self._inv_s_pows, -e))
                      for e, c in self.psi.shifted(n).items()]
             den = lcm(*(c.denominator * d for c, (d, _) in terms))
             acc = Series(0, [], exact=True, zero=0)
             for c, (d, t) in terms:
                 acc = acc + t.scale(c.numerator * (den // (c.denominator * d)))
-            out = self._at_qbar[n] = _product((den, acc), self._s_prime)
+            out = self._at_qbar[n] = integer_product((den, acc), self._s_prime)
         return out
 
     # -- residue tables ---------------------------------------------------
@@ -369,13 +355,9 @@ class CorrStore:
         return fr
 
     def correlator(self, g: int, h: int) -> CorrDiff:
-        if g < 0 or h < 1:
-            raise NotRepresentableError(f"invalid correlator indices (g={g}, h={h})")
-        if (g, h) in ((0, 1), (0, 2)):
-            raise NotRepresentableError(
-                f"W({g},{h}) is a recursion base case with no tensor form")
-        if 2 * g - 2 + h < 1:
-            raise NotRepresentableError(f"unstable correlator (g={g}, h={h})")
+        why = unrepresentable(g, h)
+        if why:
+            raise NotRepresentableError(why)
         got = self.table.get((g, h))
         if got is None:
             if self.cache is not None:

@@ -322,3 +322,43 @@ def series_log1p(u: Series, order: int | None = None) -> Series:
         acc = acc + term
         k += 1
     return acc
+
+
+# -- integer series over one denominator -------------------------------------
+#
+# A rational series is carried as a pair (d, t): integer coefficients t over
+# the denominator d, with t keeping the window of the series.  Products of
+# such pairs are integer convolutions; one ``Fraction`` is formed only where
+# a rational coefficient is needed.
+
+def integer_series(s: Series) -> tuple[int, Series]:
+    """(d, t) with s = t/d: t keeps s's window and has integer coefficients,
+    and d is the least common denominator of s's coefficients."""
+    den = math.lcm(*(c.denominator for c in s.coeffs))
+    return den, Series(s.start, [c.numerator * (den // c.denominator) for c in s.coeffs],
+                       exact=s.exact, zero=0)
+
+
+def reduced(den: int, t: Series) -> tuple[int, Series]:
+    """The integer series t over den in lowest terms."""
+    g = math.gcd(den, *t.coeffs)
+    return den // g, Series(t.start, [c // g for c in t.coeffs], exact=t.exact, zero=0)
+
+
+def integer_product(a: tuple[int, Series], b: tuple[int, Series]) -> tuple[int, Series]:
+    """The product of two integer series over their denominators."""
+    return reduced(a[0] * b[0], a[1] * b[1])
+
+
+def integer_powers(s: Series) -> list:
+    """The list [1, s] of integer series over their denominators, which
+    ``integer_power`` extends to [1, s, s^2, ...]."""
+    return [(1, Series.constant(1, zero=0)), integer_series(s)]
+
+
+def integer_power(pows: list, k: int) -> tuple[int, Series]:
+    """x^k from the list [1, x, x^2, ...] of integer series over their
+    denominators, extended on demand."""
+    while len(pows) <= k:
+        pows.append(integer_product(pows[-1], pows[1]))
+    return pows[k]

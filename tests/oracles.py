@@ -1,13 +1,15 @@
 """Exact reference routines that only the tests use: polynomial
 interpolation, the integration-by-parts residue identity, the primitive
 theta built by series arithmetic, the involution solved by recomputing
-powers, and the residue tables of a frame built in ``Fraction``
-arithmetic."""
+powers, the basis operator chain, the one-form difference and the kernel
+built in ``Fraction`` arithmetic, and the residue tables of a frame built
+in ``Fraction`` arithmetic."""
 
 from fractions import Fraction
-from typing import Sequence
+from itertools import count
+from typing import Iterator, Sequence
 
-from eorec import FramedCurve, LogExt, Poly, Series, series_log1p
+from eorec import FramedCurve, LogExt, MLaurent, Poly, Series, series_log1p
 from eorec.psi import peel
 
 QONE = Fraction(1)
@@ -68,6 +70,45 @@ def conjugate_series_by_powers(curve: FramedCurve, window: int) -> Series:
         target = xs[n + 1] if n + 1 < len(xs) else Fraction(0)
         s.append((comp[n + 1] - target) / (2 * X2))
     return Series(1, s[1:], exact=False)
+
+
+def operator_forms_by_taylor_shift(f: int) -> Iterator[dict]:
+    """psihat_0, psihat_1, ... in z from the operator chain on P / lin^k over
+    Q, each Q shifted to z = y + f/(1+f) by a ``Fraction`` Horner shift."""
+    lin = Poly([f, f + 1])           # (1+f) y + f
+    yy1 = Poly([0, 1, 1])            # y (y + 1)
+    a = Fraction(f, f + 1)
+    P, k = Poly([Fraction(1, f + 1)]), 1
+    for _ in count():
+        Q = P.derivative() * lin - P * (k * (f + 1))
+        scale = (f + 1) ** (k + 1)
+        yield {i - k - 1: c / scale
+               for i, c in enumerate(Q.taylor_shift(-a).coeffs) if c}
+        P, k = yy1 * Q, k + 2
+
+
+def omega_diff_by_log1p(curve: FramedCurve, window: int, s: Series) -> Series:
+    """D(z) = log1p((z - s)/(y* + s)) x'(z)/x(z), the logarithm summed as a
+    power series: one series product per power."""
+    y_star = Series.constant(curve.y_star)
+    z = Series(1, [QONE], exact=True)
+    log_ratio = series_log1p((z - s) * (y_star + s).invert())
+    X = curve.x_shifted()
+    return log_ratio * X.derive() * X.invert(order=window)
+
+
+def kernel_by_laurent_products(window: int, sign: int, s: Series, D: Series) -> Series:
+    """K(w; z) = (sign/2) sum_k w^-(k+1) (s^k - z^k) / D as a product of
+    series with ``MLaurent`` coefficients."""
+    z = Series(1, [QONE], exact=True)
+    acc = Series(0, [], exact=True, zero=MLaurent(1))
+    s_pow, z_pow = s, z
+    for k in range(1, window + 1):
+        w_mono = MLaurent.from_var_dict(1, 0, {-(k + 1): QONE})
+        acc = acc + (s_pow - z_pow).scale(w_mono)
+        if k < window:
+            s_pow, z_pow = s_pow * s, z_pow * z
+    return (acc * D.invert()).scale(MLaurent.const(1, Fraction(sign, 2)))
 
 
 def _mul_trunc(a: list, b: list, order: int) -> list:

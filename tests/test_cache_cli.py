@@ -149,6 +149,9 @@ class TestCache:
 REJECTED = {
     "correlator --g 7 --h 1": (2, "beyond the desk-scale cap"),
     "correlator --g 0 --h 14": (2, "beyond the desk-scale cap"),
+    "correlator --g 0 --h 1": (2, "W(0,1) is a recursion base case with no tensor form"),
+    "correlator --g 0 --h 2": (2, "W(0,2) is a recursion base case with no tensor form"),
+    "correlator --g -1 --h 5": (2, "invalid correlator indices (g=-1, h=5)"),
     "hodge --g 0": (2, "--g must be between 1 and 6"),
     "hodge --g 7": (2, "--g must be between 1 and 6"),
     "free-energy --g-max 1": (None, "--g-max must be between 2 and 6"),

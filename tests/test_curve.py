@@ -6,7 +6,8 @@ from eorec import (FramedCurve, MLaurent, Series, bergman_self_pairing,
                    conjugate_series, omega_diff_series, recursion_kernel)
 from eorec.poly import Poly
 
-from oracles import conjugate_series_by_powers
+from oracles import (conjugate_series_by_powers, kernel_by_laurent_products,
+                     omega_diff_by_log1p)
 
 Q = Fraction
 
@@ -151,11 +152,25 @@ class TestKernel:
             assert a.coeff(k) == b.coeff(k)
 
 
+def _windowed(series: Series) -> tuple:
+    return series.start, series.coeffs, series.window_end
+
+
 def test_bergman_self_pairing_f1():
     s = conjugate_series(FramedCurve(1), 10)
     b = bergman_self_pairing(s)
     assert b.coeff(-2) == Q(-1, 4)
     assert all(not b.coeff(k) for k in range(-1, 3))
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_bergman_self_pairing_matches_squared_gap(f):
+    """s^2 from the integer powers gives the pairing of (z - s) squared."""
+    curve, z = FramedCurve(f), Series(1, [Q(1)], exact=True)
+    for window in range(4, 31):
+        s = conjugate_series(curve, window)
+        assert _windowed(bergman_self_pairing(s)) == \
+            _windowed(s.derive() * ((z - s) * (z - s)).invert()), window
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
@@ -166,3 +181,24 @@ def test_involution_matches_power_recomputation(f):
         got, want = conjugate_series(curve, window), conjugate_series_by_powers(curve, window)
         assert (got.start, got.coeffs, got.window_end) == \
             (want.start, want.coeffs, want.window_end), window
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_one_form_difference_matches_log1p_route(f):
+    """The primitive of the log's derivative gives the log1p series' D."""
+    curve = FramedCurve(f)
+    for window in range(4, 31):
+        s = conjugate_series(curve, window)
+        assert _windowed(omega_diff_series(curve, window, s=s)) == \
+            _windowed(omega_diff_by_log1p(curve, window, s)), window
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_kernel_matches_laurent_product_route(f):
+    """Columns summed over the integers give the MLaurent product's kernel."""
+    curve = FramedCurve(f)
+    for window in range(4, 31):
+        s = conjugate_series(curve, window)
+        D = omega_diff_series(curve, window, s=s)
+        assert _windowed(recursion_kernel(curve, window, sign=-1, s=s, D=D)) == \
+            _windowed(kernel_by_laurent_products(window, -1, s, D)), window

@@ -8,7 +8,7 @@ from eorec import PsiTable, Poly, psi_form, psi_peel, psi_table, shift_step
 from eorec import psi as psi_module
 from eorec.errors import CalibrationError, PeelError
 
-from oracles import lagrange_interpolate
+from oracles import lagrange_interpolate, operator_forms_by_taylor_shift
 
 Q = Fraction
 
@@ -127,6 +127,14 @@ class TestShape:
                 fit = lagrange_interpolate(pts[:-1])
                 assert fit.eval(pts[-1][0]) == pts[-1][1]
                 assert fit.degree <= 2 * n
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_operator_forms_match_taylor_shift_chain(f):
+    """The integer operator chain gives the forms of the Fraction chain."""
+    for n, got, want in zip(range(21), psi_module._operator_forms(f),
+                            operator_forms_by_taylor_shift(f)):
+        assert got == want, n
 
 
 def test_check_shape_rejects_a_residue_term():

@@ -32,7 +32,8 @@ def _traced(tmp_path, *job):
 
 def test_traced_job_counts_every_patched_layer(tmp_path):
     trace = _traced(tmp_path, "correlator", "--f", "1", "--g", "0", "--h", "4")
-    for metric in ("psi.shifted.calls", "curve.frames", "laurent.mul.term_pairs"):
+    for metric in ("psi.shifted.calls", "psi.peel.calls", "psi.table_s", "curve.frames",
+                   "curve.frame_s", "laurent.mul.term_pairs"):
         assert trace[metric] > 0, metric
 
 
