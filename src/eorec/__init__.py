@@ -21,7 +21,7 @@ from .poly import Poly
 from .psi import PsiForm, PsiTable, psi_form, psi_peel, psi_table, shift_step
 from .recursion import Conventions, CorrDiff, CorrStore, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
-from .scalars import LOG_SYMBOL, LogExt, format_rational, parse_rational
+from .scalars import format_rational, parse_rational
 from .series import Series, series_log1p
 from .verify import VerifyReport, build_stores, run_verification
 
@@ -37,7 +37,7 @@ __all__ = [
     "theta_series", "MLaurent", "Poly", "PsiForm", "PsiTable",
     "psi_form", "psi_peel", "psi_table", "shift_step",
     "Conventions", "CorrDiff", "CorrStore", "window_policy",
-    "reference_correlators", "two_point_genus_one_readings", "LOG_SYMBOL",
-    "LogExt", "format_rational", "parse_rational", "Series", "series_log1p",
+    "reference_correlators", "two_point_genus_one_readings",
+    "format_rational", "parse_rational", "Series", "series_log1p",
     "VerifyReport", "build_stores", "run_verification",
 ]

@@ -2,9 +2,10 @@
 
 One JSON file per (f, g, h, kernel sign, shift-recursion sign), holding the
 tensor with rationals serialized as decimal ``p/q`` strings, a format
-version and a content checksum.  A version or checksum mismatch triggers
-recomputation; stale files are never silently reused, and every rejection
-is a warning on the ``eorec`` logger.  The calibration record
+version and a content checksum.  A version or checksum mismatch, or a file
+that is not a UTF-8 JSON object with a checksum, triggers recomputation;
+stale files are never silently reused, and every rejection is a warning on
+the ``eorec`` logger.  The calibration record
 (``conventions.json``) persists the signs discovered on first use of a
 cache directory, plus the global energy sign once an energy run has
 established it.
@@ -49,6 +50,18 @@ def _canonical(payload: dict) -> str:
 
 def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+
+
+def _read_record(path: Path) -> tuple[dict, str] | None:
+    """The payload of a JSON record and its stored checksum, or None when the
+    file cannot be read as UTF-8 JSON holding an object with a checksum."""
+    try:
+        blob = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+        return None
+    if not isinstance(blob, dict) or "checksum" not in blob:
+        return None
+    return blob, blob.pop("checksum")
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -96,12 +109,11 @@ class CorrCache:
         path = self._path(f, g, h, conv)
         if not path.exists():
             return None
-        try:
-            blob = json.loads(path.read_text(encoding="utf-8"))
-            stored = blob.pop("checksum")
-        except (json.JSONDecodeError, KeyError, OSError):
+        record = _read_record(path)
+        if record is None:
             _warn(f"eorec: unreadable cache file {path.name}, recomputing")
             return None
+        blob, stored = record
         if blob.get("format_version") != FORMAT_VERSION or stored != _checksum(blob):
             _warn(f"eorec: stale or corrupt cache file {path.name}, recomputing")
             return None
@@ -128,12 +140,11 @@ class CorrCache:
         path = self._conv_path()
         if not path.exists():
             return None
-        try:
-            blob = json.loads(path.read_text(encoding="utf-8"))
-            stored = blob.pop("checksum")
-        except (json.JSONDecodeError, KeyError, OSError):
+        record = _read_record(path)
+        if record is None:
             _warn("eorec: unreadable calibration record, recalibrating")
             return None
+        blob, stored = record
         if blob.get("format_version") != FORMAT_VERSION or stored != _checksum(blob):
             _warn("eorec: stale calibration record, recalibrating")
             return None

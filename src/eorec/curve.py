@@ -43,25 +43,10 @@ class FramedCurve:
         self.x_poly = Poly(coeffs)
         self.x_star = self.x_poly.eval(self.y_star)
 
-    def x_of_y(self, y):
-        """Evaluate x at a rational point or compose with a series in z."""
-        if isinstance(y, (int, Fraction)):
-            return self.x_poly.eval(Fraction(y))
-        return _poly_of_series(self.x_poly, y)
-
     def x_shifted(self) -> Series:
         """x(y* + z) as an exact polynomial series in z."""
         shifted = self.x_poly.taylor_shift(self.y_star)
         return Series(0, shifted.coeffs, exact=True)
-
-
-def _poly_of_series(p: Poly, s: Series) -> Series:
-    if s.eff_start() is not None and s.eff_start() < 0:
-        raise WindowError("series substitution into x needs valuation >= 0")
-    acc = Series(0, [], exact=True, zero=s.zero)
-    for c in reversed(p.coeffs):
-        acc = acc * s + Series.constant(c, zero=s.zero)
-    return acc
 
 
 def conjugate_series(curve: FramedCurve, window: int) -> Series:

@@ -1,10 +1,10 @@
 """Everything downstream of the correlators.
 
-* the primitive theta of omega = log y dx/x as a local series whose
-  coefficients live in the rank-one log extension (the branch constant of
-  the log at the ramification point is the opaque symbol, and it must
-  cancel from every residue handed back to callers); each coefficient has a
-  closed form, and one primitive per framing serves every basis index;
+* the primitive theta of omega = log y dx/x as two rational series: its
+  rational part and its coefficient of the branch constant l of the log at
+  the ramification point, which must cancel from every residue handed back
+  to callers; each coefficient has a closed form, and one primitive per
+  framing serves every basis index;
 * the residue pairing of theta against each basis one-form, a dot product
   of the basis scalar's principal part with the coefficients of theta; it
   vanishes except at index 1;
@@ -27,15 +27,16 @@ from .errors import EorecError, LogBranchError
 from .poly import Poly
 from .psi import PsiTable, psi_table
 from .recursion import CorrDiff, CorrStore
-from .scalars import LogExt
+from .scalars import format_rational
 from .series import Series
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
-def theta_series(curve: FramedCurve, window: int) -> Series:
+def theta_series(curve: FramedCurve, window: int) -> tuple[Series, Series]:
     """Local primitive of log y dx/x at the ramification point, valuation 2,
+    as the pair (rational part, coefficient of l) of rational series, each
     certified up to exponent window + 2.
 
     Its differential is
@@ -60,21 +61,21 @@ def theta_series(curve: FramedCurve, window: int) -> Series:
     for m in range(1, top + 1):
         p[m] = -(f + 1) * (inv_a ** m + (-1) ** (m - 1) * inv_b ** m)
         lg[m] = -inv_a ** m / m
-    coeffs = [LogExt(0), LogExt(0)]
+    rat, log = [QZERO, QZERO], [QZERO, QZERO]
     for m in range(1, top + 1):
-        rat = sum((p[i] * lg[m - i] for i in range(1, m)), QZERO)
-        coeffs.append(LogExt(rat / (m + 1), p[m] / (m + 1)))
-    return Series(0, coeffs, zero=LogExt(0))
+        rat.append(sum((p[i] * lg[m - i] for i in range(1, m)), QZERO) / (m + 1))
+        log.append(p[m] / (m + 1))
+    return Series(0, rat), Series(0, log)
 
 
-_THETA: dict[int, Series] = {}  # framing -> widest primitive built so far
+_THETA: dict[int, tuple[Series, Series]] = {}  # framing -> widest primitive built so far
 
 
-def _theta(curve: FramedCurve, top: int) -> Series:
+def _theta(curve: FramedCurve, top: int) -> tuple[Series, Series]:
     """A primitive certified at least up to exponent ``top``: the widest one
     built for this framing, or a new one of just the needed window."""
     got = _THETA.get(curve.f)
-    if got is None or got.window_end < top:
+    if got is None or got[0].window_end < top:
         got = _THETA[curve.f] = theta_series(curve, max(3, top - 2))
     return got
 
@@ -83,21 +84,21 @@ def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None)
     """Residue of theta against Psi_n = -psihat_n dy at the ramification point.
 
     psihat_n has exponents -(2n+2) .. -2 in z, so the residue is the dot
-    product -sum_e psihat_n[e] theta_(-1-e) over theta_1 .. theta_(2n+1).
-    The branch symbol must cancel exactly; the rational part is returned.
+    product -sum_e psihat_n[e] theta_(-1-e) over theta_1 .. theta_(2n+1),
+    taken with both parts of theta.  The coefficient of l must cancel
+    exactly; the rational part is returned.
     Vanishes for n = 0 and n >= 2; magnitude 1/(f(1+f)) at n = 1.
     """
     if table is None:
         table = psi_table(curve.f)
-    theta = _theta(curve, 2 * n + 1)
-    rat = log = QZERO
-    for e, c in table.shifted(n).items():
-        t = theta.coeff(-1 - e)
-        rat -= c * t.rat
-        log -= c * t.log
+    shifted = table.shifted(n).items()
+    rat, log = (-sum((c * part.coeff(-1 - e) for e, c in shifted), QZERO)
+                for part in _theta(curve, 2 * n + 1))
     if log:
-        raise LogBranchError(f"branch symbol survives the index-{n} residue: "
-                             f"{LogExt(rat, log)}")
+        value = f"{format_rational(log)}*l"
+        if rat:
+            value = f"{format_rational(rat)} + {value}"
+        raise LogBranchError(f"branch symbol survives the index-{n} residue: {value}")
     return rat
 
 

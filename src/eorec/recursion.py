@@ -32,6 +32,12 @@ numerators over its least common denominator.  The contraction reads each
 lower tensor the same way and sums Python ints over one running common
 denominator, and each entry of W(g,h) is formed as one ``Fraction``.
 
+The tables hold psihat itself at every basis leg, while Psi_n = -psihat_n
+dy.  The orientation signs of a term (one per fixed slot carried over from
+a lower tensor, one per basis leg at q or q-bar, and (-1)^h for the free
+slot) multiply to -1 whatever h is, for R, E, D and W03 terms alike, so the
+contraction adds the terms as they are and negates the sum once per target.
+
 The dimension bound also sizes every frame in advance (``window_policy``),
 so a ``WindowError`` or ``PeelError`` during assembly is a bug and propagates.
 
@@ -230,20 +236,20 @@ class _Frame:
         return out
 
     def psihat_at_q(self, n: int) -> tuple[int, Series]:
-        """-psihat_n(z), the scalar of Psi_n with its leg at q, over one
+        """psihat_n(z), the basis scalar with its leg at q, over one
         denominator."""
         out = self._at_q.get(n)
         if out is None:
-            d = {e: -c for e, c in self.psi.shifted(n).items()}
-            out = self._at_q[n] = integer_series(Series.from_dict(d, exact=True))
+            out = self._at_q[n] = integer_series(
+                Series.from_dict(self.psi.shifted(n), exact=True))
         return out
 
     def psihat_at_qbar(self, n: int) -> tuple[int, Series]:
-        """-psihat_n(s(z)) s'(z), the scalar of Psi_n with its leg at q-bar,
-        over one denominator."""
+        """psihat_n(s(z)) s'(z), the basis scalar with its leg at q-bar, over
+        one denominator."""
         out = self._at_qbar.get(n)
         if out is None:
-            terms = [(-c, integer_power(self._inv_s_pows, -e))
+            terms = [(c, integer_power(self._inv_s_pows, -e))
                      for e, c in self.psi.shifted(n).items()]
             den = lcm(*(c.denominator * d for c, (d, _) in terms))
             acc = Series(0, [], exact=True, zero=0)
@@ -389,11 +395,10 @@ class CorrStore:
 
         Lower tensors stay sorted keys and the sum accumulates on (free
         index n | sorted tail): a choice of fixed slots for a lower tensor
-        becomes a multiset split of the tail, weighted by ``_merge``.  A
-        fixed slot carried over from a lower tensor holds -psihat, so a term
-        carrying k of them takes (-1)^k; the free slot takes (-1)^h.  Lower
-        tensors and tables enter as integer numerators, the sum runs over
-        Python ints on one running denominator, and each entry of the
+        becomes a multiset split of the tail, weighted by ``_merge``.  The
+        sum is negated once (see the module docstring for the signs).
+        Lower tensors and tables enter as integer numerators, the sum runs
+        over Python ints on one running denominator, and each entry of the
         result is formed as one ``Fraction``.
         """
         frame = self.frame(window)
@@ -405,10 +410,8 @@ class CorrStore:
             acc.den, table = frame.d_table()
             num.update(((n,), c) for n, c in table.items())
         elif g >= 1:
-            carried = -1 if (h - 1) % 2 else 1
             den, coeffs = _numerators(self.correlator(g - 1, h + 1).coeffs)
             for key, c in coeffs.items():
-                c *= carried
                 for a, rest in _legs(key):
                     for b, tail in _legs(rest):
                         tden, table = frame.r_table(a, b)
@@ -435,7 +438,7 @@ class CorrStore:
                     # the mirror term right == (0, 2) is skipped below
                     self._bergman_leg_term(frame, acc, g, h)
                 elif right != (0, 2):
-                    self._pair_term(frame, acc, h, left, right)
+                    self._pair_term(frame, acc, left, right)
         canonical: dict = {}
         seen: dict = {}
         for idx, c in num.items():
@@ -457,28 +460,25 @@ class CorrStore:
             if sum(key) > bound:
                 raise AssertionError(
                     f"index {key} violates the dimension bound {bound} in W({g},{h})")
-        den = acc.den if h % 2 == 0 else -acc.den
         return CorrDiff(g=g, h=h, f=self.f,
-                        coeffs={key: Fraction(c, den) for key, c in canonical.items()})
+                        coeffs={key: Fraction(c, -acc.den) for key, c in canonical.items()})
 
     def _bergman_leg_term(self, frame: _Frame, acc: _Sum, g: int, h: int) -> None:
         """B(q, p_j) against W(g, h-1) at q-bar and its mirror, via E[b]."""
-        carried = -1 if (h - 2) % 2 else 1
         num = acc.num
         den, coeffs = _numerators(self.correlator(g, h - 1).coeffs)
         for b, tails in _by_leg(coeffs).items():
             eden, table = frame.e_table(b)
-            scale = carried * acc.factor(den * eden)
+            scale = acc.factor(den * eden)
             for (n, m), e in table.items():
                 e *= scale
                 for rest, c in tails:
                     tail, weight = _merge((m,), rest)
                     num[(n,) + tail] += weight * c * e
 
-    def _pair_term(self, frame: _Frame, acc: _Sum, h: int,
+    def _pair_term(self, frame: _Frame, acc: _Sum,
                    left: tuple[int, int], right: tuple[int, int]) -> None:
         """Two lower tensors with their legs at q and q-bar, via R[a,b]."""
-        carried = -1 if (h - 1) % 2 else 1
         num = acc.num
         dq, coeffs_q = _numerators(self.correlator(*left).coeffs)
         dqb, coeffs_qbar = _numerators(self.correlator(*right).coeffs)
@@ -486,7 +486,7 @@ class CorrStore:
         for a, tails_q in _by_leg(coeffs_q).items():
             for b, tails_qbar in at_qbar.items():
                 tden, table = frame.r_table(a, b)
-                scale = carried * acc.factor(dq * dqb * tden)
+                scale = acc.factor(dq * dqb * tden)
                 for tq, cq in tails_q:
                     cq *= scale
                     for tqb, cqb in tails_qbar:

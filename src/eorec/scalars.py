@@ -1,20 +1,12 @@
-"""Exact scalar coefficients: rational helpers and the log-branch extension.
+"""Exact rational coefficients: rendering and parsing.
 
 All engine arithmetic runs over ``fractions.Fraction`` (already canonical:
-reduced, positive denominator, 0/1 zero).  ``LogExt`` adjoins one opaque
-symbol ``l`` standing for the constant branch value of a logarithm at a
-negative argument; every element is ``rat + log * l`` and the degree in
-``l`` is capped at one, which is asserted at multiplication time.
+reduced, positive denominator, 0/1 zero).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import LogBranchError
-
-QZERO = Fraction(0)
-QONE = Fraction(1)
 
 
 def format_rational(x: Fraction) -> str:
@@ -27,96 +19,3 @@ def format_rational(x: Fraction) -> str:
 def parse_rational(s: str) -> Fraction:
     """Inverse of :func:`format_rational` (also accepts plain integers)."""
     return Fraction(s)
-
-
-class LogExt:
-    """Element ``rat + log * l`` of the rank-one log extension.
-
-    Multiplication of two elements that both carry the symbol would produce
-    an ``l**2`` term; the engine never needs one, so it is an error.
-    """
-
-    __slots__ = ("rat", "log")
-
-    def __init__(self, rat: Fraction | int = 0, log: Fraction | int = 0):
-        self.rat = Fraction(rat)
-        self.log = Fraction(log)
-
-    @staticmethod
-    def _coerce(x) -> "LogExt":
-        if isinstance(x, LogExt):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return LogExt(x)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return LogExt(self.rat + o.rat, self.log + o.log)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return LogExt(self.rat - o.rat, self.log - o.log)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return LogExt(o.rat - self.rat, o.log - self.log)
-
-    def __neg__(self):
-        return LogExt(-self.rat, -self.log)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.log and o.log:
-            raise LogBranchError("product would carry the log symbol squared")
-        return LogExt(self.rat * o.rat, self.rat * o.log + self.log * o.rat)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.log:
-            raise LogBranchError("division by an element carrying the log symbol")
-        if not o.rat:
-            raise ZeroDivisionError("LogExt division by zero")
-        return LogExt(self.rat / o.rat, self.log / o.rat)
-
-    def __bool__(self) -> bool:
-        return bool(self.rat) or bool(self.log)
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.rat == o.rat and self.log == o.log
-
-    def __hash__(self):
-        return hash((self.rat, self.log))
-
-    def __repr__(self) -> str:
-        if not self.log:
-            return f"LogExt({self.rat})"
-        return f"LogExt({self.rat}, {self.log})"
-
-    def __str__(self) -> str:
-        if not self.log:
-            return format_rational(self.rat)
-        if not self.rat:
-            return f"{format_rational(self.log)}*l"
-        return f"{format_rational(self.rat)} + {format_rational(self.log)}*l"
-
-
-#: The bare branch symbol.
-LOG_SYMBOL = LogExt(0, 1)

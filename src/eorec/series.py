@@ -11,9 +11,10 @@ report anything outside it; asking for an uncertified coefficient raises
 :class:`~eorec.errors.WindowError` so callers can widen their truncation
 instead of silently reading garbage.
 
-The coefficient ring is duck-typed: ``Fraction``, :class:`~eorec.scalars.LogExt`
-and :class:`~eorec.laurent.MLaurent` all work, as long as the ring supports
-``+ - *`` among themselves and with ``Fraction`` scalars.
+The coefficient ring is duck-typed: ``Fraction``, ``int`` and
+:class:`~eorec.laurent.MLaurent` all work, as long as the ring supports
+``+ - *`` among themselves and with ``Fraction`` scalars; ``invert`` needs
+rational coefficients.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import WindowError
 
 INF = math.inf
 QZERO = Fraction(0)
+QONE = Fraction(1)
 
 
 class Series:
@@ -237,7 +239,7 @@ class Series:
         lead = self.coeff(t)
         if self.exact and self._stored_end() == t:
             # monomial: exact inverse
-            return Series(-t, [_ring_invert(lead)], exact=True, zero=self.zero)
+            return Series(-t, [QONE / lead], exact=True, zero=self.zero)
         if self.exact:
             if order is None:
                 raise WindowError("inverting an exact polynomial needs an explicit order")
@@ -246,7 +248,7 @@ class Series:
             n = self._stored_end() - t
             if order is not None:
                 n = min(n, order)
-        inv_lead = _ring_invert(lead)
+        inv_lead = QONE / lead
         # self = lead * z^t * (1 + r) with r of positive valuation
         r = [self.coeff(t + k) * inv_lead for k in range(n + 1)]
         w = [self.zero] * (n + 1)
@@ -258,11 +260,6 @@ class Series:
                     acc = acc + r[j] * w[k - j]
             w[k] = -acc
         return Series(-t, [c * inv_lead for c in w], exact=False, zero=self.zero)
-
-    def __truediv__(self, other: "Series") -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self * other.invert()
 
     def compose(self, inner: "Series") -> "Series":
         """Substitute ``inner`` (positive valuation) for the variable."""
@@ -289,16 +286,6 @@ class Series:
             # the unknown outer tail first pollutes exponent (top+1)*t
             acc = acc.truncate((top + 1) * t - 1)
         return acc
-
-
-def _ring_invert(c):
-    """Multiplicative inverse of a coefficient (Fraction or LogExt-like)."""
-    if isinstance(c, Fraction):
-        return Fraction(1) / c
-    if isinstance(c, int):
-        return Fraction(1, c)
-    one = c * 0 + 1
-    return one / c
 
 
 def series_log1p(u: Series, order: int | None = None) -> Series:

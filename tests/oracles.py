@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator, Sequence
 
-from eorec import FramedCurve, LogExt, MLaurent, Poly, Series, series_log1p
+from eorec import FramedCurve, MLaurent, Poly, Series, series_log1p
 from eorec.psi import peel
 
 QONE = Fraction(1)
@@ -35,9 +35,12 @@ def ibp_residue_check(f: Series, g: Series) -> bool:
     return lhs + rhs == 0
 
 
-def theta_by_series(curve: FramedCurve, window: int) -> Series:
-    """The primitive theta of log y dx/x, built as a product of windowed
-    series and integrated termwise: O(window^3) ``LogExt`` operations."""
+def theta_by_series(curve: FramedCurve, window: int) -> tuple[Series, Series]:
+    """The primitive theta of log y dx/x as (rational part, coefficient of
+    the branch constant l), with log(z - a) = l + log(1 - z/a): the
+    antiderivatives of pre log(1 - z/a) and of pre, pre = (1+f) z /
+    ((z - a)(z + b)), built as products of windowed series and integrated
+    termwise: O(window^3) rational operations."""
     f = curve.f
     a = Fraction(f, f + 1)
     b = Fraction(1, f + 1)
@@ -45,8 +48,7 @@ def theta_by_series(curve: FramedCurve, window: int) -> Series:
     denom = Series(0, [-a * b, b - a, QONE], exact=True)  # (z - a)(z + b)
     pre = z.scale(Fraction(f + 1)) * denom.invert(order=window)
     log_tail = series_log1p(z.scale(-1 / a), order=window)
-    d_theta = pre.scale(LogExt(0, 1)) + (pre * log_tail).scale(LogExt(1, 0))
-    return d_theta.antiderive()
+    return (pre * log_tail).antiderive(), pre.antiderive()
 
 
 def conjugate_series_by_powers(curve: FramedCurve, window: int) -> Series:
@@ -152,7 +154,7 @@ class FractionTables:
         self.columns: dict = {}
 
     def at_q(self, n: int) -> Series:
-        return Series.from_dict({e: -c for e, c in self.psi.shifted(n).items()})
+        return Series.from_dict(self.psi.shifted(n))
 
     def at_qbar(self, n: int) -> Series:
         pows = self.inv_s_pows
@@ -160,7 +162,7 @@ class FractionTables:
         for e, c in self.psi.shifted(n).items():
             while len(pows) <= -e:
                 pows.append(pows[-1] * self.frame.s.invert())
-            acc = acc + pows[-e].scale(-c)
+            acc = acc + pows[-e].scale(c)
         return acc * self.frame.s.derive()
 
     def residue(self, principal: dict) -> dict:

@@ -160,6 +160,16 @@ REJECTED = {
     "verify --g-max 7": (None, "--g-max must be between 0 and 6"),
 }
 
+#: bytes that make a cache file unreadable: JSON that is not an object, or not UTF-8
+CORRUPT = {"null": b"null", "list": b"[]", "string": b'"x"', "not-utf8": b"\xff\xfe{}"}
+
+#: cache file -> the warning its rejection logs
+UNREADABLE = {
+    "corr_f1_g1_h1_k-1_p1.json":
+        "eorec: unreadable cache file corr_f1_g1_h1_k-1_p1.json, recomputing",
+    "conventions.json": "eorec: unreadable calibration record, recalibrating",
+}
+
 
 class TestCli:
     def test_correlator_json(self, capsys):
@@ -253,6 +263,22 @@ class TestCli:
             assert captured.out == ""
             assert message in captured.err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("content", list(CORRUPT))
+    @pytest.mark.parametrize("name", list(UNREADABLE))
+    def test_corrupt_file_is_recomputed(self, capsys, caplog, tmp_path, name, content):
+        """A file that is not a UTF-8 JSON object is rejected with one warning,
+        and the run recomputes it with the output of a clean cache."""
+        argv = ["correlator", "--f", "1", "--g", "1", "--h", "1",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        (tmp_path / name).write_bytes(CORRUPT[content])
+        caplog.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == clean
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("eorec", logging.WARNING, UNREADABLE[name])]
 
     def test_window_margin_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -30,7 +30,7 @@ class TestCurveData:
             FramedCurve(-2)
 
     def test_point_evaluation(self):
-        assert FramedCurve(2).x_of_y(1) == -2
+        assert FramedCurve(2).x_poly.eval(Q(1)) == -2
 
     def test_shifted_expansion_f1(self):
         X = FramedCurve(1).x_shifted()
@@ -39,11 +39,6 @@ class TestCurveData:
     def test_shifted_expansion_f2(self):
         X = FramedCurve(2).x_shifted()
         assert X.coeff_dict() == {0: Q(-4, 27), 2: Q(1), 3: Q(-1)}
-
-    def test_series_substitution(self):
-        c = FramedCurve(1)
-        y = Series.constant(c.y_star) + Series(1, [Q(1)], exact=True)
-        assert c.x_of_y(y).coeff_dict() == {0: Q(1, 4), 2: Q(-1)}
 
     def test_critical_point_is_unique(self):
         # dx/dy = -y^(f-1) (f + (f+1) y): the only root with y(y+1) != 0

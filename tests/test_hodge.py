@@ -3,11 +3,11 @@ from math import factorial
 
 import pytest
 
-from eorec import (Conventions, CorrStore, FramedCurve, HodgeTable, LogExt, Poly,
+from eorec import (Conventions, CorrStore, FramedCurve, HodgeTable, Poly,
                    bernoulli, bernoulli_energy, energy_table, free_energy_direct,
                    free_energy_shortcut, hodge_extract, lambda_top_coefficient,
                    Series, lambda_triple, psi_table, residue_theta_psi,
-                   theta_series, window_policy)
+                   run_verification, theta_series, window_policy)
 from eorec import hodge
 from eorec.errors import LogBranchError
 from eorec.hodge import dilaton
@@ -69,29 +69,29 @@ class TestLambdaAlgebra:
 
 class TestThetaSeries:
     def test_oracle_framing_one(self):
-        theta = theta_series(FramedCurve(1), 6)
-        assert theta.coeff(2) == LogExt(0, -4)
-        assert theta.coeff(3) == LogExt(Q(16, 3), 0)
-        assert theta.coeff(4) == LogExt(4, -8)
+        # (rational part, coefficient of l) of theta_2, theta_3, theta_4
+        rat, log = theta_series(FramedCurve(1), 6)
+        assert [(rat.coeff(k), log.coeff(k)) for k in (2, 3, 4)] == \
+            [(0, -4), (Q(16, 3), 0), (4, -8)]
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_valuation_two(self, f):
-        theta = theta_series(FramedCurve(f), 5)
-        assert theta.eff_start() == 2
+        rat, log = theta_series(FramedCurve(f), 5)
+        assert min(rat.eff_start(), log.eff_start()) == 2
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_quadratic_coefficient_is_pure_symbol(self, f):
-        theta = theta_series(FramedCurve(f), 5)
-        c = theta.coeff(2)
-        assert c.rat == 0 and c.log != 0
+        rat, log = theta_series(FramedCurve(f), 5)
+        assert rat.coeff(2) == 0 and log.coeff(2) != 0
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_closed_form_matches_series_construction(self, f):
         curve = FramedCurve(f)
         for window in range(3, 31):
-            got, want = theta_series(curve, window), theta_by_series(curve, window)
-            assert (got.start, got.window_end, got.coeffs) == \
-                (want.start, want.window_end, want.coeffs), window
+            for got, want in zip(theta_series(curve, window),
+                                 theta_by_series(curve, window), strict=True):
+                assert (got.start, got.window_end, got.coeffs) == \
+                    (want.start, want.window_end, want.coeffs), window
 
 
 class TestResidueTable:
@@ -137,28 +137,27 @@ class TestResidueTable:
                 residue_theta_psi(FramedCurve(f), n, table=table)
         assert products == []
 
-    def test_one_primitive_per_framing_widened_on_demand(self, monkeypatch):
+    def test_verify_builds_at_most_two_primitives_per_framing(self, stores, monkeypatch):
+        # the residue sweep n = 0..8 needs one primitive, W(4,1) a wider one
         monkeypatch.setattr(hodge, "_THETA", {})
-        windows = []
+        builds = []
 
         def counted(curve, window):
-            windows.append(window)
+            builds.append(curve.f)
             return theta_series(curve, window)
 
         monkeypatch.setattr(hodge, "theta_series", counted)
-        curve = FramedCurve(2)
-        for n in (5, 0, 1, 4, 5, 8, 2):
-            residue_theta_psi(curve, n)
-        assert windows == [9, 15]  # theta_(2n+1) up to n = 5, then n = 8
+        assert run_verification(stores, g_max=4).passed
+        assert sorted(set(builds)) == [1, 2, 3]
+        assert all(builds.count(f) <= 2 for f in (1, 2, 3)), builds
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_surviving_branch_symbol_raises(self, monkeypatch, n):
         curve = FramedCurve(1)
-        theta = theta_series(curve, 2 * n + 3)
-        coeffs = list(theta.coeffs)
-        coeffs[2 * n + 1] = coeffs[2 * n + 1] + LogExt(0, 1)  # meets the z^-(2n+2) lead
-        monkeypatch.setattr(hodge, "_THETA",
-                            {1: Series(theta.start, coeffs, zero=theta.zero)})
+        rat, log = theta_series(curve, 2 * n + 3)
+        coeffs = list(log.coeffs)
+        coeffs[2 * n + 1] += 1  # meets the z^-(2n+2) lead
+        monkeypatch.setattr(hodge, "_THETA", {1: (rat, Series(log.start, coeffs))})
         with pytest.raises(LogBranchError, match=f"index-{n} residue"):
             residue_theta_psi(curve, n)
 

@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from eorec import LOG_SYMBOL, LogExt, format_rational, parse_rational
-from eorec.errors import LogBranchError
+from eorec import format_rational, parse_rational
 
 
 def test_small_fraction_arithmetic():
@@ -38,30 +37,3 @@ def test_format_parse_roundtrip():
     assert format_rational(Fraction(-36)) == "-36"
     assert format_rational(Fraction(1, 8)) == "1/8"
 
-
-class TestLogExt:
-    def test_linear_arithmetic(self):
-        a = LogExt(Fraction(1, 2), Fraction(3))
-        b = LogExt(Fraction(2), 0)
-        assert a + b == LogExt(Fraction(5, 2), Fraction(3))
-        assert a - a == 0
-        assert a * b == LogExt(Fraction(1), Fraction(6))
-        assert b * a == a * b
-
-    def test_symbol_square_is_an_error(self):
-        with pytest.raises(LogBranchError):
-            LOG_SYMBOL * LOG_SYMBOL
-        with pytest.raises(LogBranchError):
-            LogExt(1, 1) * LogExt(2, -1)
-
-    def test_division(self):
-        a = LogExt(Fraction(1), Fraction(4))
-        assert a / LogExt(Fraction(2)) == LogExt(Fraction(1, 2), Fraction(2))
-        with pytest.raises(LogBranchError):
-            a / LOG_SYMBOL
-
-    def test_scalar_mixing(self):
-        assert Fraction(1, 3) * LOG_SYMBOL == LogExt(0, Fraction(1, 3))
-        assert 2 + LOG_SYMBOL == LogExt(2, 1)
-        assert bool(LogExt(0, 0)) is False
-        assert bool(LOG_SYMBOL) is True
