@@ -80,6 +80,12 @@ def _theta(curve: FramedCurve, top: int) -> tuple[Series, Series]:
     return got
 
 
+def reserve_theta(curve: FramedCurve, max_index: int) -> None:
+    """Build the primitive of this framing once, wide enough for the residue
+    of every basis index up to ``max_index``."""
+    _theta(curve, 2 * max_index + 1)
+
+
 def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None) -> Fraction:
     """Residue of theta against Psi_n = -psihat_n dy at the ramification point.
 

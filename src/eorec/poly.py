@@ -25,10 +25,6 @@ class Poly:
     def const(c) -> "Poly":
         return Poly([c])
 
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial assigned -1."""

@@ -56,9 +56,6 @@ class PsiForm:
     f: int
     scalar_z: dict  # exponent -> Fraction, exact Laurent polynomial
 
-    def leading(self) -> Fraction:
-        return self.scalar_z[-(2 * self.n + 2)]
-
 
 def _operator_forms(f: int) -> Iterator[dict]:
     """psihat_0, psihat_1, ... in z, from the operator definition.
@@ -187,9 +184,6 @@ class PsiTable:
     def shifted(self, n: int) -> dict:
         return self.form(n).scalar_z
 
-    def leading(self, n: int) -> Fraction:
-        return self.form(n).leading()
-
     def _extend(self, n: int) -> None:
         while len(self._forms) <= n:
             m = len(self._forms)
@@ -250,11 +244,4 @@ def psi_peel(w_form: dict, f: int, table: PsiTable | None = None) -> dict[int, F
     """Expansion of an exact Laurent polynomial in the shifted basis."""
     if table is None:
         table = psi_table(f)
-    cleaned = {}
-    for e, c in w_form.items():
-        if not c:
-            continue
-        if e > -2:
-            raise PeelError(f"exponent {e} above -2 cannot be matched by the basis")
-        cleaned[e] = Fraction(c)
-    return peel(cleaned, table)
+    return peel({e: Fraction(c) for e, c in w_form.items()}, table)

@@ -9,7 +9,7 @@ tensor only come along for the ride.  Every W(g,h) is therefore a sum of
 lower tensor entries times small rational tables, memoised per frame:
 
 * ``R[a,b]``: the residue of K(w;z) psihat_a(z) psihat_b(s(z)) s'(z);
-* ``E[b]``: the Bergman-leg pair B(q,p) psihat_b(q-bar) + psihat_b(q) B(q-bar,p);
+* ``E[b]``: the Bergman leg B(q,p) against psihat_b(q-bar);
 * ``D``: the Bergman self-pairing B(q, q-bar), which gives W(1,1);
 * ``W03``: two Bergman legs, which give W(0,3).
 
@@ -23,14 +23,19 @@ tail), so the fixed slots are symmetric by construction; the assembled
 tensor is checked for free-slot symmetry (every distinct free index of a
 key gives the same value) and the dimension bound.
 
+The residue is invariant under the local involution z -> s(z), which swaps
+q and q-bar (R[a,b] = R[b,a], and E[b] equals its mirror psihat_b(q)
+B(q-bar,p)), so each quadratic split is summed once, with its two factors
+in sorted order, and an off-diagonal split counts twice.
+
 Tables and contraction run over the integers.  Each rational ingredient of
-a table (-psihat_a at q, -psihat_b(s) s' at q-bar, the derivatives of
-s^(k+1) and each kernel column K_j) is converted once per frame to integer
-numerators over one denominator, so a product of two legs is an integer
-convolution and a residue an integer dot product; each table is kept as
-numerators over its least common denominator.  The contraction reads each
-lower tensor the same way and sums Python ints over one running common
-denominator, and each entry of W(g,h) is formed as one ``Fraction``.
+a table (psihat_a at q, psihat_b(s) s' at q-bar and each kernel column K_j)
+is converted once per frame to integer numerators over one denominator, so
+a product of two legs is an integer convolution and a residue an integer
+dot product; each table is kept as numerators over its least common
+denominator.  The contraction reads each lower tensor the same way and
+sums Python ints over one running common denominator, and each entry of
+W(g,h) is formed as one ``Fraction``.
 
 The tables hold psihat itself at every basis leg, while Psi_n = -psihat_n
 dy.  The orientation signs of a term (one per fixed slot carried over from
@@ -59,7 +64,7 @@ from .errors import CalibrationError, NotRepresentableError
 from .psi import PsiTable, peel, psi_table
 from .reference import reference_correlators
 from .series import (Series, integer_power, integer_powers, integer_product,
-                     integer_series, reduced)
+                     integer_series)
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -88,9 +93,6 @@ class CorrDiff:
 
     def coeff(self, idx: tuple[int, ...]) -> Fraction:
         return self.coeffs.get(tuple(sorted(idx)), QZERO)
-
-    def max_total_index(self) -> int:
-        return max((sum(k) for k in self.coeffs), default=0)
 
 
 def unrepresentable(g: int, h: int) -> str | None:
@@ -155,11 +157,10 @@ def _lowest_terms(den: int, nums: dict) -> tuple[int, dict]:
     return den // g, {k: v // g for k, v in nums.items() if v}
 
 
-def _principal(a: Series, b: Series, into: dict | None = None,
-               scale: int = 1) -> dict[int, int]:
-    """scale * a * b at exponents <= 0, the only ones a kernel residue reads,
-    for series with integer coefficients."""
-    out = {} if into is None else into
+def _principal(a: Series, b: Series) -> dict[int, int]:
+    """a * b at exponents <= 0, the only ones a kernel residue reads, for
+    series with integer coefficients."""
+    out: dict[int, int] = {}
     sa, sb = a.eff_start(), b.eff_start()
     if sa is None or sb is None:
         return out
@@ -167,7 +168,6 @@ def _principal(a: Series, b: Series, into: dict | None = None,
         x = a.coeff(ea)
         if not x:
             continue
-        x *= scale
         for eb in range(sb, 1 - ea):
             y = b.coeff(eb)
             if y:
@@ -210,7 +210,7 @@ class _Frame:
         self.psi = psi
         self.window = window
         self.s = conjugate_series(curve, window)
-        # integer powers of s, shared by the kernel, B(q, q-bar) and ds_pow
+        # integer powers of s, shared by the kernel and B(q, q-bar)
         self._s_pows = integer_powers(self.s)
         self.D = omega_diff_series(curve, window, s=self.s)
         self.kernel = recursion_kernel(curve, window, sign=sigma_kernel,
@@ -218,7 +218,6 @@ class _Frame:
         self.b_self = bergman_self_pairing(self.s, s_pows=self._s_pows)
         self._s_prime = integer_series(self.s.derive())
         self._inv_s_pows = integer_powers(self.s.invert())
-        self._ds_pows: dict[int, tuple[int, Series]] = {}
         self._at_q: dict[int, tuple[int, Series]] = {}
         self._at_qbar: dict[int, tuple[int, Series]] = {}
         self._kernel_basis: dict[int, tuple[int, dict]] = {}
@@ -226,14 +225,6 @@ class _Frame:
         self._e: dict[int, tuple[int, dict]] = {}
         self._d: tuple[int, dict] | None = None
         self._w03: tuple[int, dict] | None = None
-
-    def ds_pow(self, k: int) -> tuple[int, Series]:
-        """d/dz s(z)^k over one denominator."""
-        out = self._ds_pows.get(k)
-        if out is None:
-            den, power = integer_power(self._s_pows, k)
-            out = self._ds_pows[k] = reduced(den, power.derive())
-        return out
 
     def psihat_at_q(self, n: int) -> tuple[int, Series]:
         """psihat_n(z), the basis scalar with its leg at q, over one
@@ -293,22 +284,18 @@ class _Frame:
         return out
 
     def e_table(self, b: int) -> tuple[int, dict[tuple[int, int], int]]:
-        """E[b]: B(q,p) with the q-bar leg of index b, plus the q-leg of index b
-        with B(q-bar,p); keyed (free index, index at p).
+        """E[b]: B(q,p) with the q-bar leg of index b, keyed (free index,
+        index at p).
 
-        B(q,p) = sum_k u^-(k+2) d/dz z^(k+1) and B(q-bar,p) the same with s(z)
-        for z, u the coordinate of p; only k <= 2b+2 reaches the residue.
+        B(q,p) = sum_k u^-(k+2) d/dz z^(k+1), u the coordinate of p; only
+        k <= 2b+2 reaches the residue.
         """
         out = self._e.get(b)
         if out is None:
-            (dq, at_q), (dqb, at_qbar) = self.psihat_at_q(b), self.psihat_at_qbar(b)
+            den, at_qbar = self.psihat_at_qbar(b)
             by_free: dict[int, dict] = {}
             for k in range(2 * b + 3):
-                ds, ds_pow = self.ds_pow(k + 1)
-                den = lcm(dqb, ds * dq)
-                low = _principal(Series.monomial(k + 1, k), at_qbar, scale=den // dqb)
-                _principal(ds_pow, at_q, into=low, scale=den // (ds * dq))
-                rden, res = self.residue(den, low)
+                rden, res = self.residue(den, _principal(Series.monomial(k + 1, k), at_qbar))
                 for n, c in res.items():
                     by_free.setdefault(n, {})[-(k + 2)] = Fraction(c, rden)
             out = self._e[b] = _numerators({(n, m): c for n, poly in by_free.items()
@@ -419,26 +406,27 @@ class CorrStore:
                         for n, r in table.items():
                             num[(n,) + tail] += ct * r
 
-        # quadratic terms W(g-l, r+1) W(l, h-r): r fixed slots go left
+        # quadratic terms W(g-l, r+1) W(l, h-r): r fixed slots go left.  The
+        # mirror (l, r) -> (g-l, h-1-r) swaps the two factors and gives an
+        # equal term, so only left <= right is visited and an off-diagonal
+        # split counts twice.  (0, 1) and then (0, 2) sort first: a vanishing
+        # one-point factor drops before its partner (possibly the target
+        # itself) is evaluated, and a Bergman leg always sits at q.
         for l in range(g + 1):
             for r in range(h):
                 left, right = (g - l, r + 1), (l, h - r)
-                # terms with a vanishing one-point factor drop before
-                # the partner (possibly the target itself) is evaluated
-                if left == (0, 1) or right == (0, 1):
+                if left > right or left == (0, 1):
                     continue
-                if left == right == (0, 2):
+                if right == (0, 2):
                     den, table = frame.w03_table()
                     scale = acc.factor(den)
                     for (n, m1, m2), c in table.items():
                         tail, weight = _merge((m1,), (m2,))
                         num[(n,) + tail] += weight * scale * c
                 elif left == (0, 2):
-                    # E[b] holds both orientations of the Bergman leg;
-                    # the mirror term right == (0, 2) is skipped below
-                    self._bergman_leg_term(frame, acc, g, h)
-                elif right != (0, 2):
-                    self._pair_term(frame, acc, left, right)
+                    self._bergman_leg_term(frame, acc, right, 2)
+                else:
+                    self._pair_term(frame, acc, left, right, 1 if left == right else 2)
         canonical: dict = {}
         seen: dict = {}
         for idx, c in num.items():
@@ -463,22 +451,24 @@ class CorrStore:
         return CorrDiff(g=g, h=h, f=self.f,
                         coeffs={key: Fraction(c, -acc.den) for key, c in canonical.items()})
 
-    def _bergman_leg_term(self, frame: _Frame, acc: _Sum, g: int, h: int) -> None:
-        """B(q, p_j) against W(g, h-1) at q-bar and its mirror, via E[b]."""
+    def _bergman_leg_term(self, frame: _Frame, acc: _Sum,
+                          right: tuple[int, int], mult: int) -> None:
+        """mult times B(q, p_j) against W(right) at q-bar, via E[b]."""
         num = acc.num
-        den, coeffs = _numerators(self.correlator(g, h - 1).coeffs)
+        den, coeffs = _numerators(self.correlator(*right).coeffs)
         for b, tails in _by_leg(coeffs).items():
             eden, table = frame.e_table(b)
-            scale = acc.factor(den * eden)
+            scale = mult * acc.factor(den * eden)
             for (n, m), e in table.items():
                 e *= scale
                 for rest, c in tails:
                     tail, weight = _merge((m,), rest)
                     num[(n,) + tail] += weight * c * e
 
-    def _pair_term(self, frame: _Frame, acc: _Sum,
-                   left: tuple[int, int], right: tuple[int, int]) -> None:
-        """Two lower tensors with their legs at q and q-bar, via R[a,b]."""
+    def _pair_term(self, frame: _Frame, acc: _Sum, left: tuple[int, int],
+                   right: tuple[int, int], mult: int) -> None:
+        """mult times two lower tensors with their legs at q and q-bar, via
+        R[a,b]."""
         num = acc.num
         dq, coeffs_q = _numerators(self.correlator(*left).coeffs)
         dqb, coeffs_qbar = _numerators(self.correlator(*right).coeffs)
@@ -486,7 +476,7 @@ class CorrStore:
         for a, tails_q in _by_leg(coeffs_q).items():
             for b, tails_qbar in at_qbar.items():
                 tden, table = frame.r_table(a, b)
-                scale = acc.factor(dq * dqb * tden)
+                scale = mult * acc.factor(dq * dqb * tden)
                 for tq, cq in tails_q:
                     cq *= scale
                     for tqb, cqb in tails_qbar:

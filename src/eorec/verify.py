@@ -18,7 +18,7 @@ from fractions import Fraction
 from .curve import conjugate_series
 from .errors import LogBranchError
 from .hodge import (dilaton, energies_by_genus, energy_table, hodge_extract,
-                    lambda_top_coefficient, residue_theta_psi)
+                    lambda_top_coefficient, reserve_theta, residue_theta_psi)
 from .poly import Poly
 from .recursion import CorrStore, Conventions, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
@@ -138,25 +138,22 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
             passed=match is not None,
             note="readings considered: " + ", ".join(sorted(readings))))
 
-    # residue table of the primitive against the basis, computed from the
-    # widest index down so that one primitive per framing serves the sweep
+    # residue table of the primitive against the basis; the primitive is
+    # built once per framing, for the widest index the run pairs with it
+    # (W(g_max, 1) reaches index 3 g_max - 2)
     for store in stores:
         f = store.f
-        residues: dict[int, Fraction | LogBranchError] = {}
-        for n in range(8, -1, -1):
-            try:
-                residues[n] = residue_theta_psi(store.curve, n, table=store.psi)
-            except LogBranchError as exc:
-                residues[n] = exc
+        reserve_theta(store.curve, max(8, 3 * g_max - 2))
         surviving = []
-        for n in range(0, 9):
-            rho = residues[n]
-            if isinstance(rho, LogBranchError):
+        for n in range(9):
+            try:
+                rho = residue_theta_psi(store.curve, n, table=store.psi)
+            except LogBranchError as exc:
                 surviving.append(n)
                 add(CheckRecord(
                     name="theta-psi-residue",
                     params={"f": f, "n": n},
-                    expected="a rational residue", actual=str(rho), passed=False))
+                    expected="a rational residue", actual=str(exc), passed=False))
                 continue
             if n == 1:
                 want = Fraction(1, f * (f + 1))

@@ -126,9 +126,9 @@ def _mul_trunc(a: list, b: list, order: int) -> list:
     return out
 
 
-def _principal(a: Series, b: Series, into: dict | None = None) -> dict:
+def _principal(a: Series, b: Series) -> dict:
     """Coefficients of a*b at exponents <= 0, the only ones a kernel residue reads."""
-    out = {} if into is None else into
+    out: dict = {}
     sa, sb = a.eff_start(), b.eff_start()
     if sa is None or sb is None:
         return out
@@ -144,8 +144,9 @@ def _principal(a: Series, b: Series, into: dict | None = None) -> dict:
 
 
 class FractionTables:
-    """R[a,b], E[b], D and W03 of one frame, each entry summed in ``Fraction``
-    arithmetic from the frame's rational series and kernel."""
+    """R[a,b], both orientations of E[b], D and W03 of one frame, each entry
+    summed in ``Fraction`` arithmetic from the frame's rational series and
+    kernel."""
 
     def __init__(self, frame):
         self.frame = frame
@@ -185,14 +186,27 @@ class FractionTables:
         return self.residue(_principal(self.at_q(a), self.at_qbar(b)))
 
     def e(self, b: int) -> dict:
-        at_q, at_qbar = self.at_q(b), self.at_qbar(b)
-        s_pow = Series.constant(QONE)
+        """B(q,p) against the q-bar leg of index b, with B(q,p) = sum_k
+        u^-(k+2) d/dz z^(k+1)."""
+        at_qbar = self.at_qbar(b)
+        return self._bergman_leg(b, lambda k: _principal(
+            Series.monomial(Fraction(k + 1), k), at_qbar))
+
+    def e_mirror(self, b: int) -> dict:
+        """The q-leg of index b against B(q-bar,p), the same sum with s(z)
+        for z."""
+        at_q, s = self.at_q(b), self.frame.s
+        s_pows = [s]
+        for _ in range(2 * b + 2):
+            s_pows.append(s_pows[-1] * s)
+        return self._bergman_leg(b, lambda k: _principal(s_pows[k].derive(), at_q))
+
+    def _bergman_leg(self, b: int, principal) -> dict:
+        """Peel the residues of principal(k), k <= 2b+2, in the basis of the
+        free point and of p; keyed (free index, index at p)."""
         by_free: dict = {}
         for k in range(2 * b + 3):
-            s_pow = s_pow * self.frame.s
-            low = _principal(Series.monomial(Fraction(k + 1), k), at_qbar)
-            _principal(s_pow.derive(), at_q, into=low)
-            for n, c in self.residue(low).items():
+            for n, c in self.residue(principal(k)).items():
                 by_free.setdefault(n, {})[-(k + 2)] = c
         return {(n, m): c for n, poly in by_free.items()
                 for m, c in peel(poly, self.psi).items()}

@@ -10,10 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from eorec import (Conventions, CorrStore, PeelError, Series, WindowError,
+from eorec import (Conventions, CorrStore, PeelError, WindowError,
                    format_rational, window_policy)
 from eorec import recursion
-from eorec.psi import peel
 
 from oracles import FractionTables
 from wk import wk
@@ -244,7 +243,9 @@ def _fractions(table):
 def test_integer_tables_match_fraction_tables(stores, f, window):
     """Every entry of R[a,b], E[b], D and W03 equals its construction in
     Fraction arithmetic, for every leg index a frame of this window serves
-    (lower index sums up to (window-5)/2, from the dimension bound)."""
+    (lower index sums up to (window-5)/2, from the dimension bound).  The
+    involution symmetry the contraction relies on holds in the oracle:
+    R[a,b] = R[b,a], and E[b] equals its mirror orientation."""
     store = stores[f - 1]
     frame = recursion._Frame(store.curve, store.psi, window,
                              store.conventions.sigma_kernel)
@@ -252,44 +253,46 @@ def test_integer_tables_match_fraction_tables(stores, f, window):
     top = (window - 5) // 2
     for a in range(top + 1):
         for b in range(top + 1 - a):
-            assert _fractions(frame.r_table(a, b)) == oracle.r(a, b), (a, b)
+            r = oracle.r(a, b)
+            assert r == oracle.r(b, a), (a, b)
+            assert _fractions(frame.r_table(a, b)) == r, (a, b)
     for b in range(top + 1):
-        assert _fractions(frame.e_table(b)) == oracle.e(b), b
+        half = oracle.e(b)
+        assert half == oracle.e_mirror(b), b
+        assert _fractions(frame.e_table(b)) == half, b
     assert _fractions(frame.d_table()) == oracle.d()
     assert _fractions(frame.w03_table()) == oracle.w03()
 
 
-def _e_table_one_orientation(self, b):
-    """E[b] without its mirror: B(q,p) against the q-bar leg only."""
-    den, at_qbar = self.psihat_at_qbar(b)
-    by_free = {}
-    for k in range(2 * b + 3):
-        low = recursion._principal(Series.monomial(k + 1, k), at_qbar)
-        rden, res = self.residue(den, low)
-        for n, c in res.items():
-            by_free.setdefault(n, {})[-(k + 2)] = Fraction(c, rden)
-    return recursion._numerators({(n, m): c for n, poly in by_free.items()
-                                  for m, c in peel(poly, self.psi).items()})
+def _split_once(term):
+    """A quadratic term that counts its split once, so an off-diagonal split
+    loses its mirror."""
+    def once(self, *args):
+        return term(self, *args[:-1], 1)
+    return once
 
 
 def _unit_weight_merge(t1, t2):
     return tuple(sorted(t1 + t2)), 1
 
 
+#: name -> the (owner, attribute, replacement) patches of one mutation
 MUTATIONS = {
-    "merge-weight-1": (recursion, "_merge", _unit_weight_merge),
-    "one-E-orientation": (recursion._Frame, "e_table", _e_table_one_orientation),
+    "merge-weight-1": [(recursion, "_merge", _unit_weight_merge)],
+    "split-once": [(CorrStore, name, _split_once(getattr(CorrStore, name)))
+                   for name in ("_pair_term", "_bergman_leg_term")],
 }
 
 
 @pytest.mark.parametrize("mutation,g,h", [
     ("merge-weight-1", 0, 4), ("merge-weight-1", 1, 2),
-    ("one-E-orientation", 1, 2), ("one-E-orientation", 0, 5)])
+    ("split-once", 1, 2), ("split-once", 0, 5)])
 def test_free_slot_check_catches_broken_contraction(monkeypatch, mutation, g, h):
     """The fixed slots are symmetric by construction, so a wrong split
-    weight or a lost Bergman-leg orientation shows only as a free index
-    whose value differs from another free index of the same key."""
+    weight or a lost mirror split shows only as a free index whose value
+    differs from another free index of the same key."""
     CorrStore(1, CONV).correlator(g, h)  # the unbroken contraction passes
-    monkeypatch.setattr(*MUTATIONS[mutation])
+    for patch in MUTATIONS[mutation]:
+        monkeypatch.setattr(*patch)
     with pytest.raises(AssertionError, match="free slot breaks the symmetry"):
         CorrStore(1, CONV).correlator(g, h)

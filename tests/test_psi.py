@@ -103,7 +103,7 @@ class TestShape:
             d = t.shifted(n)
             assert min(d) == -(2 * n + 2)
             assert max(d) <= -2
-            assert t.leading(n) != 0
+            assert d[-(2 * n + 2)] != 0
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_no_residue_term(self, f):
