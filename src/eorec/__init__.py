@@ -18,11 +18,11 @@ from .hodge import (EnergyRow, HodgeTable, bernoulli_energy, energy_table,
                     theta_series)
 from .laurent import MLaurent
 from .poly import Poly
-from .psi import PsiForm, PsiTable, psi_form, psi_peel, psi_table, shift_step
+from .psi import PsiForm, PsiTable, psi_form, psi_table, shift_step
 from .recursion import Conventions, CorrDiff, CorrStore, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
 from .scalars import format_rational, parse_rational
-from .series import Series, series_log1p
+from .series import Series
 from .verify import VerifyReport, build_stores, run_verification
 
 __version__ = "0.1.0"
@@ -35,9 +35,9 @@ __all__ = [
     "free_energy_direct", "free_energy_shortcut", "hodge_extract",
     "lambda_top_coefficient", "lambda_triple", "residue_theta_psi",
     "theta_series", "MLaurent", "Poly", "PsiForm", "PsiTable",
-    "psi_form", "psi_peel", "psi_table", "shift_step",
+    "psi_form", "psi_table", "shift_step",
     "Conventions", "CorrDiff", "CorrStore", "window_policy",
     "reference_correlators", "two_point_genus_one_readings",
-    "format_rational", "parse_rational", "Series", "series_log1p",
+    "format_rational", "parse_rational", "Series",
     "VerifyReport", "build_stores", "run_verification",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from fractions import Fraction
 from pathlib import Path
 
 from .recursion import Conventions, CorrDiff
@@ -52,16 +51,27 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
-def _read_record(path: Path) -> tuple[dict, str] | None:
-    """The payload of a JSON record and its stored checksum, or None when the
-    file cannot be read as UTF-8 JSON holding an object with a checksum."""
+def _read_record(path: Path, unreadable: str, stale: str) -> dict | None:
+    """The payload of the JSON record at ``path``, without its checksum.
+
+    None when there is no file, and None with a warning when the file is not
+    UTF-8 JSON holding an object with a checksum (``unreadable``) or when its
+    format version or checksum does not match (``stale``).
+    """
+    if not path.exists():
+        return None
     try:
         blob = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-        return None
+        blob = None
     if not isinstance(blob, dict) or "checksum" not in blob:
+        _warn(unreadable)
         return None
-    return blob, blob.pop("checksum")
+    stored = blob.pop("checksum")
+    if blob.get("format_version") != FORMAT_VERSION or stored != _checksum(blob):
+        _warn(stale)
+        return None
+    return blob
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -76,6 +86,11 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def terms_payload(w: CorrDiff) -> list[dict]:
+    """The entries of a tensor in key order, each rendered exactly."""
+    return [{"n": list(idx), "c": format_rational(c)} for idx, c in sorted(w.coeffs.items())]
+
+
 def corrdiff_payload(w: CorrDiff, conventions: Conventions) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -84,10 +99,7 @@ def corrdiff_payload(w: CorrDiff, conventions: Conventions) -> dict:
         "h": w.h,
         "sigma_kernel": conventions.sigma_kernel,
         "sigma_psirec": conventions.sigma_psirec,
-        "terms": [
-            {"n": list(idx), "c": format_rational(c)}
-            for idx, c in sorted(w.coeffs.items())
-        ],
+        "terms": terms_payload(w),
     }
 
 
@@ -107,15 +119,9 @@ class CorrCache:
 
     def load(self, f: int, g: int, h: int, conv: Conventions) -> CorrDiff | None:
         path = self._path(f, g, h, conv)
-        if not path.exists():
-            return None
-        record = _read_record(path)
-        if record is None:
-            _warn(f"eorec: unreadable cache file {path.name}, recomputing")
-            return None
-        blob, stored = record
-        if blob.get("format_version") != FORMAT_VERSION or stored != _checksum(blob):
-            _warn(f"eorec: stale or corrupt cache file {path.name}, recomputing")
+        blob = _read_record(path, f"eorec: unreadable cache file {path.name}, recomputing",
+                            f"eorec: stale or corrupt cache file {path.name}, recomputing")
+        if blob is None:
             return None
         key = (blob.get("f"), blob.get("g"), blob.get("h"),
                blob.get("sigma_kernel"), blob.get("sigma_psirec"))
@@ -137,16 +143,10 @@ class CorrCache:
         return self.dir / "conventions.json"
 
     def load_conventions(self) -> tuple[Conventions, int | None] | None:
-        path = self._conv_path()
-        if not path.exists():
-            return None
-        record = _read_record(path)
-        if record is None:
-            _warn("eorec: unreadable calibration record, recalibrating")
-            return None
-        blob, stored = record
-        if blob.get("format_version") != FORMAT_VERSION or stored != _checksum(blob):
-            _warn("eorec: stale calibration record, recalibrating")
+        blob = _read_record(self._conv_path(),
+                            "eorec: unreadable calibration record, recalibrating",
+                            "eorec: stale calibration record, recalibrating")
+        if blob is None:
             return None
         conv = Conventions(sigma_kernel=blob["sigma_kernel"],
                            sigma_psirec=blob["sigma_psirec"])

@@ -14,14 +14,12 @@ import argparse
 import json
 import sys
 
-from .cache import CorrCache, default_cache_dir
+from .cache import CorrCache, default_cache_dir, terms_payload
 from .errors import EorecError
 from .hodge import dilaton, energies_by_genus, energy_table, hodge_extract
-from .recursion import Conventions, calibrate, unrepresentable
+from .recursion import HARD_G_CAP, Conventions, calibrate, unrepresentable
 from .scalars import format_rational
 from .verify import build_stores, run_verification
-
-HARD_G_CAP = 6
 
 
 def _parse_framings(text: str) -> list[int]:
@@ -152,11 +150,7 @@ def _cmd_correlator(args, stores, conv, epsilon) -> int:
     results = []
     for store in stores:
         w = store.correlator(args.g, args.h)
-        results.append({
-            "f": store.f, "g": w.g, "h": w.h,
-            "terms": [{"n": list(idx), "c": format_rational(c)}
-                      for idx, c in sorted(w.coeffs.items())],
-        })
+        results.append({"f": store.f, "g": w.g, "h": w.h, "terms": terms_payload(w)})
     if args.output_format == "json":
         _emit({"command": "correlator", "conventions": _conv_payload(conv, epsilon),
                "results": results})

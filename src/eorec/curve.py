@@ -21,7 +21,7 @@ from fractions import Fraction
 from .errors import WindowError
 from .laurent import MLaurent
 from .poly import Poly
-from .series import Series, integer_power, integer_powers, integer_series
+from .series import Series, integer_power, integer_series
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -83,18 +83,18 @@ def conjugate_series(curve: FramedCurve, window: int) -> Series:
     return Series(1, s[1:], exact=False)
 
 
-def omega_diff_series(curve: FramedCurve, window: int, s: Series | None = None) -> Series:
+def omega_diff_series(curve: FramedCurve, s: Series) -> Series:
     """Scalar D(z) with omega(q) - omega(q_bar) = D(z) dz; valuation 2.
 
-    D = log((y* + z)/(y* + s(z))) * x'(z)/x(z) evaluated along y = y* + z.
-    The log of the ratio vanishes at z = 0, so it is the primitive with zero
-    constant of 1/(y* + z) - s'(z)/(y* + s(z)), and no branch constant
-    enters.
+    D = log((y* + z)/(y* + s(z))) * x'(z)/x(z) evaluated along y = y* + z,
+    from the involution ``s`` (``conjugate_series``), whose window is the
+    window of the result.  The log of the ratio vanishes at z = 0, so it is
+    the primitive with zero constant of 1/(y* + z) - s'(z)/(y* + s(z)), and
+    no branch constant enters.
     """
+    window = s.window_end
     if window < 4:
         raise ValueError("window must be at least 4")
-    if s is None:
-        s = conjugate_series(curve, window)
     y_star = Series.constant(curve.y_star)
     z = Series(1, [QONE], exact=True)
     log_ratio = ((y_star + z).invert(order=window)
@@ -106,38 +106,31 @@ def omega_diff_series(curve: FramedCurve, window: int, s: Series | None = None) 
     return D
 
 
-def bergman_self_pairing(s: Series, s_pows: list | None = None) -> Series:
+def bergman_self_pairing(s: Series, s_pows: list) -> Series:
     """Scalar of B(q, q_bar) against dz^2: s'(z) / (z - s(z))^2.
 
-    (z - s)^2 = z^2 - 2 z s + s^2 takes s^2 from ``s_pows``, the integer
-    powers of s (``integer_powers``) that a frame shares with the kernel.
+    From the involution ``s`` (``conjugate_series``), whose window bounds
+    the result's.  (z - s)^2 = z^2 - 2 z s + s^2 takes s^2 from ``s_pows``,
+    the integer powers of s (``integer_powers``) that a frame shares with
+    the kernel.
     """
-    if s_pows is None:
-        s_pows = integer_powers(s)
     den, square = integer_power(s_pows, 2)
     gap = Series.monomial(QONE, 2) + s.shift(1).scale(-2) + square.scale(Fraction(1, den))
     return s.derive() * gap.invert()
 
 
-def recursion_kernel(curve: FramedCurve, window: int, sign: int = 1,
-                     s: Series | None = None, D: Series | None = None,
-                     s_pows: list | None = None) -> Series:
+def recursion_kernel(s: Series, D: Series, s_pows: list, sign: int) -> Series:
     """K(w; z) = sign * (1/2) [1/(w - s(z)) - 1/(w - z)] / D(z).
 
     Returned as a z-series with coefficients that are Laurent polynomials
     in the single variable w (poles only at w = 0); the lowest z-exponent
     is -1.  Since 1/(w - s) - 1/(w - z) = sum_k w^-(k+1) (s^k - z^k), the
     coefficient of w^-(k+1) in K_j is sign/2 [z^j] (s^k - z^k)/D.  Each is
-    summed over the integers, from the integer powers of s in ``s_pows``
-    (``integer_powers``) and 1/D over one denominator, and formed as one
-    ``Fraction``.
+    summed over the integers, from the integer powers of the involution
+    ``s`` in ``s_pows`` (``integer_powers``) and 1/D over one denominator
+    (``D`` from ``omega_diff_series``), and formed as one ``Fraction``.  The
+    windows of ``s`` and ``D`` bound the window of the result.
     """
-    if s is None:
-        s = conjugate_series(curve, window)
-    if D is None:
-        D = omega_diff_series(curve, window, s=s)
-    if s_pows is None:
-        s_pows = integer_powers(s)
     inv = D.invert()
     den, inv_d = integer_series(inv)  # 1/D starts at z^lo
     lo = inv.start
@@ -154,7 +147,7 @@ def recursion_kernel(curve: FramedCurve, window: int, sign: int = 1,
             c = sum(diff[i] * inv_d.coeffs[top - i] for i in range(top + 1))
             if c:
                 columns[j - start][(-(k + 1),)] = Fraction(c, d * den)
-    acc = Series(start, [MLaurent(1, col) for col in columns], zero=MLaurent(1))
+    acc = Series(start, [MLaurent(1, col) for col in columns])
     kernel = acc.scale(MLaurent.const(1, Fraction(sign, 2)))
     if kernel.eff_start() != -1:
         raise WindowError("kernel does not exhibit its simple pole; window too small")

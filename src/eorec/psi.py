@@ -238,10 +238,3 @@ def peel(slices: dict, table: PsiTable) -> dict:
             else:
                 work.pop(e, None)
     return out
-
-
-def psi_peel(w_form: dict, f: int, table: PsiTable | None = None) -> dict[int, Fraction]:
-    """Expansion of an exact Laurent polynomial in the shifted basis."""
-    if table is None:
-        table = psi_table(f)
-    return peel({e: Fraction(c) for e, c in w_form.items()}, table)

@@ -95,6 +95,10 @@ class CorrDiff:
         return self.coeffs.get(tuple(sorted(idx)), QZERO)
 
 
+# the desk-scale genus cap: the largest genus the command line serves
+HARD_G_CAP = 6
+
+
 def unrepresentable(g: int, h: int) -> str | None:
     """Why W(g,h) has no tensor form (invalid indices, a base case of the
     recursion or an unstable pair), or None when it has one."""
@@ -212,10 +216,9 @@ class _Frame:
         self.s = conjugate_series(curve, window)
         # integer powers of s, shared by the kernel and B(q, q-bar)
         self._s_pows = integer_powers(self.s)
-        self.D = omega_diff_series(curve, window, s=self.s)
-        self.kernel = recursion_kernel(curve, window, sign=sigma_kernel,
-                                       s=self.s, D=self.D, s_pows=self._s_pows)
-        self.b_self = bergman_self_pairing(self.s, s_pows=self._s_pows)
+        self.kernel = recursion_kernel(self.s, omega_diff_series(curve, self.s),
+                                       self._s_pows, sigma_kernel)
+        self.b_self = bergman_self_pairing(self.s, self._s_pows)
         self._s_prime = integer_series(self.s.derive())
         self._inv_s_pows = integer_powers(self.s.invert())
         self._at_q: dict[int, tuple[int, Series]] = {}
@@ -243,7 +246,7 @@ class _Frame:
             terms = [(c, integer_power(self._inv_s_pows, -e))
                      for e, c in self.psi.shifted(n).items()]
             den = lcm(*(c.denominator * d for c, (d, _) in terms))
-            acc = Series(0, [], exact=True, zero=0)
+            acc = Series(0, [], exact=True)
             for c, (d, t) in terms:
                 acc = acc + t.scale(c.numerator * (den // (c.denominator * d)))
             out = self._at_qbar[n] = integer_product((den, acc), self._s_prime)
@@ -275,7 +278,12 @@ class _Frame:
         return den * kden, out
 
     def r_table(self, a: int, b: int) -> tuple[int, dict[int, int]]:
-        """R[a,b]: the q-leg of index a against the q-bar leg of index b."""
+        """R[a,b]: the q-leg of index a against the q-bar leg of index b.
+
+        R[a,b] = R[b,a] by the involution, so each unordered pair is built
+        once, with a <= b."""
+        if a > b:
+            a, b = b, a
         out = self._r.get((a, b))
         if out is None:
             (da, at_q), (db, at_qbar) = self.psihat_at_q(a), self.psihat_at_qbar(b)

@@ -14,7 +14,9 @@ instead of silently reading garbage.
 The coefficient ring is duck-typed: ``Fraction``, ``int`` and
 :class:`~eorec.laurent.MLaurent` all work, as long as the ring supports
 ``+ - *`` among themselves and with ``Fraction`` scalars; ``invert`` needs
-rational coefficients.
+rational coefficients.  The literal ``0`` is the zero of every such ring: it
+is what a coefficient outside the stored range reads as, what pads a window
+and what an empty sum starts from.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from fractions import Fraction
 from .errors import WindowError
 
 INF = math.inf
-QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
 class Series:
-    __slots__ = ("start", "coeffs", "exact", "zero")
+    __slots__ = ("start", "coeffs", "exact")
 
-    def __init__(self, start: int, coeffs, exact: bool = False, zero=QZERO):
+    def __init__(self, start: int, coeffs, exact: bool = False):
         cs = list(coeffs)
         if exact:
             while cs and not cs[-1]:
@@ -40,25 +41,24 @@ class Series:
         self.start = start
         self.coeffs = tuple(cs)
         self.exact = exact
-        self.zero = zero
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def constant(c, zero=QZERO) -> "Series":
-        return Series(0, [c], exact=True, zero=zero)
+    def constant(c) -> "Series":
+        return Series(0, [c], exact=True)
 
     @staticmethod
-    def monomial(c, k: int, zero=QZERO) -> "Series":
-        return Series(k, [c], exact=True, zero=zero)
+    def monomial(c, k: int) -> "Series":
+        return Series(k, [c], exact=True)
 
     @staticmethod
-    def from_dict(d: dict, exact: bool = True, zero=QZERO) -> "Series":
+    def from_dict(d: dict, exact: bool = True) -> "Series":
         """Series from an exponent->coefficient mapping (a Laurent polynomial)."""
         if not d:
-            return Series(0, [], exact=exact, zero=zero)
+            return Series(0, [], exact=exact)
         lo, hi = min(d), max(d)
-        return Series(lo, [d.get(k, zero) for k in range(lo, hi + 1)], exact=exact, zero=zero)
+        return Series(lo, [d.get(k, 0) for k in range(lo, hi + 1)], exact=exact)
 
     # -- window bookkeeping -------------------------------------------
 
@@ -92,11 +92,11 @@ class Series:
     def coeff(self, k: int):
         """Certified coefficient at exponent ``k``."""
         if k < self.start:
-            return self.zero
+            return 0
         if k <= self._stored_end():
             return self.coeffs[k - self.start]
         if self.exact:
-            return self.zero
+            return 0
         raise WindowError(f"coefficient at exponent {k} is outside the known window "
                           f"[{self.start}, {self._stored_end()}]")
 
@@ -108,8 +108,8 @@ class Series:
         n = max(0, end - self.start + 1)
         cs = list(self.coeffs[:n])
         if self.exact:
-            cs += [self.zero] * (n - len(cs))
-        return Series(self.start, cs, exact=False, zero=self.zero)
+            cs += [0] * (n - len(cs))
+        return Series(self.start, cs, exact=False)
 
     # -- ring operations ----------------------------------------------
 
@@ -128,35 +128,31 @@ class Series:
             end = int(min(self.window_end, other.window_end))
             if end < start:
                 raise WindowError("sum has an empty certified window")
-        zero = self.zero + other.zero
         return Series(
             start,
             [self.coeff(k) + other.coeff(k) for k in range(start, end + 1)],
             exact=exact,
-            zero=zero,
         )
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def __neg__(self) -> "Series":
-        return Series(self.start, [-c for c in self.coeffs], exact=self.exact, zero=self.zero)
+        return Series(self.start, [-c for c in self.coeffs], exact=self.exact)
 
     def scale(self, c) -> "Series":
         """Multiply every coefficient by a ring element."""
-        zero = self.zero * c
-        return Series(self.start, [x * c for x in self.coeffs], exact=self.exact, zero=zero)
+        return Series(self.start, [x * c for x in self.coeffs], exact=self.exact)
 
     def shift(self, k: int) -> "Series":
         """Multiply by z**k."""
-        return Series(self.start + k, self.coeffs, exact=self.exact, zero=self.zero)
+        return Series(self.start + k, self.coeffs, exact=self.exact)
 
     def __mul__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        zero = self.zero * other.zero
         if self.is_known_zero() or other.is_known_zero():
-            return Series(0, [], exact=True, zero=zero)
+            return Series(0, [], exact=True)
         exact = self.exact and other.exact
         if exact:
             start = self.start + other.start
@@ -169,7 +165,7 @@ class Series:
             end = int(min(self.window_end + sb, other.window_end + sa))
             if end < start:
                 raise WindowError("product has an empty certified window")
-        out = [zero] * (end - start + 1)
+        out = [0] * (end - start + 1)
         base_a, base_b = self.start, other.start
         for i, a in enumerate(self.coeffs):
             if not a:
@@ -183,7 +179,7 @@ class Series:
                     continue
                 if k >= start:
                     out[k - start] = out[k - start] + a * b
-        return Series(start, out, exact=exact, zero=zero)
+        return Series(start, out, exact=exact)
 
     # -- calculus ------------------------------------------------------
 
@@ -193,7 +189,6 @@ class Series:
             self.start - 1,
             [(self.start + i) * c for i, c in enumerate(self.coeffs)],
             exact=self.exact,
-            zero=self.zero,
         )
 
     def antiderive(self) -> "Series":
@@ -212,11 +207,10 @@ class Series:
                 continue
             out[k + 1] = c * Fraction(1, k + 1)
         if self.exact:
-            return Series.from_dict(out, exact=True, zero=self.zero)
+            return Series.from_dict(out, exact=True)
         start = min(self.start + 1, 0)  # the zero constant at exponent 0 is known
         end = self._stored_end() + 1
-        return Series(start, [out.get(k, self.zero) for k in range(start, end + 1)],
-                      exact=False, zero=self.zero)
+        return Series(start, [out.get(k, 0) for k in range(start, end + 1)], exact=False)
 
     def residue(self):
         """Certified coefficient of z**-1."""
@@ -239,7 +233,7 @@ class Series:
         lead = self.coeff(t)
         if self.exact and self._stored_end() == t:
             # monomial: exact inverse
-            return Series(-t, [QONE / lead], exact=True, zero=self.zero)
+            return Series(-t, [QONE / lead], exact=True)
         if self.exact:
             if order is None:
                 raise WindowError("inverting an exact polynomial needs an explicit order")
@@ -251,27 +245,26 @@ class Series:
         inv_lead = QONE / lead
         # self = lead * z^t * (1 + r) with r of positive valuation
         r = [self.coeff(t + k) * inv_lead for k in range(n + 1)]
-        w = [self.zero] * (n + 1)
+        w = [0] * (n + 1)
         w[0] = lead * inv_lead
         for k in range(1, n + 1):
-            acc = self.zero
+            acc = 0
             for j in range(1, k + 1):
                 if r[j]:
                     acc = acc + r[j] * w[k - j]
             w[k] = -acc
-        return Series(-t, [c * inv_lead for c in w], exact=False, zero=self.zero)
+        return Series(-t, [c * inv_lead for c in w], exact=False)
 
     def compose(self, inner: "Series") -> "Series":
         """Substitute ``inner`` (positive valuation) for the variable."""
         t = inner.eff_start()
         if t is None or t < 1:
             raise WindowError("composition requires inner valuation >= 1")
-        zero = self.zero
         # regular part by Horner over the certified coefficients
-        acc = Series(0, [], exact=True, zero=zero)
+        acc = Series(0, [], exact=True)
         top = self._stored_end()
         for k in range(top, -1, -1):
-            acc = acc * inner + Series.constant(self.coeff(k), zero=zero)
+            acc = acc * inner + Series.constant(self.coeff(k))
         # principal part via inverse powers
         if self.start < 0:
             inv = inner.invert()
@@ -288,29 +281,6 @@ class Series:
         return acc
 
 
-def series_log1p(u: Series, order: int | None = None) -> Series:
-    """log(1 + u) for a series of positive valuation."""
-    t = u.eff_start()
-    if t is not None and t < 1:
-        raise WindowError("log1p requires valuation >= 1")
-    if u.is_known_zero():
-        return Series(0, [], exact=True, zero=u.zero)
-    if u.exact:
-        if order is None:
-            raise WindowError("log1p of an exact polynomial needs an explicit order")
-        u = u.truncate(order)
-    end = u._stored_end()
-    acc = u
-    p = u
-    k = 2
-    while k * t <= end:
-        p = (p * u).truncate(end)
-        term = p.scale(Fraction(-1 if k % 2 == 0 else 1, k))
-        acc = acc + term
-        k += 1
-    return acc
-
-
 # -- integer series over one denominator -------------------------------------
 #
 # A rational series is carried as a pair (d, t): integer coefficients t over
@@ -323,13 +293,13 @@ def integer_series(s: Series) -> tuple[int, Series]:
     and d is the least common denominator of s's coefficients."""
     den = math.lcm(*(c.denominator for c in s.coeffs))
     return den, Series(s.start, [c.numerator * (den // c.denominator) for c in s.coeffs],
-                       exact=s.exact, zero=0)
+                       exact=s.exact)
 
 
 def reduced(den: int, t: Series) -> tuple[int, Series]:
     """The integer series t over den in lowest terms."""
     g = math.gcd(den, *t.coeffs)
-    return den // g, Series(t.start, [c // g for c in t.coeffs], exact=t.exact, zero=0)
+    return den // g, Series(t.start, [c // g for c in t.coeffs], exact=t.exact)
 
 
 def integer_product(a: tuple[int, Series], b: tuple[int, Series]) -> tuple[int, Series]:
@@ -340,7 +310,7 @@ def integer_product(a: tuple[int, Series], b: tuple[int, Series]) -> tuple[int, 
 def integer_powers(s: Series) -> list:
     """The list [1, s] of integer series over their denominators, which
     ``integer_power`` extends to [1, s, s^2, ...]."""
-    return [(1, Series.constant(1, zero=0)), integer_series(s)]
+    return [(1, Series.constant(1)), integer_series(s)]
 
 
 def integer_power(pows: list, k: int) -> tuple[int, Series]:

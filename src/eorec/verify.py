@@ -20,7 +20,8 @@ from .errors import LogBranchError
 from .hodge import (dilaton, energies_by_genus, energy_table, hodge_extract,
                     lambda_top_coefficient, reserve_theta, residue_theta_psi)
 from .poly import Poly
-from .recursion import CorrStore, Conventions, window_policy
+from .psi import peel
+from .recursion import HARD_G_CAP, CorrStore, Conventions, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
 from .scalars import format_rational
 
@@ -180,7 +181,7 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
             note="a surviving symbol raises instead of returning"))
 
     # lambda-word reduction identity
-    for g in range(2, 7):
+    for g in range(2, HARD_G_CAP + 1):
         want = Poly([0, 1, 1])
         if g % 2 == 0:
             want = -want
@@ -209,14 +210,13 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
 
     # peel remainder: a dense combination in the basis must peel back
     # exactly (the recursion asserts the same on every residue)
-    from .psi import psi_peel
     for store in stores:
         coeffs = {n: Fraction(3 * n + 2, n + 5) for n in range(6)}
         combo: dict = {}
         for n, c in coeffs.items():
             for e, a in store.psi.shifted(n).items():
                 combo[e] = combo.get(e, QZERO) + c * a
-        recovered = psi_peel(combo, store.f, table=store.psi)
+        recovered = peel(combo, store.psi)
         add(CheckRecord(
             name="peel-remainder",
             params={"f": store.f, "indices": "0..5"},

@@ -264,6 +264,16 @@ def test_integer_tables_match_fraction_tables(stores, f, window):
     assert _fractions(frame.w03_table()) == oracle.w03()
 
 
+def test_r_table_is_built_once_per_unordered_pair(stores):
+    """R[a,b] = R[b,a], so both orders of a pair share one table."""
+    store = stores[1]
+    frame = recursion._Frame(store.curve, store.psi, 13, store.conventions.sigma_kernel)
+    for a in range(5):
+        for b in range(a, 5 - a):
+            assert frame.r_table(b, a) is frame.r_table(a, b), (a, b)
+    assert all(a <= b for a, b in frame._r)
+
+
 def _split_once(term):
     """A quadratic term that counts its split once, so an off-diagonal split
     loses its mirror."""

@@ -5,11 +5,23 @@ import pytest
 from eorec import (FramedCurve, MLaurent, Series, bergman_self_pairing,
                    conjugate_series, omega_diff_series, recursion_kernel)
 from eorec.poly import Poly
+from eorec.series import integer_powers
 
 from oracles import (conjugate_series_by_powers, kernel_by_laurent_products,
                      omega_diff_by_log1p)
 
 Q = Fraction
+
+
+def _omega_diff(curve, window):
+    """D on the involution of the given window, as a frame builds it."""
+    return omega_diff_series(curve, conjugate_series(curve, window))
+
+
+def _kernel(curve, window, sign=1):
+    """K on the involution of the given window, as a frame builds it."""
+    s = conjugate_series(curve, window)
+    return recursion_kernel(s, omega_diff_series(curve, s), integer_powers(s), sign)
 
 
 class TestCurveData:
@@ -90,59 +102,59 @@ class TestInvolution:
 
 class TestOneFormDifference:
     def test_oracle_framing_one(self):
-        D = omega_diff_series(FramedCurve(1), 10)
+        D = _omega_diff(FramedCurve(1), 10)
         assert D.coeff(2) == 32
         assert D.coeff(4) == Q(512, 3)
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_valuation_two(self, f):
-        D = omega_diff_series(FramedCurve(f), 8)
+        D = _omega_diff(FramedCurve(f), 8)
         assert D.eff_start() == 2
         assert D.coeff(2) != 0
 
     def test_even_at_symmetric_framing(self):
-        D = omega_diff_series(FramedCurve(1), 12)
+        D = _omega_diff(FramedCurve(1), 12)
         assert all(not D.coeff(k) for k in range(3, 12, 2))
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_truncation_stability(self, f):
         c = FramedCurve(f)
-        a = omega_diff_series(c, 10)
-        b = omega_diff_series(c, 14)
+        a = _omega_diff(c, 10)
+        b = _omega_diff(c, 14)
         for k in range(2, 10):
             assert a.coeff(k) == b.coeff(k)
 
 
 class TestKernel:
     def test_oracle_framing_one(self):
-        K = recursion_kernel(FramedCurve(1), 10)
+        K = _kernel(FramedCurve(1), 10)
         assert K.coeff(-1) == MLaurent(1, {(-2,): Q(-1, 32)})
         assert not K.coeff(0)
         assert K.coeff(1) == MLaurent(1, {(-4,): Q(-1, 32), (-2,): Q(1, 6)})
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_simple_pole_in_z(self, f):
-        K = recursion_kernel(FramedCurve(f), 8)
+        K = _kernel(FramedCurve(f), 8)
         assert K.eff_start() == -1
 
     def test_sign_flip_negates(self):
         c = FramedCurve(2)
-        plus = recursion_kernel(c, 8, sign=1)
-        minus = recursion_kernel(c, 8, sign=-1)
+        plus = _kernel(c, 8, sign=1)
+        minus = _kernel(c, 8, sign=-1)
         for k in range(-1, 5):
             assert plus.coeff(k) == -minus.coeff(k)
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_coefficients_polar_in_w(self, f):
-        K = recursion_kernel(FramedCurve(f), 8)
+        K = _kernel(FramedCurve(f), 8)
         for k in range(-1, 5):
             for exps in K.coeff(k).terms:
                 assert exps[0] <= -2
 
     def test_truncation_stability(self):
         c = FramedCurve(2)
-        a = recursion_kernel(c, 10)
-        b = recursion_kernel(c, 14)
+        a = _kernel(c, 10)
+        b = _kernel(c, 14)
         for k in range(-1, 6):
             assert a.coeff(k) == b.coeff(k)
 
@@ -153,7 +165,7 @@ def _windowed(series: Series) -> tuple:
 
 def test_bergman_self_pairing_f1():
     s = conjugate_series(FramedCurve(1), 10)
-    b = bergman_self_pairing(s)
+    b = bergman_self_pairing(s, integer_powers(s))
     assert b.coeff(-2) == Q(-1, 4)
     assert all(not b.coeff(k) for k in range(-1, 3))
 
@@ -164,7 +176,7 @@ def test_bergman_self_pairing_matches_squared_gap(f):
     curve, z = FramedCurve(f), Series(1, [Q(1)], exact=True)
     for window in range(4, 31):
         s = conjugate_series(curve, window)
-        assert _windowed(bergman_self_pairing(s)) == \
+        assert _windowed(bergman_self_pairing(s, integer_powers(s))) == \
             _windowed(s.derive() * ((z - s) * (z - s)).invert()), window
 
 
@@ -184,7 +196,7 @@ def test_one_form_difference_matches_log1p_route(f):
     curve = FramedCurve(f)
     for window in range(4, 31):
         s = conjugate_series(curve, window)
-        assert _windowed(omega_diff_series(curve, window, s=s)) == \
+        assert _windowed(omega_diff_series(curve, s)) == \
             _windowed(omega_diff_by_log1p(curve, window, s)), window
 
 
@@ -194,6 +206,6 @@ def test_kernel_matches_laurent_product_route(f):
     curve = FramedCurve(f)
     for window in range(4, 31):
         s = conjugate_series(curve, window)
-        D = omega_diff_series(curve, window, s=s)
-        assert _windowed(recursion_kernel(curve, window, sign=-1, s=s, D=D)) == \
+        D = omega_diff_series(curve, s)
+        assert _windowed(recursion_kernel(s, D, integer_powers(s), -1)) == \
             _windowed(kernel_by_laurent_products(window, -1, s, D)), window

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eorec import PsiTable, Poly, psi_form, psi_peel, psi_table, shift_step
+from eorec import PsiTable, Poly, psi_form, psi_table, shift_step
 from eorec import psi as psi_module
+from eorec.psi import peel
 from eorec.errors import CalibrationError, PeelError
 
 from oracles import lagrange_interpolate, operator_forms_by_taylor_shift
@@ -148,29 +149,29 @@ def test_check_shape_rejects_a_residue_term():
 class TestPeel:
     def test_identity_case(self):
         t = psi_table(1)
-        assert psi_peel(dict(t.shifted(2)), 1) == {2: Q(1)}
+        assert peel(dict(t.shifted(2)), psi_table(1)) == {2: Q(1)}
 
     def test_known_combination(self):
         # peel of -(W(1,1) scalar) at f=1 recovers its coefficients
         combo = {-2: Q(-1, 24), -4: Q(1, 128)}
-        assert psi_peel(combo, 1) == {0: Q(1, 8), 1: Q(-1, 12)}
+        assert peel(combo, psi_table(1)) == {0: Q(1, 8), 1: Q(-1, 12)}
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(PeelError):
-            psi_peel({-3: Q(1)}, 1)
+            peel({-3: Q(1)}, psi_table(1))
 
     def test_exponent_above_minus_two_rejected(self):
         with pytest.raises(PeelError):
-            psi_peel({-1: Q(1)}, 1)
+            peel({-1: Q(1)}, psi_table(1))
         with pytest.raises(PeelError):
-            psi_peel({0: Q(1)}, 2)
+            peel({0: Q(1)}, psi_table(2))
 
     def test_out_of_span_remainder_rejected(self):
         # the f=2 basis has an odd subleading term; killing the lead of
         # index 1 alone leaves an odd remainder exponent
         d = {-4: Q(1)}
         with pytest.raises(PeelError):
-            psi_peel(d, 2)
+            peel(d, psi_table(2))
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_roundtrip_dense(self, f):
@@ -180,7 +181,7 @@ class TestPeel:
         for n, c in coeffs.items():
             for e, a in t.shifted(n).items():
                 combo[e] = combo.get(e, Q(0)) + c * a
-        assert psi_peel(combo, f) == coeffs
+        assert peel(combo, psi_table(f)) == coeffs
 
 
 coeff_lists = st.lists(
@@ -198,4 +199,4 @@ def test_peel_roundtrip_random(cs, f):
         for e, a in t.shifted(n).items():
             combo[e] = combo.get(e, Q(0)) + c * a
     combo = {e: v for e, v in combo.items() if v}
-    assert psi_peel(combo, f) == coeffs
+    assert peel(combo, psi_table(f)) == coeffs

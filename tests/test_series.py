@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eorec import Series, series_log1p
+from eorec import Series
 from eorec.errors import WindowError
 
-from oracles import ibp_residue_check
+from oracles import ibp_residue_check, series_log1p
 
 Q = Fraction
 
