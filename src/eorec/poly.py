@@ -96,23 +96,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quot = [QZERO] * (dq + 1)
-        lead = other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quot), Poly(rem)
-
     def taylor_shift(self, c: Fraction) -> "Poly":
         """Return p(y + c) as a polynomial in y."""
         out = Poly()

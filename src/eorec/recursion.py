@@ -28,6 +28,13 @@ q and q-bar (R[a,b] = R[b,a], and E[b] equals its mirror psihat_b(q)
 B(q-bar,p)), so each quadratic split is summed once, with its two factors
 in sorted order, and an off-diagonal split counts twice.
 
+Every term with basis legs at both q and q-bar (the first term
+W(g-1,h+1) and each split into two lower tensors) is summed first into the
+bracket, keyed (a, b, sorted tail) with a <= b since R[a,b] = R[b,a].  The
+residue is then taken once per bracket entry: R[a,b] is read in one loop,
+however many terms share the entry.  A Bergman leg is not in the basis at
+q, so the D, W03 and E[b] terms go straight into the result.
+
 Tables and contraction run over the integers.  Each rational ingredient of
 a table (psihat_a at q, psihat_b(s) s' at q-bar and each kernel column K_j)
 is converted once per frame to integer numerators over one denominator, so
@@ -212,7 +219,6 @@ class _Frame:
     def __init__(self, curve: FramedCurve, psi: PsiTable, window: int, sigma_kernel: int):
         self.curve = curve
         self.psi = psi
-        self.window = window
         self.s = conjugate_series(curve, window)
         # integer powers of s, shared by the kernel and B(q, q-bar)
         self._s_pows = integer_powers(self.s)
@@ -391,6 +397,9 @@ class CorrStore:
         Lower tensors stay sorted keys and the sum accumulates on (free
         index n | sorted tail): a choice of fixed slots for a lower tensor
         becomes a multiset split of the tail, weighted by ``_merge``.  The
+        first term and the pair splits are gathered into the bracket on
+        (a <= b, sorted tail), and one loop over its entries applies R[a,b]
+        to each; the D, W03 and Bergman-leg terms are added directly.  The
         sum is negated once (see the module docstring for the signs).
         Lower tensors and tables enter as integer numerators, the sum runs
         over Python ints on one running denominator, and each entry of the
@@ -399,20 +408,18 @@ class CorrStore:
         frame = self.frame(window)
         acc = _Sum()
         num = acc.num
+        bracket = _Sum()
 
         # first term: W(g-1, h+1) with two of its legs at q and q-bar
         if g == 1 and h == 1:
             acc.den, table = frame.d_table()
             num.update(((n,), c) for n, c in table.items())
         elif g >= 1:
-            den, coeffs = _numerators(self.correlator(g - 1, h + 1).coeffs)
+            bracket.den, coeffs = _numerators(self.correlator(g - 1, h + 1).coeffs)
             for key, c in coeffs.items():
                 for a, rest in _legs(key):
                     for b, tail in _legs(rest):
-                        tden, table = frame.r_table(a, b)
-                        ct = c * acc.factor(den * tden)
-                        for n, r in table.items():
-                            num[(n,) + tail] += ct * r
+                        bracket.num[(min(a, b), max(a, b), tail)] += c
 
         # quadratic terms W(g-l, r+1) W(l, h-r): r fixed slots go left.  The
         # mirror (l, r) -> (g-l, h-1-r) swaps the two factors and gives an
@@ -434,7 +441,15 @@ class CorrStore:
                 elif left == (0, 2):
                     self._bergman_leg_term(frame, acc, right, 2)
                 else:
-                    self._pair_term(frame, acc, left, right, 1 if left == right else 2)
+                    self._pair_term(bracket, left, right, 1 if left == right else 2)
+
+        # the one residue step: R[a,b] against each bracket entry
+        for (a, b, tail), c in bracket.num.items():
+            tden, table = frame.r_table(a, b)
+            c *= acc.factor(bracket.den * tden)
+            for n, r in table.items():
+                num[(n,) + tail] += c * r
+
         canonical: dict = {}
         seen: dict = {}
         for idx, c in num.items():
@@ -473,25 +488,23 @@ class CorrStore:
                     tail, weight = _merge((m,), rest)
                     num[(n,) + tail] += weight * c * e
 
-    def _pair_term(self, frame: _Frame, acc: _Sum, left: tuple[int, int],
+    def _pair_term(self, bracket: _Sum, left: tuple[int, int],
                    right: tuple[int, int], mult: int) -> None:
-        """mult times two lower tensors with their legs at q and q-bar, via
-        R[a,b]."""
-        num = acc.num
+        """Add mult times two lower tensors, with their legs at q and q-bar,
+        to the bracket."""
+        num = bracket.num
         dq, coeffs_q = _numerators(self.correlator(*left).coeffs)
         dqb, coeffs_qbar = _numerators(self.correlator(*right).coeffs)
+        scale = mult * bracket.factor(dq * dqb)
         at_qbar = _by_leg(coeffs_qbar)
         for a, tails_q in _by_leg(coeffs_q).items():
             for b, tails_qbar in at_qbar.items():
-                tden, table = frame.r_table(a, b)
-                scale = mult * acc.factor(dq * dqb * tden)
+                pair = (min(a, b), max(a, b))
                 for tq, cq in tails_q:
                     cq *= scale
                     for tqb, cqb in tails_qbar:
                         tail, weight = _merge(tq, tqb)
-                        c = weight * cq * cqb
-                        for n, r in table.items():
-                            num[(n,) + tail] += c * r
+                        num[pair + (tail,)] += weight * cq * cqb
 
 
 def calibrate(f: int) -> Conventions:

@@ -8,9 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from eorec import (FramedCurve, Poly, bernoulli_energy, conjugate_series,
+from eorec import (FramedCurve, Poly, conjugate_series,
                    energy_table, hodge_extract, lambda_top_coefficient,
                    lambda_triple, psi_form, psi_table,
                    reference_correlators, residue_theta_psi, shift_step,

@@ -74,7 +74,10 @@ PINNED = {
 #: every stable W(g,h) with 6 <= 2g-2+h <= 8 at f = 1, 2, 3, and W(0,11) and
 #: W(1,9) at f = 1: digests recorded from the contraction that expanded every
 #: lower tensor into its orderings, before the switch to sorted tails (that
-#: run also reproduced all of PINNED); (f, g, h) -> digest of ``_digest``
+#: run also reproduced all of PINNED).  W(5,1) and W(6,1) at f = 1, 2, 3, the
+#: rest of the range ``free-energy --g-max 6`` serves, were recorded from the
+#: contraction that read R[a,b] once per term, before the bracket gathered
+#: the terms; (f, g, h) -> digest of ``_digest``
 PINNED_DEEP = {
     (1, 0, 8): "5b62d3f980fa3c6724cd588cc25b1a10248802ba432a40a6671c52d43ddfc655",
     (1, 0, 9): "3a4d127cb62cef42eb9f17e81a8ff5c3fe2834375a09f0adad303dae8e9ae2f5",
@@ -120,6 +123,12 @@ PINNED_DEEP = {
     (3, 3, 4): "0dfe10e9d6165f27a39fab02258e4a742734f432e2496482496e8cb99c19f1ae",
     (3, 4, 1): "f63c6ab5803cf609af76e597ebd2094ef909a6f5eba93cea5115df6f79553de5",
     (3, 4, 2): "70051c17e753a762866e0ae8b3cb3b982b16c798ff252a8eba84cb9f0702e8d5",
+    (1, 5, 1): "b11b6dce0560098845862d3c04fa9ae0672a88dda85a0a8217d73fab0b417079",
+    (1, 6, 1): "6973173cb61323fec24126af1688205d6f627ae1e04c99d94ed3c3bd0526c4d9",
+    (2, 5, 1): "befe6a3e28e5f9162699eefd48c7cc2624a03a5d6637671e8cc7f1ae42018a9d",
+    (2, 6, 1): "b6ae5326691c3e97640098ba7d256fd9e3ce749e049c28a5d9b9b7068e673465",
+    (3, 5, 1): "2dcd03f72134cc1b57fd1547b2f97558c83ef9512ccf5681ce4a10b75f2e7b4e",
+    (3, 6, 1): "137ecf9b5f0e00b114826244f50bd8fc22911c27e8b6f7718da4cc743dad8b2a",
 }
 
 
@@ -155,7 +164,8 @@ def test_pinned_digests(stores, g, h):
 def test_deep_table_covers_its_range():
     want = {(f, g, h) for f in (1, 2, 3) for g in range(5) for h in range(1, 11)
             if 6 <= 2 * g - 2 + h <= 8}
-    assert set(PINNED_DEEP) == want | {(1, 0, 11), (1, 1, 9)}
+    deepest = {(f, g, 1) for f in (1, 2, 3) for g in (5, 6)}
+    assert set(PINNED_DEEP) == want | deepest | {(1, 0, 11), (1, 1, 9)}
 
 
 @pytest.mark.parametrize("f,g,h", sorted(PINNED_DEEP))

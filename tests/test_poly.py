@@ -31,13 +31,6 @@ def test_derivative():
     assert Poly([5]).derivative().is_zero()
 
 
-def test_divmod_and_gcd_consistency():
-    a = Poly([1, 0, -2, 1])
-    b = Poly([-1, 1])
-    q, r = a.divmod(b)
-    assert q * b + r == a
-
-
 def test_taylor_shift():
     p = Poly([0, 0, 1])  # y^2
     shifted = p.taylor_shift(Q(1))  # (y+1)^2
