@@ -28,11 +28,15 @@ family satisfies a one-step shift recursion
 
 whose global sign is calibrated against the operator definition rather than
 assumed; both constructions must agree for every index, which is enforced
-at table-extension time.
+at table-extension time.  The step runs on integer numerators: with m = 1+f,
+m^2 (z - f/m)(z + 1/m) = m^2 z^2 + m(1-f) z - f.
 
 Expansion of a Laurent object in this basis ("peeling") is triangular in
-the pole order: the leading exponent -(2n+2) identifies the index, the
-leading coefficient is divided out, and the tail is subtracted exactly.
+the pole order: the leading exponent -(2n+2) identifies the index and the
+tail is eliminated fraction-free.  The remainder is integer numerators over
+one denominator; each step scales it by the basis lead (over their gcd)
+instead of dividing, against the basis form's integer numerators
+(``PsiTable.integer_form``), and each output coefficient is one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -40,12 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import gcd
 from typing import Iterator
 
 from .errors import CalibrationError, PeelError
-
-QZERO = Fraction(0)
-QONE = Fraction(1)
+from .series import integer_dict
 
 
 @dataclass(frozen=True)
@@ -115,30 +118,22 @@ def _check_shape(d: dict, n: int) -> None:
 
 
 def shift_step(prev: dict, f: int, sign: int) -> dict:
-    """One application of the shift recursion to a shifted scalar."""
-    a = Fraction(f, f + 1)
-    b = Fraction(1, f + 1)
-    # multiply by (z - a)(z + b) = z^2 + (b - a) z - a b
-    quad = {2: QONE, 1: b - a, 0: -a * b}
+    """One application of the shift recursion to a shifted scalar, on prev's
+    numerators over their least common denominator den: one ``Fraction`` over
+    den m^3 per output coefficient."""
+    m = f + 1
+    den, nums = integer_dict(prev)
+    # B(z) = (z - f/m)(z + 1/m) / (m z), and m^2 (z - f/m)(z + 1/m) is:
+    quad = ((2, m * m), (1, m * (1 - f)), (0, -f))
     prod: dict = {}
-    for e, c in prev.items():
-        for q, d in quad.items():
-            if not d:
-                continue
-            k = e + q
-            s = prod.get(k, QZERO) + c * d
-            if s:
-                prod[k] = s
-            else:
-                prod.pop(k, None)
-    # divide by (1+f) z, then d/dz, then the calibrated sign
-    out = {}
-    for e, c in prod.items():
-        k = e - 1
-        v = sign * (c / (f + 1)) * k
-        if v:
-            out[k - 1] = v
-    return out
+    for e, c in nums.items():
+        for q, d in quad:
+            if d:
+                prod[e + q] = prod.get(e + q, 0) + c * d
+    # divide by m^3 z, then d/dz, then the calibrated sign
+    den *= m ** 3
+    return {e - 2: Fraction(sign * (e - 1) * c, den)
+            for e, c in prod.items() if c and e != 1}
 
 
 class PsiTable:
@@ -156,6 +151,7 @@ class PsiTable:
         self.f = f
         self._operator = _operator_forms(f)
         self._forms: list[PsiForm] = [PsiForm(0, f, next(self._operator))]
+        self._integer: list[tuple[int, dict]] = []
         calibrated = self._calibrate()
         if forced_sign is None:
             self.sign = calibrated
@@ -183,6 +179,13 @@ class PsiTable:
 
     def shifted(self, n: int) -> dict:
         return self.form(n).scalar_z
+
+    def integer_form(self, n: int) -> tuple[int, dict]:
+        """psihat_n as (den, {exponent: numerator}), den the least common
+        denominator of its coefficients."""
+        while len(self._integer) <= n:
+            self._integer.append(integer_dict(self.shifted(len(self._integer))))
+        return self._integer[n]
 
     def _extend(self, n: int) -> None:
         while len(self._forms) <= n:
@@ -218,7 +221,7 @@ def peel(slices: dict, table: PsiTable) -> dict:
     Returns index -> coefficient with  input = sum coeff[n] * psihat_n.
     Raises :class:`PeelError` when the input is outside the span.
     """
-    work = {e: c for e, c in slices.items() if c}
+    den, work = integer_dict({e: c for e, c in slices.items() if c})
     out: dict = {}
     while work:
         k = min(work)
@@ -227,12 +230,17 @@ def peel(slices: dict, table: PsiTable) -> dict:
         if k % 2:
             raise PeelError(f"odd leading exponent {k} is outside the basis span")
         n = (-k - 2) // 2
-        basis = table.shifted(n)
-        q = work[k] * (QONE / basis[k])
-        out[n] = q
+        bden, basis = table.integer_form(n)
+        lead, top = basis[k], work[k]
+        out[n] = Fraction(top * bden, den * lead)
+        # work/den - out[n] basis/bden, over den (lead/g)
+        g = gcd(lead, top)
+        lead, top = lead // g, top // g
+        den *= lead
+        for e in work:
+            work[e] *= lead
         for e, a in basis.items():
-            s = work.get(e, None)
-            s = -q * a if s is None else s - q * a
+            s = work.get(e, 0) - top * a
             if s:
                 work[e] = s
             else:

@@ -70,8 +70,8 @@ from .curve import (FramedCurve, bergman_self_pairing, conjugate_series,
 from .errors import CalibrationError, NotRepresentableError
 from .psi import PsiTable, peel, psi_table
 from .reference import reference_correlators
-from .series import (Series, integer_power, integer_powers, integer_product,
-                     integer_series)
+from .series import (Series, integer_dict, integer_power, integer_powers,
+                     integer_product, integer_series)
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -154,13 +154,6 @@ def _merge(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], i
     return tail, weight
 
 
-def _numerators(values: dict) -> tuple[int, dict]:
-    """(d, {k: v*d}): rational values as integers over their least common
-    denominator."""
-    den = lcm(*(v.denominator for v in values.values()))
-    return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
-
-
 def _lowest_terms(den: int, nums: dict) -> tuple[int, dict]:
     """Cancel the factor that den shares with every numerator and drop zeros,
     so den becomes the least common denominator of the entries."""
@@ -240,8 +233,8 @@ class _Frame:
         denominator."""
         out = self._at_q.get(n)
         if out is None:
-            out = self._at_q[n] = integer_series(
-                Series.from_dict(self.psi.shifted(n), exact=True))
+            den, nums = self.psi.integer_form(n)
+            out = self._at_q[n] = (den, Series.from_dict(nums, exact=True))
         return out
 
     def psihat_at_qbar(self, n: int) -> tuple[int, Series]:
@@ -266,7 +259,7 @@ class _Frame:
         out = self._kernel_basis.get(j)
         if out is None:
             coeff = self.kernel.coeff(j)  # WindowError past the certified window
-            out = self._kernel_basis[j] = _numerators(peel(
+            out = self._kernel_basis[j] = integer_dict(peel(
                 {key[0]: c for key, c in coeff.terms.items()}, self.psi))
         return out
 
@@ -312,7 +305,7 @@ class _Frame:
                 rden, res = self.residue(den, _principal(Series.monomial(k + 1, k), at_qbar))
                 for n, c in res.items():
                     by_free.setdefault(n, {})[-(k + 2)] = Fraction(c, rden)
-            out = self._e[b] = _numerators({(n, m): c for n, poly in by_free.items()
+            out = self._e[b] = integer_dict({(n, m): c for n, poly in by_free.items()
                                             for m, c in peel(poly, self.psi).items()})
         return out
 
@@ -320,7 +313,7 @@ class _Frame:
         """D: the residue of the Bergman self-pairing B(q, q-bar)."""
         if self._d is None:
             b = self.b_self  # a coefficient past its window raises WindowError
-            den, principal = _numerators({e: b.coeff(e) for e in range(b.start, 1)})
+            den, principal = integer_dict({e: b.coeff(e) for e in range(b.start, 1)})
             self._d = _lowest_terms(*self.residue(den, principal))
         return self._d
 
@@ -328,7 +321,7 @@ class _Frame:
         """B(q,p1) B(q-bar,p2): both legs start at z^0, so only the product
         u1^-2 s'(0) u2^-2 of their leading terms reaches the residue."""
         if self._w03 is None:
-            dl, leg = _numerators(peel({-2: QONE}, self.psi))
+            dl, leg = integer_dict(peel({-2: QONE}, self.psi))
             ds, s_prime = self._s_prime
             df, free = self.residue(ds, {0: s_prime.coeff(0)})
             self._w03 = _lowest_terms(df * dl * dl, {
@@ -415,7 +408,7 @@ class CorrStore:
             acc.den, table = frame.d_table()
             num.update(((n,), c) for n, c in table.items())
         elif g >= 1:
-            bracket.den, coeffs = _numerators(self.correlator(g - 1, h + 1).coeffs)
+            bracket.den, coeffs = integer_dict(self.correlator(g - 1, h + 1).coeffs)
             for key, c in coeffs.items():
                 for a, rest in _legs(key):
                     for b, tail in _legs(rest):
@@ -478,32 +471,42 @@ class CorrStore:
                           right: tuple[int, int], mult: int) -> None:
         """mult times B(q, p_j) against W(right) at q-bar, via E[b]."""
         num = acc.num
-        den, coeffs = _numerators(self.correlator(*right).coeffs)
+        den, coeffs = integer_dict(self.correlator(*right).coeffs)
         for b, tails in _by_leg(coeffs).items():
             eden, table = frame.e_table(b)
             scale = mult * acc.factor(den * eden)
+            merged: dict[int, list] = {}  # m -> [(tail, weight * c)], once per m
             for (n, m), e in table.items():
+                terms = merged.get(m)
+                if terms is None:
+                    terms = merged[m] = []
+                    for rest, c in tails:
+                        tail, weight = _merge((m,), rest)
+                        terms.append((tail, weight * c))
                 e *= scale
-                for rest, c in tails:
-                    tail, weight = _merge((m,), rest)
-                    num[(n,) + tail] += weight * c * e
+                for tail, c in terms:
+                    num[(n,) + tail] += c * e
 
     def _pair_term(self, bracket: _Sum, left: tuple[int, int],
                    right: tuple[int, int], mult: int) -> None:
         """Add mult times two lower tensors, with their legs at q and q-bar,
         to the bracket."""
         num = bracket.num
-        dq, coeffs_q = _numerators(self.correlator(*left).coeffs)
-        dqb, coeffs_qbar = _numerators(self.correlator(*right).coeffs)
+        dq, coeffs_q = integer_dict(self.correlator(*left).coeffs)
+        dqb, coeffs_qbar = integer_dict(self.correlator(*right).coeffs)
         scale = mult * bracket.factor(dq * dqb)
         at_qbar = _by_leg(coeffs_qbar)
+        merged: dict = {}  # (tq, tqb) -> _merge(tq, tqb), once per tail pair
         for a, tails_q in _by_leg(coeffs_q).items():
             for b, tails_qbar in at_qbar.items():
                 pair = (min(a, b), max(a, b))
                 for tq, cq in tails_q:
                     cq *= scale
                     for tqb, cqb in tails_qbar:
-                        tail, weight = _merge(tq, tqb)
+                        got = merged.get((tq, tqb))
+                        if got is None:
+                            got = merged[(tq, tqb)] = _merge(tq, tqb)
+                        tail, weight = got
                         num[pair + (tail,)] += weight * cq * cqb
 
 

@@ -13,8 +13,9 @@ instead of silently reading garbage.
 
 The coefficient ring is duck-typed: ``Fraction``, ``int`` and
 :class:`~eorec.laurent.MLaurent` all work, as long as the ring supports
-``+ - *`` among themselves and with ``Fraction`` scalars; ``invert`` needs
-rational coefficients.  The literal ``0`` is the zero of every such ring: it
+``+ - *`` among themselves and with ``Fraction`` scalars; ``invert`` and
+``compose`` need rational coefficients, and ``compose`` runs on integer
+numerators over one denominator.  The literal ``0`` is the zero of every such ring: it
 is what a coefficient outside the stored range reads as, what pads a window
 and what an empty sum starts from.
 """
@@ -256,29 +257,42 @@ class Series:
         return Series(-t, [c * inv_lead for c in w], exact=False)
 
     def compose(self, inner: "Series") -> "Series":
-        """Substitute ``inner`` (positive valuation) for the variable."""
+        """Substitute ``inner`` (positive valuation) for the variable.
+
+        Needs rational coefficients, like ``invert``: the Horner steps and
+        the inverse powers run on integer numerators over one running
+        denominator, with the products and sums of the rational form (so
+        the same windows), and form one ``Fraction`` per coefficient.
+        """
         t = inner.eff_start()
         if t is None or t < 1:
             raise WindowError("composition requires inner valuation >= 1")
-        # regular part by Horner over the certified coefficients
-        acc = Series(0, [], exact=True)
+        dout, outer = integer_series(self)
+        dt, tin = integer_series(inner)
+        # regular part by Horner over the certified coefficients: acc / den
+        acc, den = Series(0, [], exact=True), 1
         top = self._stored_end()
         for k in range(top, -1, -1):
-            acc = acc * inner + Series.constant(self.coeff(k))
-        # principal part via inverse powers
+            if k < top:
+                den *= dt
+            acc = acc * tin + Series.constant(outer.coeff(k) * den)
+        # principal part via inverse powers: p / pden = inner^-j
         if self.start < 0:
-            inv = inner.invert()
-            p = inv
+            di, inv = integer_series(inner.invert())
+            p, pden = inv, di
             for j in range(1, -self.start + 1):
-                c = self.coeff(-j)
+                c = outer.coeff(-j)
                 if c:
-                    acc = acc + p.scale(c)
+                    common = math.lcm(den, pden)
+                    acc = acc.scale(common // den) + p.scale(c * (common // pden))
+                    den = common
                 if j < -self.start:
-                    p = p * inv
+                    p, pden = p * inv, pden * di
         if not self.exact:
             # the unknown outer tail first pollutes exponent (top+1)*t
             acc = acc.truncate((top + 1) * t - 1)
-        return acc
+        den *= dout
+        return Series(acc.start, [Fraction(c, den) for c in acc.coeffs], exact=acc.exact)
 
 
 # -- integer series over one denominator -------------------------------------
@@ -294,6 +308,13 @@ def integer_series(s: Series) -> tuple[int, Series]:
     den = math.lcm(*(c.denominator for c in s.coeffs))
     return den, Series(s.start, [c.numerator * (den // c.denominator) for c in s.coeffs],
                        exact=s.exact)
+
+
+def integer_dict(values: dict) -> tuple[int, dict]:
+    """(d, {k: v*d}): rational values as integers over their least common
+    denominator."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
 
 
 def reduced(den: int, t: Series) -> tuple[int, Series]:

@@ -2,17 +2,20 @@
 interpolation, the integration-by-parts residue identity, log(1 + u) summed
 as a power series, the primitive theta built by series arithmetic, the
 involution solved by recomputing powers, the basis operator chain, the
-one-form difference and the kernel built in ``Fraction`` arithmetic, and
-the residue tables of a frame built in ``Fraction`` arithmetic."""
+one-form difference and the kernel built in ``Fraction`` arithmetic, the
+residue tables of a frame built in ``Fraction`` arithmetic, and series
+composition, the basis shift recursion and peeling in ``Fraction``
+arithmetic."""
 
 from fractions import Fraction
 from itertools import count
 from typing import Iterator, Sequence
 
 from eorec import FramedCurve, MLaurent, Poly, Series
-from eorec.errors import WindowError
+from eorec.errors import PeelError, WindowError
 from eorec.psi import peel
 
+QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
@@ -57,6 +60,83 @@ def series_log1p(u: Series, order: int | None = None) -> Series:
         acc = acc + term
         k += 1
     return acc
+
+
+def compose_by_fractions(outer: Series, inner: Series) -> Series:
+    """outer(inner(z)) by Horner and inverse powers in the coefficient ring
+    of the two series."""
+    t = inner.eff_start()
+    if t is None or t < 1:
+        raise WindowError("composition requires inner valuation >= 1")
+    acc = Series(0, [], exact=True)
+    top = outer._stored_end()
+    for k in range(top, -1, -1):
+        acc = acc * inner + Series.constant(outer.coeff(k))
+    if outer.start < 0:
+        inv = inner.invert()
+        p = inv
+        for j in range(1, -outer.start + 1):
+            c = outer.coeff(-j)
+            if c:
+                acc = acc + p.scale(c)
+            if j < -outer.start:
+                p = p * inv
+    if not outer.exact:
+        acc = acc.truncate((top + 1) * t - 1)
+    return acc
+
+
+def shift_step_by_fractions(prev: dict, f: int, sign: int) -> dict:
+    """One shift-recursion step, sign d/dz [prev(z) B(z)], in ``Fraction``
+    arithmetic."""
+    a = Fraction(f, f + 1)
+    b = Fraction(1, f + 1)
+    # multiply by (z - a)(z + b) = z^2 + (b - a) z - a b
+    quad = {2: QONE, 1: b - a, 0: -a * b}
+    prod: dict = {}
+    for e, c in prev.items():
+        for q, d in quad.items():
+            if not d:
+                continue
+            k = e + q
+            s = prod.get(k, QZERO) + c * d
+            if s:
+                prod[k] = s
+            else:
+                prod.pop(k, None)
+    # divide by (1+f) z, then d/dz, then the calibrated sign
+    out = {}
+    for e, c in prod.items():
+        k = e - 1
+        v = sign * (c / (f + 1)) * k
+        if v:
+            out[k - 1] = v
+    return out
+
+
+def peel_by_fractions(slices: dict, table) -> dict:
+    """Expansion in the shifted basis by elimination in ``Fraction``
+    arithmetic, dividing by each leading basis coefficient."""
+    work = {e: c for e, c in slices.items() if c}
+    out: dict = {}
+    while work:
+        k = min(work)
+        if k > -2:
+            raise PeelError(f"exponent {k} above -2 cannot be matched by the basis")
+        if k % 2:
+            raise PeelError(f"odd leading exponent {k} is outside the basis span")
+        n = (-k - 2) // 2
+        basis = table.shifted(n)
+        q = work[k] * (QONE / basis[k])
+        out[n] = q
+        for e, a in basis.items():
+            s = work.get(e, None)
+            s = -q * a if s is None else s - q * a
+            if s:
+                work[e] = s
+            else:
+                work.pop(e, None)
+    return out
 
 
 def theta_by_series(curve: FramedCurve, window: int) -> tuple[Series, Series]:

@@ -9,7 +9,7 @@ from eorec import psi as psi_module
 from eorec.psi import peel
 from eorec.errors import CalibrationError, PeelError
 
-from oracles import lagrange_interpolate, operator_forms_by_taylor_shift
+from oracles import lagrange_interpolate, operator_forms_by_taylor_shift, peel_by_fractions
 
 Q = Fraction
 
@@ -172,6 +172,26 @@ class TestPeel:
         d = {-4: Q(1)}
         with pytest.raises(PeelError):
             peel(d, psi_table(2))
+
+    @pytest.mark.parametrize("peeler", [peel, peel_by_fractions])
+    @pytest.mark.parametrize("f", [1, 2, 3])
+    def test_peel_errors_keep_their_messages(self, peeler, f):
+        t = psi_table(f)
+        odd = "^odd leading exponent {} is outside the basis span$"
+        with pytest.raises(PeelError, match=odd.format(-7)):
+            peeler({-7: Q(2, 3), -4: Q(1)}, t)
+        with pytest.raises(PeelError,
+                           match="^exponent -1 above -2 cannot be matched by the basis$"):
+            peeler({-1: Q(1), 3: Q(5)}, t)
+        # a combination of psihat_0..psihat_4 moved off the span by one unit
+        # at the inner odd exponent -5: -10, -8 and -6 peel, then -5 is left
+        combo = {}
+        for n in range(5):
+            for e, a in t.shifted(n).items():
+                combo[e] = combo.get(e, Q(0)) + Q(n + 1, 3) * a
+        combo[-5] = combo.get(-5, Q(0)) + 1
+        with pytest.raises(PeelError, match=odd.format(-5)):
+            peeler(combo, t)
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_roundtrip_dense(self, f):
