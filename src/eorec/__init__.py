@@ -17,7 +17,6 @@ from .hodge import (EnergyRow, HodgeTable, bernoulli_energy, energy_table,
                     lambda_top_coefficient, lambda_triple, residue_theta_psi,
                     theta_series)
 from .laurent import MLaurent
-from .poly import Poly
 from .psi import PsiForm, PsiTable, psi_form, psi_table, shift_step
 from .recursion import Conventions, CorrDiff, CorrStore, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
@@ -34,7 +33,7 @@ __all__ = [
     "EnergyRow", "HodgeTable", "bernoulli_energy", "energy_table",
     "free_energy_direct", "free_energy_shortcut", "hodge_extract",
     "lambda_top_coefficient", "lambda_triple", "residue_theta_psi",
-    "theta_series", "MLaurent", "Poly", "PsiForm", "PsiTable",
+    "theta_series", "MLaurent", "PsiForm", "PsiTable",
     "psi_form", "psi_table", "shift_step",
     "Conventions", "CorrDiff", "CorrStore", "window_policy",
     "reference_correlators", "two_point_genus_one_readings",

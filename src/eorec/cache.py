@@ -2,8 +2,9 @@
 
 One JSON file per (f, g, h, kernel sign, shift-recursion sign), holding the
 tensor with rationals serialized as decimal ``p/q`` strings, a format
-version and a content checksum.  A version or checksum mismatch, or a file
-that is not a UTF-8 JSON object with a checksum, triggers recomputation;
+version and a content checksum.  A version or checksum mismatch, fields
+that do not parse, or a file that is not a UTF-8 JSON object with a
+checksum, triggers recomputation;
 stale files are never silently reused, and every rejection is a warning on
 the ``eorec`` logger.  The calibration record
 (``conventions.json``) persists the signs discovered on first use of a
@@ -51,12 +52,15 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
-def _read_record(path: Path, unreadable: str, stale: str) -> dict | None:
-    """The payload of the JSON record at ``path``, without its checksum.
+def _read_record(path: Path, unreadable: str, stale: str, build):
+    """``build`` applied to the payload of the JSON record at ``path``,
+    without its checksum.
 
     None when there is no file, and None with a warning when the file is not
-    UTF-8 JSON holding an object with a checksum (``unreadable``) or when its
-    format version or checksum does not match (``stale``).
+    UTF-8 JSON holding an object with a checksum (``unreadable``), or when
+    its format version or checksum does not match or ``build`` finds a field
+    missing or malformed (a ``KeyError``, ``TypeError`` or ``ValueError``:
+    ``stale``).
     """
     if not path.exists():
         return None
@@ -68,10 +72,13 @@ def _read_record(path: Path, unreadable: str, stale: str) -> dict | None:
         _warn(unreadable)
         return None
     stored = blob.pop("checksum")
-    if blob.get("format_version") != FORMAT_VERSION or stored != _checksum(blob):
-        _warn(stale)
-        return None
-    return blob
+    if blob.get("format_version") == FORMAT_VERSION and stored == _checksum(blob):
+        try:
+            return build(blob)
+        except (KeyError, TypeError, ValueError):
+            pass
+    _warn(stale)
+    return None
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -119,16 +126,18 @@ class CorrCache:
 
     def load(self, f: int, g: int, h: int, conv: Conventions) -> CorrDiff | None:
         path = self._path(f, g, h, conv)
-        blob = _read_record(path, f"eorec: unreadable cache file {path.name}, recomputing",
-                            f"eorec: stale or corrupt cache file {path.name}, recomputing")
-        if blob is None:
-            return None
-        key = (blob.get("f"), blob.get("g"), blob.get("h"),
-               blob.get("sigma_kernel"), blob.get("sigma_psirec"))
-        if key != (f, g, h, conv.sigma_kernel, conv.sigma_psirec):
-            _warn(f"eorec: mismatched cache key in {path.name}, recomputing")
-            return None
-        return corrdiff_from_payload(blob)
+
+        def build(blob: dict) -> CorrDiff | None:
+            key = (blob.get("f"), blob.get("g"), blob.get("h"),
+                   blob.get("sigma_kernel"), blob.get("sigma_psirec"))
+            if key != (f, g, h, conv.sigma_kernel, conv.sigma_psirec):
+                _warn(f"eorec: mismatched cache key in {path.name}, recomputing")
+                return None
+            return corrdiff_from_payload(blob)
+
+        return _read_record(path, f"eorec: unreadable cache file {path.name}, recomputing",
+                            f"eorec: stale or corrupt cache file {path.name}, recomputing",
+                            build)
 
     def store(self, w: CorrDiff, conv: Conventions) -> None:
         payload = corrdiff_payload(w, conv)
@@ -143,14 +152,17 @@ class CorrCache:
         return self.dir / "conventions.json"
 
     def load_conventions(self) -> tuple[Conventions, int | None] | None:
-        blob = _read_record(self._conv_path(),
+        def build(blob: dict) -> tuple[Conventions, int | None]:
+            conv = Conventions(sigma_kernel=blob["sigma_kernel"],
+                               sigma_psirec=blob["sigma_psirec"])
+            epsilon = blob.get("epsilon")
+            if epsilon not in (None, 1, -1):
+                raise ValueError("the energy sign must be +1, -1 or null")
+            return conv, epsilon
+
+        return _read_record(self._conv_path(),
                             "eorec: unreadable calibration record, recalibrating",
-                            "eorec: stale calibration record, recalibrating")
-        if blob is None:
-            return None
-        conv = Conventions(sigma_kernel=blob["sigma_kernel"],
-                           sigma_psirec=blob["sigma_psirec"])
-        return conv, blob.get("epsilon")
+                            "eorec: stale calibration record, recalibrating", build)
 
     def store_conventions(self, conv: Conventions, epsilon: int | None) -> None:
         payload = {

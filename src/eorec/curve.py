@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .errors import WindowError
 from .laurent import MLaurent
-from .poly import Poly
 from .series import Series, integer_power, integer_series
 
 QZERO = Fraction(0)
@@ -28,9 +27,9 @@ QONE = Fraction(1)
 
 
 class FramedCurve:
-    """Framing, ramification data and exact evaluation of x(y)."""
+    """Framing, ramification data and x(y) about the ramification point."""
 
-    __slots__ = ("f", "y_star", "x_star", "x_poly")
+    __slots__ = ("f", "y_star", "x_star", "_x")
 
     def __init__(self, f: int):
         if f < 1:
@@ -38,15 +37,17 @@ class FramedCurve:
                              "(f = 0 collides the ramification point with a puncture)")
         self.f = f
         self.y_star = Fraction(-f, f + 1)
-        # x(y) = -y^f - y^(f+1)
-        coeffs = [Fraction(0)] * f + [Fraction(-1), Fraction(-1)]
-        self.x_poly = Poly(coeffs)
-        self.x_star = self.x_poly.eval(self.y_star)
+        # x(y* + z) = -(y* + z)^f (1 + y* + z)
+        y = Series(0, [self.y_star, QONE], exact=True)
+        x = y + Series.constant(QONE)
+        for _ in range(f):
+            x = x * y
+        self._x = -x
+        self.x_star = self._x.coeff(0)
 
     def x_shifted(self) -> Series:
         """x(y* + z) as an exact polynomial series in z."""
-        shifted = self.x_poly.taylor_shift(self.y_star)
-        return Series(0, shifted.coeffs, exact=True)
+        return self._x
 
 
 def conjugate_series(curve: FramedCurve, window: int) -> Series:

@@ -24,7 +24,6 @@ from math import factorial
 from .bernoulli import bernoulli
 from .curve import FramedCurve
 from .errors import EorecError, LogBranchError
-from .poly import Poly
 from .psi import PsiTable, psi_table
 from .recursion import CorrDiff, CorrStore
 from .scalars import format_rational
@@ -128,7 +127,7 @@ def hodge_extract(w: CorrDiff) -> HodgeTable:
                       bracket={idx[0]: sign * c for idx, c in w.coeffs.items()})
 
 
-def lambda_top_coefficient(g: int) -> Poly:
+def lambda_top_coefficient(g: int) -> Series:
     """Coefficient of the top lambda word in the triple product, as a
     polynomial in the framing.
 
@@ -139,8 +138,9 @@ def lambda_top_coefficient(g: int) -> Poly:
     """
     if g < 2:
         raise ValueError("needs genus >= 2")
-    t_vals = [Poly([1]), Poly([-1, -1]), Poly([0, 1])]  # 1, -f-1, f
-    total = Poly()
+    t_vals = [Series.constant(QONE), Series(0, [-QONE, -QONE], exact=True),
+              Series.monomial(QONE, 1)]  # 1, -f-1, f
+    total = Series(0, [], exact=True)
     target = 3 * g - 3
     lo = max(0, g - 3)
     for i in range(lo, g + 1):
@@ -148,28 +148,28 @@ def lambda_top_coefficient(g: int) -> Poly:
             k = target - i - j
             if k < lo or k > g:
                 continue
-            coeff = Poly([1])
+            coeff = Series.constant(QONE)
             for t, d in zip(t_vals, (i, j, k)):
                 c = _lambda_factor(t, g, d)
                 if c is None:
-                    coeff = Poly()
+                    coeff = Series(0, [], exact=True)
                     break
                 coeff = coeff * c
-            if coeff.is_zero():
+            if coeff.is_known_zero():
                 continue
             word = tuple(sorted((i, j, k), reverse=True))
             mult = _rewrite_word(word, g)
             if mult is None:
                 raise ArithmeticError(f"word {word} does not normalize")
-            total = total + coeff * mult
+            total = total + coeff.scale(mult)
     return total
 
 
-def _lambda_factor(t: Poly, g: int, d: int) -> Poly | None:
+def _lambda_factor(t: Series, g: int, d: int) -> Series | None:
     """Scalar multiplying l_d inside L(t): (-1)^d t^(g-d); None for l_<0."""
     if d < 0:
         return None
-    out = Poly([1])
+    out = Series.constant(QONE)
     for _ in range(g - d):
         out = out * t
     return out if d % 2 == 0 else -out

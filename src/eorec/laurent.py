@@ -29,18 +29,6 @@ class MLaurent:
             return MLaurent(nvars)
         return MLaurent(nvars, {(0,) * nvars: c})
 
-    @staticmethod
-    def from_var_dict(nvars: int, var: int, d: dict) -> "MLaurent":
-        """Embed a univariate Laurent polynomial on the given variable."""
-        terms = {}
-        for e, c in d.items():
-            if not c:
-                continue
-            key = [0] * nvars
-            key[var] = e
-            terms[tuple(key)] = Fraction(c)
-        return MLaurent(nvars, terms)
-
     def _coerce(self, other):
         if isinstance(other, MLaurent):
             if other.nvars != self.nvars:

@@ -70,8 +70,8 @@ from .curve import (FramedCurve, bergman_self_pairing, conjugate_series,
 from .errors import CalibrationError, NotRepresentableError
 from .psi import PsiTable, peel, psi_table
 from .reference import reference_correlators
-from .series import (Series, integer_dict, integer_power, integer_powers,
-                     integer_product, integer_series)
+from .series import (Series, integer_dict, integer_powers, integer_product,
+                     integer_series, substitute)
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -242,13 +242,9 @@ class _Frame:
         one denominator."""
         out = self._at_qbar.get(n)
         if out is None:
-            terms = [(c, integer_power(self._inv_s_pows, -e))
-                     for e, c in self.psi.shifted(n).items()]
-            den = lcm(*(c.denominator * d for c, (d, _) in terms))
-            acc = Series(0, [], exact=True)
-            for c, (d, t) in terms:
-                acc = acc + t.scale(c.numerator * (den // (c.denominator * d)))
-            out = self._at_qbar[n] = integer_product((den, acc), self._s_prime)
+            out = self._at_qbar[n] = integer_product(
+                substitute(self.psi.shifted(n), self._s_pows, self._inv_s_pows),
+                self._s_prime)
         return out
 
     # -- residue tables ---------------------------------------------------

@@ -13,11 +13,12 @@ instead of silently reading garbage.
 
 The coefficient ring is duck-typed: ``Fraction``, ``int`` and
 :class:`~eorec.laurent.MLaurent` all work, as long as the ring supports
-``+ - *`` among themselves and with ``Fraction`` scalars; ``invert`` and
-``compose`` need rational coefficients, and ``compose`` runs on integer
-numerators over one denominator.  The literal ``0`` is the zero of every such ring: it
-is what a coefficient outside the stored range reads as, what pads a window
-and what an empty sum starts from.
+``+ - *`` among themselves and with ``Fraction`` scalars; ``invert`` needs
+rational coefficients, and so do the integer series at the end of the
+module, which carry them as integer numerators over one denominator.  The
+literal ``0`` is the zero of every such ring: it is what a coefficient
+outside the stored range reads as, what pads a window and what an empty sum
+starts from.
 """
 
 from __future__ import annotations
@@ -103,14 +104,6 @@ class Series:
 
     def coeff_dict(self) -> dict:
         return {self.start + i: c for i, c in enumerate(self.coeffs) if c}
-
-    def truncate(self, end: int) -> "Series":
-        """Forget everything above exponent ``end``."""
-        n = max(0, end - self.start + 1)
-        cs = list(self.coeffs[:n])
-        if self.exact:
-            cs += [0] * (n - len(cs))
-        return Series(self.start, cs, exact=False)
 
     # -- ring operations ----------------------------------------------
 
@@ -256,44 +249,6 @@ class Series:
             w[k] = -acc
         return Series(-t, [c * inv_lead for c in w], exact=False)
 
-    def compose(self, inner: "Series") -> "Series":
-        """Substitute ``inner`` (positive valuation) for the variable.
-
-        Needs rational coefficients, like ``invert``: the Horner steps and
-        the inverse powers run on integer numerators over one running
-        denominator, with the products and sums of the rational form (so
-        the same windows), and form one ``Fraction`` per coefficient.
-        """
-        t = inner.eff_start()
-        if t is None or t < 1:
-            raise WindowError("composition requires inner valuation >= 1")
-        dout, outer = integer_series(self)
-        dt, tin = integer_series(inner)
-        # regular part by Horner over the certified coefficients: acc / den
-        acc, den = Series(0, [], exact=True), 1
-        top = self._stored_end()
-        for k in range(top, -1, -1):
-            if k < top:
-                den *= dt
-            acc = acc * tin + Series.constant(outer.coeff(k) * den)
-        # principal part via inverse powers: p / pden = inner^-j
-        if self.start < 0:
-            di, inv = integer_series(inner.invert())
-            p, pden = inv, di
-            for j in range(1, -self.start + 1):
-                c = outer.coeff(-j)
-                if c:
-                    common = math.lcm(den, pden)
-                    acc = acc.scale(common // den) + p.scale(c * (common // pden))
-                    den = common
-                if j < -self.start:
-                    p, pden = p * inv, pden * di
-        if not self.exact:
-            # the unknown outer tail first pollutes exponent (top+1)*t
-            acc = acc.truncate((top + 1) * t - 1)
-        den *= dout
-        return Series(acc.start, [Fraction(c, den) for c in acc.coeffs], exact=acc.exact)
-
 
 # -- integer series over one denominator -------------------------------------
 #
@@ -340,3 +295,17 @@ def integer_power(pows: list, k: int) -> tuple[int, Series]:
     while len(pows) <= k:
         pows.append(integer_product(pows[-1], pows[1]))
     return pows[k]
+
+
+def substitute(poly: dict, pows: list, inv_pows: list | None = None) -> tuple[int, Series]:
+    """sum_e c_e x^e for the Laurent polynomial {e: c_e} over Q, from the
+    lists [1, x, x^2, ...] and [1, 1/x, 1/x^2, ...] of integer series over
+    their denominators (``integer_powers``), extended on demand; the sum
+    over its common denominator."""
+    terms = [(c, integer_power(pows, e) if e >= 0 else integer_power(inv_pows, -e))
+             for e, c in poly.items()]
+    den = math.lcm(*(c.denominator * d for c, (d, _) in terms))
+    acc = Series(0, [], exact=True)
+    for c, (d, t) in terms:
+        acc = acc + t.scale(c.numerator * (den // (c.denominator * d)))
+    return den, acc

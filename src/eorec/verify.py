@@ -5,9 +5,11 @@ values rendered exactly, and a boolean outcome; the report as a whole
 carries the calibrated conventions and the global energy sign.  The checks
 cover: the known low-order tensors, the reading of the ambiguous two-point
 genus-one display, the residue table of the primitive against the basis,
-the lambda-word reduction identity, involution and truncation-stability
-probes, branch-symbol cancellation, the free-energy comparisons, bracket
-consistency, and the critical-value discrepancy report.
+the lambda-word reduction identity, the involution probes (x(s(z)) = x(z)
+and s(s(z)) = z by substitution into the integer powers of s, and
+s'(0) = -1), truncation-stability probes, branch-symbol cancellation, the
+free-energy comparisons, bracket consistency, and the critical-value
+discrepancy report.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from .curve import conjugate_series
 from .errors import LogBranchError
 from .hodge import (dilaton, energies_by_genus, energy_table, hodge_extract,
                     lambda_top_coefficient, reserve_theta, residue_theta_psi)
-from .poly import Poly
 from .psi import peel
 from .recursion import HARD_G_CAP, CorrStore, Conventions, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
 from .scalars import format_rational
+from .series import Series, integer_powers, substitute
 
 QZERO = Fraction(0)
 
@@ -94,8 +96,10 @@ def _tensor_str(coeffs: dict) -> str:
     return "{" + items + "}"
 
 
-def _poly_str(p: Poly) -> str:
-    return "[" + ", ".join(format_rational(c) for c in p.coeffs) + "]"
+def _poly_str(p: Series) -> str:
+    """The coefficients of a polynomial from degree 0 up."""
+    return "[" + ", ".join(format_rational(p.coeff(k))
+                           for k in range(p.start + len(p.coeffs))) + "]"
 
 
 def build_stores(framings: list[int], conventions: Conventions | None = None,
@@ -182,31 +186,35 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
 
     # lambda-word reduction identity
     for g in range(2, HARD_G_CAP + 1):
-        want = Poly([0, 1, 1])
+        want = Series(1, [1, 1], exact=True)  # f + f^2
         if g % 2 == 0:
             want = -want
         got = lambda_top_coefficient(g)
         add(CheckRecord(
             name="lambda-top-coefficient",
             params={"g": g},
-            expected=_poly_str(want), actual=_poly_str(got), passed=got == want))
+            expected=_poly_str(want), actual=_poly_str(got),
+            passed=got.coeff_dict() == want.coeff_dict()))
 
-    # involution probes
+    # involution probes: s has valuation 1, so substituting s, known through
+    # z^20, into x and into its own coefficients through z^20 gives x(s(z))
+    # and s(s(z)) through z^20.  s(z) = z passes both, hence also s'(0) = -1.
     for store in stores:
         window = 20
         s = conjugate_series(store.curve, window)
+        s_pows = integer_powers(s)
         X = store.curve.x_shifted()
-        diff = X.compose(s) - X.truncate(window)
-        inv_ok = all(not c for c in diff.coeffs)
-        z = s.compose(s)
-        round_ok = (z.coeff(1) == 1 and
-                    all(not z.coeff(k) for k in range(2, z._stored_end() + 1)))
+        den, x_of_s = substitute(X.coeff_dict(), s_pows)
+        den_s, s_of_s = substitute(s.coeff_dict(), s_pows)
+        ok = (s.coeff(1) == -1
+              and not any((x_of_s - X.scale(den)).coeffs)
+              and not any((s_of_s - Series.monomial(den_s, 1)).coeffs))
         add(CheckRecord(
             name="involution",
             params={"f": store.f, "window": window},
             expected="x(s(z)) = x(z) and s(s(z)) = z",
-            actual="holds" if (inv_ok and round_ok) else "violated",
-            passed=inv_ok and round_ok))
+            actual="holds" if ok else "violated",
+            passed=ok))
 
     # peel remainder: a dense combination in the basis must peel back
     # exactly (the recursion asserts the same on every residue)

@@ -1,17 +1,18 @@
-"""Exact reference routines that only the tests use: polynomial
-interpolation, the integration-by-parts residue identity, log(1 + u) summed
+"""Exact reference routines that only the tests use: the Taylor shift of a
+polynomial and polynomial interpolation, the integration-by-parts residue
+identity, log(1 + u) summed
 as a power series, the primitive theta built by series arithmetic, the
 involution solved by recomputing powers, the basis operator chain, the
 one-form difference and the kernel built in ``Fraction`` arithmetic, the
-residue tables of a frame built in ``Fraction`` arithmetic, and series
-composition, the basis shift recursion and peeling in ``Fraction``
-arithmetic."""
+residue tables of a frame built in ``Fraction`` arithmetic, and the basis
+shift recursion and peeling in ``Fraction`` arithmetic.  Polynomials are
+exact ``Series``."""
 
 from fractions import Fraction
 from itertools import count
 from typing import Iterator, Sequence
 
-from eorec import FramedCurve, MLaurent, Poly, Series
+from eorec import FramedCurve, MLaurent, Series
 from eorec.errors import PeelError, WindowError
 from eorec.psi import peel
 
@@ -19,15 +20,27 @@ QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
-def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Poly:
+def taylor_shift(p: Series, c: Fraction) -> Series:
+    """p(y + c) for a polynomial p in y, by Horner's rule in ``Fraction``
+    arithmetic; p(c) is its coefficient at 0.  Reads p by exponent, so a
+    stored zero below exponent 0 (as ``derive`` leaves) is harmless."""
+    assert p.exact and (p.eff_start() or 0) >= 0, "not a polynomial"
+    lin = Series(0, [c, QONE], exact=True)
+    out = Series(0, [], exact=True)
+    for k in range(p.start + len(p.coeffs) - 1, -1, -1):
+        out = out * lin + Series.constant(p.coeff(k))
+    return out
+
+
+def lagrange_interpolate(points: Sequence[tuple[Fraction, Fraction]]) -> Series:
     """Exact interpolating polynomial through distinct sample points."""
-    out = Poly()
+    out = Series(0, [], exact=True)
     for i, (xi, yi) in enumerate(points):
-        li = Poly.const(yi)
+        li = Series.constant(yi)
         for j, (xj, _) in enumerate(points):
             if i == j:
                 continue
-            li = li * Poly([-xj, 1]) * (QONE / (xi - xj))
+            li = (li * Series(0, [-xj, QONE], exact=True)).scale(QONE / (xi - xj))
         out = out + li
     return out
 
@@ -49,41 +62,22 @@ def series_log1p(u: Series, order: int | None = None) -> Series:
     if u.exact:
         if order is None:
             raise WindowError("log1p of an exact polynomial needs an explicit order")
-        u = u.truncate(order)
+        u = _through(u, order)
     end = u._stored_end()
     acc = u
     p = u
     k = 2
     while k * t <= end:
-        p = (p * u).truncate(end)
+        p = _through(p * u, end)
         term = p.scale(Fraction(-1 if k % 2 == 0 else 1, k))
         acc = acc + term
         k += 1
     return acc
 
 
-def compose_by_fractions(outer: Series, inner: Series) -> Series:
-    """outer(inner(z)) by Horner and inverse powers in the coefficient ring
-    of the two series."""
-    t = inner.eff_start()
-    if t is None or t < 1:
-        raise WindowError("composition requires inner valuation >= 1")
-    acc = Series(0, [], exact=True)
-    top = outer._stored_end()
-    for k in range(top, -1, -1):
-        acc = acc * inner + Series.constant(outer.coeff(k))
-    if outer.start < 0:
-        inv = inner.invert()
-        p = inv
-        for j in range(1, -outer.start + 1):
-            c = outer.coeff(-j)
-            if c:
-                acc = acc + p.scale(c)
-            if j < -outer.start:
-                p = p * inv
-    if not outer.exact:
-        acc = acc.truncate((top + 1) * t - 1)
-    return acc
+def _through(s: Series, end: int) -> Series:
+    """s known only through z^end."""
+    return Series(s.start, [s.coeff(k) for k in range(s.start, end + 1)])
 
 
 def shift_step_by_fractions(prev: dict, f: int, sign: int) -> dict:
@@ -181,15 +175,14 @@ def conjugate_series_by_powers(curve: FramedCurve, window: int) -> Series:
 def operator_forms_by_taylor_shift(f: int) -> Iterator[dict]:
     """psihat_0, psihat_1, ... in z from the operator chain on P / lin^k over
     Q, each Q shifted to z = y + f/(1+f) by a ``Fraction`` Horner shift."""
-    lin = Poly([f, f + 1])           # (1+f) y + f
-    yy1 = Poly([0, 1, 1])            # y (y + 1)
+    lin = Series(0, [Fraction(f), Fraction(f + 1)], exact=True)  # (1+f) y + f
+    yy1 = Series(1, [QONE, QONE], exact=True)                    # y (y + 1)
     a = Fraction(f, f + 1)
-    P, k = Poly([Fraction(1, f + 1)]), 1
+    P, k = Series.constant(Fraction(1, f + 1)), 1
     for _ in count():
-        Q = P.derivative() * lin - P * (k * (f + 1))
+        Q = P.derive() * lin - P.scale(k * (f + 1))
         scale = (f + 1) ** (k + 1)
-        yield {i - k - 1: c / scale
-               for i, c in enumerate(Q.taylor_shift(-a).coeffs) if c}
+        yield {i - k - 1: c / scale for i, c in taylor_shift(Q, -a).coeff_dict().items()}
         P, k = yy1 * Q, k + 2
 
 
@@ -210,7 +203,7 @@ def kernel_by_laurent_products(window: int, sign: int, s: Series, D: Series) -> 
     acc = Series(0, [], exact=True)
     s_pow, z_pow = s, z
     for k in range(1, window + 1):
-        w_mono = MLaurent.from_var_dict(1, 0, {-(k + 1): QONE})
+        w_mono = MLaurent(1, {(-(k + 1),): QONE})
         acc = acc + (s_pow - z_pow).scale(w_mono)
         if k < window:
             s_pow, z_pow = s_pow * s, z_pow * z

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eorec.cache import CorrCache, corrdiff_payload
+from eorec.cache import CorrCache, _canonical, _checksum, corrdiff_payload
 from eorec.cli import main
 from eorec.recursion import Conventions, CorrDiff, CorrStore
 
@@ -171,6 +171,36 @@ UNREADABLE = {
 }
 
 
+def _bad_sign(blob):
+    blob["sigma_kernel"] = 2
+
+
+def _no_sign(blob):
+    del blob["sigma_kernel"]
+
+
+def _bad_epsilon(blob):
+    blob["epsilon"] = "x"
+
+
+def _bad_rational(blob):
+    blob["terms"][0]["c"] = "x/y"
+
+
+#: a field edit that leaves a record checksummed but unparsable -> (file, warning)
+MALFORMED = {
+    "sigma_kernel-2": (_bad_sign, "conventions.json",
+                       "eorec: stale calibration record, recalibrating"),
+    "no-sigma_kernel": (_no_sign, "conventions.json",
+                        "eorec: stale calibration record, recalibrating"),
+    "epsilon-x": (_bad_epsilon, "conventions.json",
+                  "eorec: stale calibration record, recalibrating"),
+    "rational-x/y": (_bad_rational, "corr_f1_g1_h1_k-1_p1.json",
+                     "eorec: stale or corrupt cache file corr_f1_g1_h1_k-1_p1.json, "
+                     "recomputing"),
+}
+
+
 class TestCli:
     def test_correlator_json(self, capsys):
         assert main(["correlator", "--f", "1", "--g", "1", "--h", "1"]) == 0
@@ -279,6 +309,27 @@ class TestCli:
         assert capsys.readouterr().out == clean
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("eorec", logging.WARNING, UNREADABLE[name])]
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_record_is_recomputed(self, capsys, caplog, tmp_path, case):
+        """A record whose version and checksum match but whose fields do not
+        parse is stale: one warning, and the output of a clean cache."""
+        edit, name, warning = MALFORMED[case]
+        argv = ["correlator", "--f", "1", "--g", "1", "--h", "1",
+                "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        path = tmp_path / name
+        blob = json.loads(path.read_text())
+        del blob["checksum"]
+        edit(blob)
+        blob["checksum"] = _checksum(blob)
+        path.write_text(_canonical(blob) + "\n")
+        caplog.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == clean
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("eorec", logging.WARNING, warning)]
 
     def test_window_margin_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,5 @@
-"""The integer-numerator versions of series composition, the basis shift
-recursion and peeling agree with their ``Fraction`` oracles: values,
+"""The integer-numerator versions of substitution into a series, the basis
+shift recursion and peeling agree with their ``Fraction`` oracles: values,
 windows and errors alike."""
 
 import random
@@ -9,63 +9,61 @@ import pytest
 
 from eorec import FramedCurve, PsiTable, Series, conjugate_series, psi_table, shift_step
 from eorec import recursion as rec_module
-from eorec.errors import PeelError, WindowError
+from eorec import verify as verify_module
+from eorec.errors import PeelError
 from eorec.psi import peel
 from eorec.recursion import CorrStore, window_policy
+from eorec.series import integer_powers, substitute
 
-from oracles import compose_by_fractions, peel_by_fractions, shift_step_by_fractions
+from oracles import peel_by_fractions, shift_step_by_fractions
 
 Q = Fraction
 
 
-def _outcome(fn, *args):
-    """What a series operation gives: its window and coefficients, or the
-    type and text of the error it raises."""
-    try:
-        s = fn(*args)
-    except (WindowError, ZeroDivisionError) as exc:
-        return type(exc), str(exc)
-    return s.start, s.coeffs, s.exact, s.window_end, s.eff_start()
+def _fraction_powers(s: Series, k: int) -> list:
+    """[1, s, s^2, ..., s^k] by series products in ``Fraction`` arithmetic."""
+    pows = [Series.constant(Q(1)), s]
+    while len(pows) <= k:
+        pows.append(pows[-1] * s)
+    return pows
 
 
-def _random_coeffs(rng, length):
-    kind = rng.random()
-    if kind < 0.1:
-        return [Q(0)] * length                       # an all-zero window
-    zeros = 0.2 if kind < 0.6 else 0.6
-    return [Q(0) if rng.random() < zeros else Q(rng.randint(-9, 9), rng.randint(1, 9))
-            for _ in range(length)]
-
-
-def _random_series(rng, starts):
-    # length 0 with exact=False is an empty window
-    return Series(rng.choice(starts), _random_coeffs(rng, rng.randint(0, 7)),
-                  exact=rng.random() < 0.4)
-
-
-def test_compose_matches_the_fraction_oracle_on_a_random_battery():
-    rng = random.Random(20111)
-    seen = set()
-    for _ in range(2400):
-        outer = _random_series(rng, range(-3, 3))
-        inner = _random_series(rng, (0, 1, 1, 1, 2, 3))
-        want = _outcome(compose_by_fractions, outer, inner)
-        assert _outcome(Series.compose, outer, inner) == want, (outer, inner)
-        seen.add(want[0] if isinstance(want[0], type) else "value")
-        if not outer.exact and not any(outer.coeffs):
-            seen.add("all-zero outer")
-        if not inner.exact and not inner.coeffs:
-            seen.add("empty inner window")
-    assert {"value", WindowError, "all-zero outer", "empty inner window"} <= seen
-
-
-@pytest.mark.parametrize("f", [1, 2, 3])
-def test_compose_matches_the_oracle_on_the_involution_probes(f):
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_substitute_matches_fraction_powers_on_random_laurent_polynomials(f):
+    """sum_e c_e s^e over the integers equals the sum of the ``Fraction``
+    powers of s and 1/s: coefficients and windows."""
+    rng = random.Random(20260 + f)
     curve = FramedCurve(f)
-    s = conjugate_series(curve, 20)
-    X = curve.x_shifted()
-    for outer in (X, s, s.invert()):
-        assert _outcome(Series.compose, outer, s) == _outcome(compose_by_fractions, outer, s)
+    for window in range(4, 26):
+        s = conjugate_series(curve, window)
+        pows, inv_pows = integer_powers(s), integer_powers(s.invert())
+        up, down = _fraction_powers(s, 8), _fraction_powers(s.invert(), 8)
+        for _ in range(6):
+            poly = {e: Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+                    for e in rng.sample(range(-8, 9), rng.randint(1, 6))}
+            want = Series(0, [], exact=True)
+            for e, c in poly.items():
+                want = want + (up[e] if e >= 0 else down[-e]).scale(c)
+            den, got = substitute(poly, pows, inv_pows)
+            assert (got.start, [Q(c, den) for c in got.coeffs], got.window_end) == \
+                (want.start, list(want.coeffs), want.window_end), (window, poly)
+
+
+def test_the_involution_probes_are_certified_through_z20(stores, monkeypatch):
+    """Both substitutions of verify's involution probe know every
+    coefficient through z^20, at every framing."""
+    results = []
+
+    def recorded(poly, pows, inv_pows=None):
+        out = substitute(poly, pows, inv_pows)
+        results.append(out[1])
+        return out
+
+    monkeypatch.setattr(verify_module, "substitute", recorded)
+    report = verify_module.run_verification(stores, g_max=0)
+    assert all(c.passed for c in report.checks if c.name == "involution")
+    assert len(results) == 2 * len(stores)
+    assert all(t.window_end >= 20 for t in results)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3])

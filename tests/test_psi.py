@@ -4,37 +4,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eorec import PsiTable, Poly, psi_form, psi_table, shift_step
+from eorec import PsiTable, Series, psi_form, psi_table, shift_step
 from eorec import psi as psi_module
 from eorec.psi import peel
 from eorec.errors import CalibrationError, PeelError
 
-from oracles import lagrange_interpolate, operator_forms_by_taylor_shift, peel_by_fractions
+from oracles import (lagrange_interpolate, operator_forms_by_taylor_shift, peel_by_fractions,
+                     taylor_shift)
 
 Q = Fraction
 
 
 def _y_numerator(form, f):
-    """Numerator of psihat_n over lin^(2n+2), lin = f + (f+1) y, read back
-    from the z-form: at z = y + f/(1+f) the linear factor is (1+f) z."""
+    """Numerator of psihat_n over lin^(2n+2), lin = f + (f+1) y, as {degree:
+    coefficient}, read back from the z-form: at z = y + f/(1+f) the linear
+    factor is (1+f) z."""
     top = 2 * form.n + 2
     assert set(form.scalar_z) <= set(range(-top, -1))
-    z_num = Poly([form.scalar_z.get(i - top, 0) for i in range(top - 1)])
-    return z_num.taylor_shift(Q(f, f + 1)) * (1 + f) ** top
+    z_num = Series(0, [Q(form.scalar_z.get(i - top, 0)) for i in range(top - 1)], exact=True)
+    return taylor_shift(z_num, Q(f, f + 1)).scale((1 + f) ** top).coeff_dict()
 
 
 class TestOperatorDefinition:
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_index_zero_matches_display(self, f):
         # psihat_0 = -1 / (f + (f+1) y)^2
-        assert _y_numerator(psi_form(0, f), f) == Poly([-1])
+        assert _y_numerator(psi_form(0, f), f) == {0: -1}
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_index_one_matches_display(self, f):
         # psihat_1 = (3(1+f) y(y+1) - (1+2y)(f+(f+1)y)) / (f+(f+1)y)^4
-        lin = Poly([f, f + 1])
-        num = Poly([0, 1, 1]) * (3 * (1 + f)) - Poly([1, 2]) * lin
-        assert _y_numerator(psi_form(1, f), f) == num
+        lin = Series(0, [f, f + 1], exact=True)
+        yy1 = Series(1, [1, 1], exact=True)  # y (y + 1)
+        num = yy1.scale(3 * (1 + f)) - Series(0, [1, 2], exact=True) * lin
+        assert _y_numerator(psi_form(1, f), f) == num.coeff_dict()
 
     def test_shifted_forms_framing_one(self):
         t = psi_table(1)
@@ -126,8 +129,8 @@ class TestShape:
                     v = tables[f].get(i - 2 * n - 2, Q(0)) * (1 + f) ** (3 * n + 2)
                     pts.append((Q(f), v))
                 fit = lagrange_interpolate(pts[:-1])
-                assert fit.eval(pts[-1][0]) == pts[-1][1]
-                assert fit.degree <= 2 * n
+                assert taylor_shift(fit, pts[-1][0]).coeff(0) == pts[-1][1]
+                assert max(fit.coeff_dict(), default=-1) <= 2 * n
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])

@@ -131,27 +131,6 @@ class TestDivision:
         assert quot.coeff(1) == Q(1, 2)
 
 
-class TestCompose:
-    def test_polynomial_composition(self):
-        outer = S({0: 1, 2: 1})       # 1 + t^2
-        inner = S({1: 1, 2: 1})       # z + z^2
-        out = outer.compose(inner)
-        assert out.coeff_dict() == {0: Q(1), 2: Q(1), 3: Q(2), 4: Q(1)}
-
-    def test_principal_part_composition(self):
-        outer = Series.from_dict({-1: Q(1)})  # 1/t
-        inner = Series(1, [Q(-1), Q(1), Q(0), Q(0)], exact=False)  # -z + z^2 to z^4
-        out = outer.compose(inner)
-        # 1/(-z + z^2) = -1/z (1 + z + z^2 + ...)
-        assert out.coeff(-1) == -1
-        assert out.coeff(0) == -1
-        assert out.coeff(1) == -1
-
-    def test_rejects_valuation_zero(self):
-        with pytest.raises(WindowError):
-            S({0: 1}).compose(S({0: 1, 1: 1}))
-
-
 class TestIbp:
     def test_monomial_pair(self):
         f = S({-1: 1})
@@ -196,8 +175,9 @@ laurent_dicts = st.dictionaries(
 def test_mul_window_soundness(da, db, cut_a, cut_b):
     a_full = Series.from_dict({k: Q(v) for k, v in da.items()})
     b_full = Series.from_dict({k: Q(v) for k, v in db.items()})
-    a = a_full.truncate(a_full._stored_end() - cut_a)
-    b = b_full.truncate(b_full._stored_end() - cut_b)
+    # the windows of a_full and b_full without their top cut_a, cut_b terms
+    a = Series(a_full.start, a_full.coeffs[:max(0, len(a_full.coeffs) - cut_a)])
+    b = Series(b_full.start, b_full.coeffs[:max(0, len(b_full.coeffs) - cut_b)])
     if not a.coeffs or not b.coeffs:
         return
     exact = (a_full * b_full).coeff_dict()
@@ -207,13 +187,3 @@ def test_mul_window_soundness(da, db, cut_a, cut_b):
         return
     for k in range(prod.start, prod._stored_end() + 1):
         assert prod.coeff(k) == exact.get(k, 0)
-
-
-@given(laurent_dicts, st.integers(min_value=1, max_value=4))
-@settings(max_examples=60, deadline=None)
-def test_truncation_consistency(d, extra):
-    base = Series.from_dict({k: Q(v) for k, v in d.items()})
-    short = base.truncate(base._stored_end() - 1)
-    wide = base.truncate(base._stored_end() - 1 + extra)
-    for k in range(short.start, short._stored_end() + 1):
-        assert short.coeff(k) == wide.coeff(k)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from eorec import LogBranchError, verify
+import pytest
+
+from eorec import LogBranchError, Series, conjugate_series, verify
 
 
 def _records(report, name):
@@ -41,3 +43,30 @@ def test_log_symbol_cancellation_passes(store_f1):
     report = verify.run_verification([store_f1], g_max=0)
     (rec,) = _records(report, "log-symbol-cancellation")
     assert rec.passed and rec.actual == "cancelled in every residue"
+
+
+def _identity(curve, window):
+    """s(z) = z, which also fixes x and itself."""
+    return Series(1, [Fraction(1)] + [Fraction(0)] * (window - 1))
+
+
+def _nudged(curve, window):
+    """The real involution with its z^5 coefficient moved by 1."""
+    s = conjugate_series(curve, window)
+    coeffs = list(s.coeffs)
+    coeffs[5 - s.start] += 1
+    return Series(s.start, coeffs)
+
+
+def test_involution_passes(store_f1):
+    report = verify.run_verification([store_f1], g_max=0)
+    (rec,) = _records(report, "involution")
+    assert rec.passed and rec.actual == "holds"
+
+
+@pytest.mark.parametrize("fake", [_identity, _nudged])
+def test_involution_fails_on_a_wrong_series(store_f1, monkeypatch, fake):
+    monkeypatch.setattr(verify, "conjugate_series", fake)
+    report = verify.run_verification([store_f1], g_max=0)
+    (rec,) = _records(report, "involution")
+    assert not rec.passed and rec.actual == "violated"
