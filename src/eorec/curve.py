@@ -6,23 +6,30 @@ away from the punctures y = 0, -1.  All local data is expanded in the
 shifted coordinate z = y - y*:
 
 * the conjugate involution s(z) with x(y* + s(z)) = x(y* + z), s(0) = 0,
-  s'(0) = -1, found order by order;
+  s'(0) = -1, found order by order on integer numerators and returned as
+  a rational series;
 * the one-form difference D(z) dz = omega(q) - omega(q_bar) where
-  omega = log y dx/x;
+  omega = log y dx/x, and the Bergman self-pairing B(q, q_bar), each
+  built from the integer powers of s and returned as integer numerators
+  over one denominator;
 * the recursion kernel K(w; z), a z-series whose coefficients are Laurent
   polynomials in the free-slot coordinate w = y_p - y*, summed over the
-  integers from the powers of s and 1/D.
+  integers from the powers of s and 1/D, with one ``Fraction`` per entry.
+
+Every reciprocal, product and primitive on the way runs on integer
+numerators over one denominator (:mod:`eorec.series`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import WindowError
 from .laurent import MLaurent
-from .series import Series, integer_power, integer_series
+from .series import (Series, integer_inverse, integer_power, integer_primitive,
+                     integer_product, integer_series, integer_sum)
 
-QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
@@ -53,90 +60,121 @@ class FramedCurve:
 def conjugate_series(curve: FramedCurve, window: int) -> Series:
     """The local involution s(z) = -z + c2 z^2 + ... to the given window.
 
-    Solved order by order from x(y* + s(z)) = x(y* + z); each new
-    coefficient enters linearly through the quadratic lead of x.  The powers
-    s^m, m = 2..f+1, are kept and gain one coefficient per order: [z^(n+1)]
-    of s^m needs only the known coefficients of s, except for the term
-    2 s_1 s_n of s^2, which is the unknown itself.
+    Solved order by order on the integers, in u = (1+f) z: there
+    x(y* + z) = -P(u) / (1+f)^(f+1) with the integer polynomial
+    P(u) = (u - f)^f (u + 1), so sigma(u) = (1+f) s(u/(1+f)) fixes P.  Each
+    new coefficient enters linearly through the quadratic lead of P.  The
+    coefficients of sigma are integer numerators over one running
+    denominator, which grows by the least factor that keeps a new
+    coefficient integral; the powers sigma^m, m = 2..f+1, are kept over its
+    m-th power and gain one coefficient per order: [u^(n+1)] of sigma^m
+    needs only the known coefficients of sigma, except for the term
+    2 sigma_1 sigma_n of sigma^2, which is the unknown itself.
+    s_k = sigma_k (1+f)^(k-1) is formed as one ``Fraction`` per coefficient.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
-    X = curve.x_shifted()  # x* + X2 z^2 + ... with X2 != 0
-    X2 = X.coeff(2)
-    if not X2:
+    f = curve.f
+    m = f + 1
+    P = [1]
+    for root in [f] * f + [-1]:  # times (u - root)
+        P = [(P[i - 1] if i else 0) - root * (P[i] if i < len(P) else 0)
+             for i in range(len(P) + 1)]
+    if not P[2]:
         raise WindowError("ramification point is not simple")  # cannot happen for f >= 1
-    xs = [X.coeff(k) for k in range(max(window, curve.f) + 2)]
-    s = [QZERO, -QONE]  # s = -z + ...
-    # pows[m-2] holds [z^k] s^m for k = 0..n at the start of order n
-    pows = [[QZERO, QZERO, QONE]] + [[QZERO] * 3 for _ in range(curve.f - 1)]
+    P += [0] * (window + 2 - len(P))
+    den, sigma = 1, [0, -1]  # sigma_k = sigma[k] / den
+    # pows[j] holds [u^k] sigma^(j+2) over den^(j+2) for k = 0..n at the start of order n
+    pows = [[0, 0, 1]] + [[0] * 3 for _ in range(f - 1)]
     for n in range(2, window + 1):
-        comp = QZERO
-        prev = s
-        for m, power in enumerate(pows, start=2):
-            # [z^(n+1)] of s^(m-1) * s over s_1 .. s_(n-1)
-            c = sum((prev[i] * s[n + 1 - i] for i in range(2, min(n + 1, len(prev)))
-                     if prev[i]), QZERO)
+        dens = [den ** k for k in range(f + 2)]
+        comp = 0  # over den^(f+1)
+        prev = sigma
+        for j, power in enumerate(pows):
+            # [u^(n+1)] of sigma^(j+1) * sigma over sigma_1 .. sigma_(n-1)
+            c = sum(prev[i] * sigma[n + 1 - i] for i in range(2, min(n + 1, len(prev)))
+                    if prev[i])
             power.append(c)
-            comp += xs[m] * c
+            comp += P[j + 2] * c * dens[f - 1 - j]
             prev = power
-        s.append((comp - xs[n + 1]) / (2 * X2))
-        pows[0][n + 1] += 2 * s[1] * s[n]
-    return Series(1, s[1:], exact=False)
+        # sigma_n = (comp / den^(f+1) - P[n+1]) / (2 P[2]), over den
+        top = comp - P[n + 1] * dens[f + 1]
+        q = 2 * P[2] * dens[f]
+        grow = abs(q) // gcd(top, q)
+        if grow > 1:
+            sigma = [c * grow for c in sigma]
+            for j, power in enumerate(pows):
+                scale = grow ** (j + 2)
+                power[:] = [c * scale for c in power]
+            den *= grow
+        sigma.append(top * grow // q)
+        pows[0][n + 1] += 2 * sigma[1] * sigma[n]
+    return Series(1, [Fraction(c * m ** k, den) for k, c in enumerate(sigma[1:])],
+                  exact=False)
 
 
-def omega_diff_series(curve: FramedCurve, s: Series) -> Series:
-    """Scalar D(z) with omega(q) - omega(q_bar) = D(z) dz; valuation 2.
+def omega_diff_series(curve: FramedCurve, s_pows: list) -> tuple[int, Series]:
+    """Scalar D(z) with omega(q) - omega(q_bar) = D(z) dz, valuation 2, as
+    integer numerators over one denominator.
 
     D = log((y* + z)/(y* + s(z))) * x'(z)/x(z) evaluated along y = y* + z,
-    from the involution ``s`` (``conjugate_series``), whose window is the
+    from the integer powers ``s_pows`` of the involution s
+    (``integer_powers`` of ``conjugate_series``), whose window is the
     window of the result.  The log of the ratio vanishes at z = 0, so it is
     the primitive with zero constant of 1/(y* + z) - s'(z)/(y* + s(z)), and
-    no branch constant enters.
+    no branch constant enters.  With m = 1+f, y* + z = (m z - f)/m.
     """
+    sd, s = s_pows[1]
     window = s.window_end
     if window < 4:
         raise ValueError("window must be at least 4")
-    y_star = Series.constant(curve.y_star)
-    z = Series(1, [QONE], exact=True)
-    log_ratio = ((y_star + z).invert(order=window)
-                 - s.derive() * (y_star + s).invert()).antiderive()
-    X = curve.x_shifted()
-    D = log_ratio * X.derive() * X.invert(order=window)
-    if D.eff_start() != 2:
+    f = curve.f
+    m = f + 1
+    # y* + s = (m s - f) / m over the denominator of s
+    y_of_s = (m * sd, s.scale(m) + Series.constant(-f * sd))
+    y_of_z = (m, Series(0, [-f, m], exact=True))
+    at_s = integer_product((sd, s.derive()), integer_inverse(y_of_s))
+    at_z = integer_inverse(y_of_z, order=window)
+    log_ratio = integer_primitive(integer_sum([at_z, (at_s[0], -at_s[1])]))
+    X = integer_series(curve.x_shifted())
+    D = integer_product(integer_product(log_ratio, (X[0], X[1].derive())),
+                        integer_inverse(X, order=window))
+    if D[1].eff_start() != 2:
         raise WindowError("window too small to certify the valuation of the one-form difference")
     return D
 
 
-def bergman_self_pairing(s: Series, s_pows: list) -> Series:
-    """Scalar of B(q, q_bar) against dz^2: s'(z) / (z - s(z))^2.
+def bergman_self_pairing(s_pows: list) -> tuple[int, Series]:
+    """Scalar of B(q, q_bar) against dz^2, s'(z) / (z - s(z))^2, as integer
+    numerators over one denominator.
 
-    From the involution ``s`` (``conjugate_series``), whose window bounds
-    the result's.  (z - s)^2 = z^2 - 2 z s + s^2 takes s^2 from ``s_pows``,
-    the integer powers of s (``integer_powers``) that a frame shares with
-    the kernel.
+    From the integer powers ``s_pows`` of the involution s
+    (``integer_powers`` of ``conjugate_series``), which a frame shares with
+    the kernel; the window of s bounds the result's.
+    (z - s)^2 = z^2 - 2 z s + s^2 takes s^2 from ``s_pows``.
     """
-    den, square = integer_power(s_pows, 2)
-    gap = Series.monomial(QONE, 2) + s.shift(1).scale(-2) + square.scale(Fraction(1, den))
-    return s.derive() * gap.invert()
+    sd, s = s_pows[1]
+    gap = integer_sum([(1, Series.monomial(1, 2)), (sd, s.shift(1).scale(-2)),
+                       integer_power(s_pows, 2)])
+    return integer_product((sd, s.derive()), integer_inverse(gap))
 
 
-def recursion_kernel(s: Series, D: Series, s_pows: list, sign: int) -> Series:
+def recursion_kernel(D: tuple[int, Series], s_pows: list, sign: int) -> Series:
     """K(w; z) = sign * (1/2) [1/(w - s(z)) - 1/(w - z)] / D(z).
 
     Returned as a z-series with coefficients that are Laurent polynomials
     in the single variable w (poles only at w = 0); the lowest z-exponent
     is -1.  Since 1/(w - s) - 1/(w - z) = sum_k w^-(k+1) (s^k - z^k), the
     coefficient of w^-(k+1) in K_j is sign/2 [z^j] (s^k - z^k)/D.  Each is
-    summed over the integers, from the integer powers of the involution
-    ``s`` in ``s_pows`` (``integer_powers``) and 1/D over one denominator
-    (``D`` from ``omega_diff_series``), and formed as one ``Fraction``.  The
-    windows of ``s`` and ``D`` bound the window of the result.
+    summed over the integers, from the integer powers ``s_pows`` of the
+    involution s (``integer_powers``) and 1/D over one denominator (``D``
+    from ``omega_diff_series``), and formed as one ``Fraction``.  The
+    windows of s and D bound the window of the result.
     """
-    inv = D.invert()
-    den, inv_d = integer_series(inv)  # 1/D starts at z^lo
-    lo = inv.start
+    den, inv_d = integer_inverse(D)  # 1/D starts at z^lo
+    lo = inv_d.start
     # s - z starts at z^1: the window of (s - z) (1/D)
-    start, end = 1 + lo, min(s.window_end + lo, inv.window_end + 1)
+    start, end = 1 + lo, min(s_pows[1][1].window_end + lo, inv_d.window_end + 1)
     columns = [{} for _ in range(start, end + 1)]
     for k in range(1, end - lo + 1):
         d, power = integer_power(s_pows, k)

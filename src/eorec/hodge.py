@@ -1,13 +1,14 @@
 """Everything downstream of the correlators.
 
-* the primitive theta of omega = log y dx/x as two rational series: its
-  rational part and its coefficient of the branch constant l of the log at
-  the ramification point, which must cancel from every residue handed back
-  to callers; each coefficient has a closed form, and one primitive per
-  framing serves every basis index;
-* the residue pairing of theta against each basis one-form, a dot product
-  of the basis scalar's principal part with the coefficients of theta; it
-  vanishes except at index 1;
+* the primitive theta of omega = log y dx/x as two series, each held as
+  integer numerators over one denominator: its rational part and its
+  coefficient of the branch constant l of the log at the ramification
+  point, which must cancel from every residue handed back to callers; each
+  coefficient has a closed form, and one primitive per framing serves
+  every basis index;
+* the residue pairing of theta against each basis one-form, an integer dot
+  product of the basis scalar's principal part with the coefficients of
+  theta and one ``Fraction`` per residue; it vanishes except at index 1;
 * extraction of triple-Hodge brackets from one-point tensors;
 * the top-degree coefficient of the product of the three dual Hodge
   polynomials under the Mumford rewrite rules;
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .bernoulli import bernoulli
 from .curve import FramedCurve
@@ -27,16 +28,17 @@ from .errors import EorecError, LogBranchError
 from .psi import PsiTable, psi_table
 from .recursion import CorrDiff, CorrStore
 from .scalars import format_rational
-from .series import Series
+from .series import Series, reduced
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
-def theta_series(curve: FramedCurve, window: int) -> tuple[Series, Series]:
+def theta_series(curve: FramedCurve, window: int) -> tuple[tuple[int, Series], tuple[int, Series]]:
     """Local primitive of log y dx/x at the ramification point, valuation 2,
-    as the pair (rational part, coefficient of l) of rational series, each
-    certified up to exponent window + 2.
+    as the pair (rational part, coefficient of l) of series, each certified
+    up to exponent window + 2 and held as integer numerators over one
+    denominator.
 
     Its differential is
         (1+f) z log(z - a) / ((z - a)(z + b)) dz,   a = f/(1+f), b = 1/(1+f),
@@ -44,37 +46,41 @@ def theta_series(curve: FramedCurve, window: int) -> tuple[Series, Series]:
     which is harmless because every pairing partner is residue free.  Since
     a + b = 1, partial fractions give
         (1+f) z / ((z - a)(z + b)) = sum_{m>=1} p_m z^m,
-        p_m = -(1+f) (a^-m + (-1)^(m-1) b^-m),
-    and log(1 - z/a) = -sum_{j>=1} z^j / (j a^j), so
-        theta_(m+1) = (p_m l - sum_{i+j=m} p_i / (j a^j)) / (m+1),
-    O(window^2) rational operations in all.
+        p_m = -(1+f)^(m+1) (1 + (-1)^(m-1) f^m) / f^m,
+    and log(1 - z/a) = -sum_{j>=1} (1+f)^j z^j / (j f^j), so
+        theta_(m+1) = (p_m l - sum_{i+j=m} p_i (1+f)^j / (j f^j)) / (m+1)
+                    = ((1+f)^(m+1) / (f^m (m+1))) (S_m - (1 + (-1)^(m-1) f^m) l),
+        S_m = sum_{j=1}^{m-1} (1 + (-1)^(m-1-j) f^(m-j)) / j.
+    Over L = lcm(1..window) the two halves of S_m are integers that each
+    gain one term per m, so theta is O(window) integer operations.
     """
     if window < 3:
         raise ValueError("window must be at least 3")
     f = curve.f
-    inv_a = Fraction(f + 1, f)
-    inv_b = f + 1
     top = window + 1
-    p = [QZERO] * (top + 1)    # p[m]: z^m of the rational factor
-    lg = [QZERO] * (top + 1)   # lg[j]: z^j of log(1 - z/a)
+    L = lcm(*range(1, top))
+    M = lcm(*range(2, top + 2))  # every m + 1
+    harmonic = alternating = 0   # (sum 1/j) L and (sum (-1)^(m-1-j) f^(m-j)/j) L
+    rat, log = [0, 0], [0, 0]
     for m in range(1, top + 1):
-        p[m] = -(f + 1) * (inv_a ** m + (-1) ** (m - 1) * inv_b ** m)
-        lg[m] = -inv_a ** m / m
-    rat, log = [QZERO, QZERO], [QZERO, QZERO]
-    for m in range(1, top + 1):
-        rat.append(sum((p[i] * lg[m - i] for i in range(1, m)), QZERO) / (m + 1))
-        log.append(p[m] / (m + 1))
-    return Series(0, rat), Series(0, log)
+        if m > 1:
+            harmonic += L // (m - 1)
+            alternating = f * (L // (m - 1)) - f * alternating
+        scale = (f + 1) ** (m + 1) * f ** (top - m) * (M // (m + 1))
+        rat.append(scale * (harmonic + alternating))
+        log.append(-scale * (1 + (-1) ** (m - 1) * f ** m))
+    den = f ** top * M
+    return reduced(den * L, Series(0, rat)), reduced(den, Series(0, log))
 
 
-_THETA: dict[int, tuple[Series, Series]] = {}  # framing -> widest primitive built so far
+_THETA: dict[int, tuple] = {}  # framing -> widest primitive built so far
 
 
-def _theta(curve: FramedCurve, top: int) -> tuple[Series, Series]:
+def _theta(curve: FramedCurve, top: int) -> tuple[tuple[int, Series], tuple[int, Series]]:
     """A primitive certified at least up to exponent ``top``: the widest one
     built for this framing, or a new one of just the needed window."""
     got = _THETA.get(curve.f)
-    if got is None or got[0].window_end < top:
+    if got is None or got[0][1].window_end < top:
         got = _THETA[curve.f] = theta_series(curve, max(3, top - 2))
     return got
 
@@ -90,21 +96,22 @@ def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None)
 
     psihat_n has exponents -(2n+2) .. -2 in z, so the residue is the dot
     product -sum_e psihat_n[e] theta_(-1-e) over theta_1 .. theta_(2n+1),
-    taken with both parts of theta.  The coefficient of l must cancel
-    exactly; the rational part is returned.
+    taken with both parts of theta on integer numerators
+    (``PsiTable.integer_form``).  The coefficient of l must cancel exactly;
+    the rational part is returned as one ``Fraction``.
     Vanishes for n = 0 and n >= 2; magnitude 1/(f(1+f)) at n = 1.
     """
     if table is None:
         table = psi_table(curve.f)
-    shifted = table.shifted(n).items()
-    rat, log = (-sum((c * part.coeff(-1 - e) for e, c in shifted), QZERO)
-                for part in _theta(curve, 2 * n + 1))
+    pden, psi = table.integer_form(n)
+    (rden, rat), (lden, log) = _theta(curve, 2 * n + 1)
+    rat, log = (-sum(c * part.coeff(-1 - e) for e, c in psi.items()) for part in (rat, log))
     if log:
-        value = f"{format_rational(log)}*l"
+        value = f"{format_rational(Fraction(log, pden * lden))}*l"
         if rat:
-            value = f"{format_rational(rat)} + {value}"
+            value = f"{format_rational(Fraction(rat, pden * rden))} + {value}"
         raise LogBranchError(f"branch symbol survives the index-{n} residue: {value}")
-    return rat
+    return Fraction(rat, pden * rden)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,11 @@ m^2 (z - f/m)(z + 1/m) = m^2 z^2 + m(1-f) z - f.
 
 Expansion of a Laurent object in this basis ("peeling") is triangular in
 the pole order: the leading exponent -(2n+2) identifies the index and the
-tail is eliminated fraction-free.  The remainder is integer numerators over
-one denominator; each step scales it by the basis lead (over their gcd)
-instead of dividing, against the basis form's integer numerators
-(``PsiTable.integer_form``), and each output coefficient is one ``Fraction``.
+tail is eliminated fraction-free.  Input and output are integer numerators
+over one denominator: each step scales the remainder and the coefficients
+found so far by the basis lead (over their gcd) instead of dividing,
+against the basis form's integer numerators (``PsiTable.integer_form``),
+and no ``Fraction`` is formed.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from math import gcd
 from typing import Iterator
 
 from .errors import CalibrationError, PeelError
-from .series import integer_dict
+from .series import integer_dict, lowest_terms
 
 
 @dataclass(frozen=True)
@@ -214,14 +215,16 @@ def psi_table(f: int) -> PsiTable:
     return tab
 
 
-def peel(slices: dict, table: PsiTable) -> dict:
+def peel(slices: tuple[int, dict], table: PsiTable) -> tuple[int, dict]:
     """Expand exponent->coefficient data in the shifted basis.
 
-    ``slices`` maps z-exponents to rational coefficients.
-    Returns index -> coefficient with  input = sum coeff[n] * psihat_n.
+    ``slices`` is (den, {z-exponent: numerator}), rational coefficients as
+    integer numerators over one denominator.  Returns (d, {index:
+    numerator}) in lowest terms, with  input = sum (coeff[n] / d) * psihat_n.
     Raises :class:`PeelError` when the input is outside the span.
     """
-    den, work = integer_dict({e: c for e, c in slices.items() if c})
+    den, work = slices
+    work = {e: c for e, c in work.items() if c}
     out: dict = {}
     while work:
         k = min(work)
@@ -232,11 +235,16 @@ def peel(slices: dict, table: PsiTable) -> dict:
         n = (-k - 2) // 2
         bden, basis = table.integer_form(n)
         lead, top = basis[k], work[k]
-        out[n] = Fraction(top * bden, den * lead)
-        # work/den - out[n] basis/bden, over den (lead/g)
+        # the coefficient is top bden / (den lead); the remainder
+        # work/den - (top/(den lead)) basis is kept over den (lead/g)
         g = gcd(lead, top)
         lead, top = lead // g, top // g
+        if lead < 0:
+            lead, top = -lead, -top
         den *= lead
+        for i in out:
+            out[i] *= lead
+        out[n] = top * bden
         for e in work:
             work[e] *= lead
         for e, a in basis.items():
@@ -245,4 +253,4 @@ def peel(slices: dict, table: PsiTable) -> dict:
                 work[e] = s
             else:
                 work.pop(e, None)
-    return out
+    return lowest_terms(den, out)

@@ -70,11 +70,10 @@ from .curve import (FramedCurve, bergman_self_pairing, conjugate_series,
 from .errors import CalibrationError, NotRepresentableError
 from .psi import PsiTable, peel, psi_table
 from .reference import reference_correlators
-from .series import (Series, integer_dict, integer_powers, integer_product,
-                     integer_series, substitute)
+from .series import (Series, integer_dict, integer_inverse, integer_powers,
+                     integer_product, lowest_terms, substitute)
 
 QZERO = Fraction(0)
-QONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -154,13 +153,6 @@ def _merge(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], i
     return tail, weight
 
 
-def _lowest_terms(den: int, nums: dict) -> tuple[int, dict]:
-    """Cancel the factor that den shares with every numerator and drop zeros,
-    so den becomes the least common denominator of the entries."""
-    g = gcd(den, *nums.values())
-    return den // g, {k: v // g for k, v in nums.items() if v}
-
-
 def _principal(a: Series, b: Series) -> dict[int, int]:
     """a * b at exponents <= 0, the only ones a kernel residue reads, for
     series with integer coefficients."""
@@ -213,13 +205,14 @@ class _Frame:
         self.curve = curve
         self.psi = psi
         self.s = conjugate_series(curve, window)
-        # integer powers of s, shared by the kernel and B(q, q-bar)
+        # integer powers of s and of 1/s, shared by every piece of the frame
         self._s_pows = integer_powers(self.s)
-        self.kernel = recursion_kernel(self.s, omega_diff_series(curve, self.s),
+        self.kernel = recursion_kernel(omega_diff_series(curve, self._s_pows),
                                        self._s_pows, sigma_kernel)
-        self.b_self = bergman_self_pairing(self.s, self._s_pows)
-        self._s_prime = integer_series(self.s.derive())
-        self._inv_s_pows = integer_powers(self.s.invert())
+        self.b_self = bergman_self_pairing(self._s_pows)
+        sd, s = self._s_pows[1]
+        self._s_prime = (sd, s.derive())
+        self._inv_s_pows = [self._s_pows[0], integer_inverse(self._s_pows[1])]
         self._at_q: dict[int, tuple[int, Series]] = {}
         self._at_qbar: dict[int, tuple[int, Series]] = {}
         self._kernel_basis: dict[int, tuple[int, dict]] = {}
@@ -255,8 +248,8 @@ class _Frame:
         out = self._kernel_basis.get(j)
         if out is None:
             coeff = self.kernel.coeff(j)  # WindowError past the certified window
-            out = self._kernel_basis[j] = integer_dict(peel(
-                {key[0]: c for key, c in coeff.terms.items()}, self.psi))
+            out = self._kernel_basis[j] = peel(
+                integer_dict({key[0]: c for key, c in coeff.terms.items()}), self.psi)
         return out
 
     def residue(self, den: int, principal: dict[int, int]) -> tuple[int, dict[int, int]]:
@@ -282,7 +275,7 @@ class _Frame:
         out = self._r.get((a, b))
         if out is None:
             (da, at_q), (db, at_qbar) = self.psihat_at_q(a), self.psihat_at_qbar(b)
-            out = self._r[(a, b)] = _lowest_terms(
+            out = self._r[(a, b)] = lowest_terms(
                 *self.residue(da * db, _principal(at_q, at_qbar)))
         return out
 
@@ -296,31 +289,36 @@ class _Frame:
         out = self._e.get(b)
         if out is None:
             den, at_qbar = self.psihat_at_qbar(b)
+            legs = [self.residue(den, _principal(Series.monomial(k + 1, k), at_qbar))
+                    for k in range(2 * b + 3)]
+            lden = lcm(*(d for d, _ in legs))
             by_free: dict[int, dict] = {}
-            for k in range(2 * b + 3):
-                rden, res = self.residue(den, _principal(Series.monomial(k + 1, k), at_qbar))
+            for k, (d, res) in enumerate(legs):
                 for n, c in res.items():
-                    by_free.setdefault(n, {})[-(k + 2)] = Fraction(c, rden)
-            out = self._e[b] = integer_dict({(n, m): c for n, poly in by_free.items()
-                                            for m, c in peel(poly, self.psi).items()})
+                    by_free.setdefault(n, {})[-(k + 2)] = c * (lden // d)
+            peeled = {n: peel((lden, poly), self.psi) for n, poly in by_free.items()}
+            eden = lcm(*(d for d, _ in peeled.values()))
+            out = self._e[b] = lowest_terms(eden, {
+                (n, m): c * (eden // d) for n, (d, poly) in peeled.items()
+                for m, c in poly.items()})
         return out
 
     def d_table(self) -> tuple[int, dict[int, int]]:
         """D: the residue of the Bergman self-pairing B(q, q-bar)."""
         if self._d is None:
-            b = self.b_self  # a coefficient past its window raises WindowError
-            den, principal = integer_dict({e: b.coeff(e) for e in range(b.start, 1)})
-            self._d = _lowest_terms(*self.residue(den, principal))
+            den, b = self.b_self  # a coefficient past its window raises WindowError
+            self._d = lowest_terms(*self.residue(den, {e: b.coeff(e)
+                                                       for e in range(b.start, 1)}))
         return self._d
 
     def w03_table(self) -> tuple[int, dict[tuple[int, int, int], int]]:
         """B(q,p1) B(q-bar,p2): both legs start at z^0, so only the product
         u1^-2 s'(0) u2^-2 of their leading terms reaches the residue."""
         if self._w03 is None:
-            dl, leg = integer_dict(peel({-2: QONE}, self.psi))
+            dl, leg = peel((1, {-2: 1}), self.psi)
             ds, s_prime = self._s_prime
             df, free = self.residue(ds, {0: s_prime.coeff(0)})
-            self._w03 = _lowest_terms(df * dl * dl, {
+            self._w03 = lowest_terms(df * dl * dl, {
                 (n, m1, m2): c * x * y for n, c in free.items()
                 for m1, x in leg.items() for m2, y in leg.items()})
         return self._w03
@@ -468,6 +466,7 @@ class CorrStore:
         """mult times B(q, p_j) against W(right) at q-bar, via E[b]."""
         num = acc.num
         den, coeffs = integer_dict(self.correlator(*right).coeffs)
+        memo: dict = {}  # (m, rest) -> _merge((m,), rest), shared by every leg index b
         for b, tails in _by_leg(coeffs).items():
             eden, table = frame.e_table(b)
             scale = mult * acc.factor(den * eden)
@@ -477,7 +476,10 @@ class CorrStore:
                 if terms is None:
                     terms = merged[m] = []
                     for rest, c in tails:
-                        tail, weight = _merge((m,), rest)
+                        got = memo.get((m, rest))
+                        if got is None:
+                            got = memo[(m, rest)] = _merge((m,), rest)
+                        tail, weight = got
                         terms.append((tail, weight * c))
                 e *= scale
                 for tail, c in terms:

@@ -13,23 +13,25 @@ instead of silently reading garbage.
 
 The coefficient ring is duck-typed: ``Fraction``, ``int`` and
 :class:`~eorec.laurent.MLaurent` all work, as long as the ring supports
-``+ - *`` among themselves and with ``Fraction`` scalars; ``invert`` needs
-rational coefficients, and so do the integer series at the end of the
-module, which carry them as integer numerators over one denominator.  The
-literal ``0`` is the zero of every such ring: it is what a coefficient
-outside the stored range reads as, what pads a window and what an empty sum
-starts from.
+``+ - *`` among themselves and with ``Fraction`` scalars.  The literal ``0``
+is the zero of every such ring: it is what a coefficient outside the stored
+range reads as, what pads a window and what an empty sum starts from.
+
+The functions at the end of the module carry a rational series as integer
+numerators over one denominator.  Sums, products, powers, the reciprocal,
+the primitive and substitution run on these pairs with the window rules of
+``Series``, so the local frame at the ramification point is built over the
+integers; a caller forms one ``Fraction`` per coefficient where it needs a
+rational.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import WindowError
 
 INF = math.inf
-QONE = Fraction(1)
 
 
 class Series:
@@ -185,69 +187,9 @@ class Series:
             exact=self.exact,
         )
 
-    def antiderive(self) -> "Series":
-        """Termwise primitive with zero integration constant.
-
-        Requires the coefficient at exponent -1 to be certified zero, since
-        integrating it would leave the Laurent ring.
-        """
-        res = self.coeff(-1)  # raises WindowError when -1 is not certified
-        if res:
-            raise WindowError("antiderivative obstructed by a nonzero z^-1 coefficient")
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            k = self.start + i
-            if k == -1 or not c:
-                continue
-            out[k + 1] = c * Fraction(1, k + 1)
-        if self.exact:
-            return Series.from_dict(out, exact=True)
-        start = min(self.start + 1, 0)  # the zero constant at exponent 0 is known
-        end = self._stored_end() + 1
-        return Series(start, [out.get(k, 0) for k in range(start, end + 1)], exact=False)
-
     def residue(self):
         """Certified coefficient of z**-1."""
         return self.coeff(-1)
-
-    # -- multiplicative structure ---------------------------------------
-
-    def invert(self, order: int | None = None) -> "Series":
-        """Reciprocal series, known to the certified order.
-
-        ``order`` bounds the number of known coefficients past the leading
-        one; it is required when inverting an exact polynomial with more
-        than one term (the reciprocal is an infinite series).
-        """
-        if self.is_known_zero():
-            raise ZeroDivisionError("inverse of the zero series")
-        t = self.eff_start()
-        if not self.exact and t > self._stored_end():
-            raise WindowError("divisor has no certified nonzero coefficient")
-        lead = self.coeff(t)
-        if self.exact and self._stored_end() == t:
-            # monomial: exact inverse
-            return Series(-t, [QONE / lead], exact=True)
-        if self.exact:
-            if order is None:
-                raise WindowError("inverting an exact polynomial needs an explicit order")
-            n = order
-        else:
-            n = self._stored_end() - t
-            if order is not None:
-                n = min(n, order)
-        inv_lead = QONE / lead
-        # self = lead * z^t * (1 + r) with r of positive valuation
-        r = [self.coeff(t + k) * inv_lead for k in range(n + 1)]
-        w = [0] * (n + 1)
-        w[0] = lead * inv_lead
-        for k in range(1, n + 1):
-            acc = 0
-            for j in range(1, k + 1):
-                if r[j]:
-                    acc = acc + r[j] * w[k - j]
-            w[k] = -acc
-        return Series(-t, [c * inv_lead for c in w], exact=False)
 
 
 # -- integer series over one denominator -------------------------------------
@@ -272,15 +214,100 @@ def integer_dict(values: dict) -> tuple[int, dict]:
     return den, {k: v.numerator * (den // v.denominator) for k, v in values.items()}
 
 
+def lowest_terms(den: int, nums: dict) -> tuple[int, dict]:
+    """Cancel the factor that den shares with every numerator and drop zeros,
+    so den becomes the least common denominator of the entries."""
+    g = math.gcd(den, *nums.values())
+    return den // g, {k: v // g for k, v in nums.items() if v}
+
+
 def reduced(den: int, t: Series) -> tuple[int, Series]:
     """The integer series t over den in lowest terms."""
     g = math.gcd(den, *t.coeffs)
     return den // g, Series(t.start, [c // g for c in t.coeffs], exact=t.exact)
 
 
+def integer_sum(terms: list) -> tuple[int, Series]:
+    """The sum of integer series over their denominators, over the least
+    common multiple of the denominators."""
+    den = math.lcm(*(d for d, _ in terms))
+    acc = Series(0, [], exact=True)
+    for d, t in terms:
+        acc = acc + t.scale(den // d)
+    return den, acc
+
+
 def integer_product(a: tuple[int, Series], b: tuple[int, Series]) -> tuple[int, Series]:
     """The product of two integer series over their denominators."""
     return reduced(a[0] * b[0], a[1] * b[1])
+
+
+def integer_inverse(a: tuple[int, Series], order: int | None = None) -> tuple[int, Series]:
+    """The reciprocal of the integer series t over d, known to the certified
+    order, in lowest terms.
+
+    ``order`` bounds the number of known coefficients past the leading one;
+    it is required when inverting an exact polynomial with more than one term
+    (the reciprocal is an infinite series).  With t = lead z^v (1 + ...),
+    the coefficients of 1/t follow from w_k = -(sum_j t_(v+j) w_(k-j)) / lead.
+    They are integer numerators over one running denominator, which grows by
+    the least factor that keeps a new coefficient integral; multiplying by
+    powers of the lead instead would carry a factor lead^k that the result
+    mostly does not need.
+    """
+    d, t = a
+    if t.is_known_zero():
+        raise ZeroDivisionError("inverse of the zero series")
+    v = t.eff_start()
+    end = t._stored_end()
+    if not t.exact and v > end:
+        raise WindowError("divisor has no certified nonzero coefficient")
+    lead = t.coeff(v)
+    if t.exact and end == v:
+        # monomial: exact inverse
+        return reduced(abs(lead), Series(-v, [d if lead > 0 else -d], exact=True))
+    if t.exact:
+        if order is None:
+            raise WindowError("inverting an exact polynomial needs an explicit order")
+        n = order
+    else:
+        n = end - v
+        if order is not None:
+            n = min(n, order)
+    tail = [(j, c) for j in range(1, min(n, end - v) + 1) if (c := t.coeff(v + j))]
+    den, w = abs(lead), [1 if lead > 0 else -1]  # 1/t = w/den
+    for k in range(1, n + 1):
+        c = 0
+        for j, x in tail:
+            if j > k:
+                break
+            c += x * w[k - j]
+        if c % lead:
+            grow = abs(lead) // math.gcd(c, lead)
+            w = [x * grow for x in w]
+            den *= grow
+            c *= grow
+        w.append(-(c // lead))
+    return reduced(den, Series(-v, [d * x for x in w]))
+
+
+def integer_primitive(a: tuple[int, Series]) -> tuple[int, Series]:
+    """Termwise primitive with zero integration constant of the integer
+    series t over d, in lowest terms.
+
+    Requires the coefficient at exponent -1 to be certified zero, since
+    integrating it would leave the Laurent ring.
+    """
+    d, t = a
+    if t.coeff(-1):  # raises WindowError when -1 is not certified
+        raise WindowError("antiderivative obstructed by a nonzero z^-1 coefficient")
+    start = min(t.start + 1, 0)  # the zero constant at exponent 0 is known
+    terms = [(t.start + i + 1, c) for i, c in enumerate(t.coeffs) if c]
+    scale = math.lcm(*(e for e, _ in terms))  # over every exponent it divides by
+    out = [0] * (t._stored_end() + 2 - start)
+    for e, c in terms:
+        out[e - start] = c * (scale // e)
+    return reduced(d * scale, Series(start, out, exact=t.exact))
 
 
 def integer_powers(s: Series) -> list:
@@ -304,8 +331,4 @@ def substitute(poly: dict, pows: list, inv_pows: list | None = None) -> tuple[in
     over its common denominator."""
     terms = [(c, integer_power(pows, e) if e >= 0 else integer_power(inv_pows, -e))
              for e, c in poly.items()]
-    den = math.lcm(*(c.denominator * d for c, (d, _) in terms))
-    acc = Series(0, [], exact=True)
-    for c, (d, t) in terms:
-        acc = acc + t.scale(c.numerator * (den // (c.denominator * d)))
-    return den, acc
+    return integer_sum([(c.denominator * d, t.scale(c.numerator)) for c, (d, t) in terms])

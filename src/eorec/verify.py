@@ -25,7 +25,7 @@ from .psi import peel
 from .recursion import HARD_G_CAP, CorrStore, Conventions, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
 from .scalars import format_rational
-from .series import Series, integer_powers, substitute
+from .series import Series, integer_dict, integer_powers, substitute
 
 QZERO = Fraction(0)
 
@@ -224,7 +224,8 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
         for n, c in coeffs.items():
             for e, a in store.psi.shifted(n).items():
                 combo[e] = combo.get(e, QZERO) + c * a
-        recovered = peel(combo, store.psi)
+        den, nums = peel(integer_dict(combo), store.psi)
+        recovered = {n: Fraction(c, den) for n, c in nums.items()}
         add(CheckRecord(
             name="peel-remainder",
             params={"f": store.f, "indices": "0..5"},

@@ -1,6 +1,8 @@
-"""Exact reference routines that only the tests use: the Taylor shift of a
-polynomial and polynomial interpolation, the integration-by-parts residue
-identity, log(1 + u) summed
+"""Exact reference routines that only the tests use: the reciprocal and
+the primitive of a series in ``Fraction`` arithmetic, the conversions
+between rational data and integer numerators over one denominator, the
+Taylor shift of a polynomial and polynomial interpolation, the
+integration-by-parts residue identity, log(1 + u) summed
 as a power series, the primitive theta built by series arithmetic, the
 involution solved by recomputing powers, the basis operator chain, the
 one-form difference and the kernel built in ``Fraction`` arithmetic, the
@@ -15,9 +17,85 @@ from typing import Iterator, Sequence
 from eorec import FramedCurve, MLaurent, Series
 from eorec.errors import PeelError, WindowError
 from eorec.psi import peel
+from eorec.series import integer_dict
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
+
+
+def invert(s: Series, order: int | None = None) -> Series:
+    """Reciprocal series in ``Fraction`` arithmetic, known to the certified
+    order.
+
+    ``order`` bounds the number of known coefficients past the leading
+    one; it is required when inverting an exact polynomial with more than
+    one term (the reciprocal is an infinite series).
+    """
+    if s.is_known_zero():
+        raise ZeroDivisionError("inverse of the zero series")
+    t = s.eff_start()
+    end = s.start + len(s.coeffs) - 1
+    if not s.exact and t > end:
+        raise WindowError("divisor has no certified nonzero coefficient")
+    lead = s.coeff(t)
+    if s.exact and end == t:
+        # monomial: exact inverse
+        return Series(-t, [QONE / lead], exact=True)
+    if s.exact:
+        if order is None:
+            raise WindowError("inverting an exact polynomial needs an explicit order")
+        n = order
+    else:
+        n = end - t
+        if order is not None:
+            n = min(n, order)
+    inv_lead = QONE / lead
+    # s = lead * z^t * (1 + r) with r of positive valuation
+    r = [s.coeff(t + k) * inv_lead for k in range(n + 1)]
+    w = [0] * (n + 1)
+    w[0] = lead * inv_lead
+    for k in range(1, n + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            if r[j]:
+                acc = acc + r[j] * w[k - j]
+        w[k] = -acc
+    return Series(-t, [c * inv_lead for c in w], exact=False)
+
+
+def antiderive(s: Series) -> Series:
+    """Termwise primitive with zero integration constant, in ``Fraction``
+    arithmetic.
+
+    Requires the coefficient at exponent -1 to be certified zero, since
+    integrating it would leave the Laurent ring.
+    """
+    if s.coeff(-1):  # raises WindowError when -1 is not certified
+        raise WindowError("antiderivative obstructed by a nonzero z^-1 coefficient")
+    out = {}
+    for i, c in enumerate(s.coeffs):
+        k = s.start + i
+        if k == -1 or not c:
+            continue
+        out[k + 1] = c * Fraction(1, k + 1)
+    if s.exact:
+        return Series.from_dict(out, exact=True)
+    start = min(s.start + 1, 0)  # the zero constant at exponent 0 is known
+    end = s.start + len(s.coeffs)
+    return Series(start, [out.get(k, 0) for k in range(start, end + 1)], exact=False)
+
+
+def as_fractions(pair: tuple[int, Series]) -> Series:
+    """The rational series of integer numerators over one denominator."""
+    den, t = pair
+    return Series(t.start, [Fraction(c, den) for c in t.coeffs], exact=t.exact)
+
+
+def peel_fractions(slices: dict, table) -> dict:
+    """``peel`` on rational coefficients: the input as integer numerators
+    over their least common denominator, the output as ``Fraction``s."""
+    den, nums = peel(integer_dict(slices), table)
+    return {n: Fraction(c, den) for n, c in nums.items()}
 
 
 def taylor_shift(p: Series, c: Fraction) -> Series:
@@ -144,9 +222,9 @@ def theta_by_series(curve: FramedCurve, window: int) -> tuple[Series, Series]:
     b = Fraction(1, f + 1)
     z = Series(1, [QONE], exact=True)
     denom = Series(0, [-a * b, b - a, QONE], exact=True)  # (z - a)(z + b)
-    pre = z.scale(Fraction(f + 1)) * denom.invert(order=window)
+    pre = z.scale(Fraction(f + 1)) * invert(denom, order=window)
     log_tail = series_log1p(z.scale(-1 / a), order=window)
-    return (pre * log_tail).antiderive(), pre.antiderive()
+    return antiderive(pre * log_tail), antiderive(pre)
 
 
 def conjugate_series_by_powers(curve: FramedCurve, window: int) -> Series:
@@ -191,9 +269,9 @@ def omega_diff_by_log1p(curve: FramedCurve, window: int, s: Series) -> Series:
     power series: one series product per power."""
     y_star = Series.constant(curve.y_star)
     z = Series(1, [QONE], exact=True)
-    log_ratio = series_log1p((z - s) * (y_star + s).invert())
+    log_ratio = series_log1p((z - s) * invert(y_star + s))
     X = curve.x_shifted()
-    return log_ratio * X.derive() * X.invert(order=window)
+    return log_ratio * X.derive() * invert(X, order=window)
 
 
 def kernel_by_laurent_products(window: int, sign: int, s: Series, D: Series) -> Series:
@@ -207,7 +285,7 @@ def kernel_by_laurent_products(window: int, sign: int, s: Series, D: Series) -> 
         acc = acc + (s_pow - z_pow).scale(w_mono)
         if k < window:
             s_pow, z_pow = s_pow * s, z_pow * z
-    return (acc * D.invert()).scale(MLaurent.const(1, Fraction(sign, 2)))
+    return (acc * invert(D)).scale(MLaurent.const(1, Fraction(sign, 2)))
 
 
 def _mul_trunc(a: list, b: list, order: int) -> list:
@@ -259,7 +337,7 @@ class FractionTables:
         acc = Series(0, [], exact=True)
         for e, c in self.psi.shifted(n).items():
             while len(pows) <= -e:
-                pows.append(pows[-1] * self.frame.s.invert())
+                pows.append(pows[-1] * invert(self.frame.s))
             acc = acc + pows[-e].scale(c)
         return acc * self.frame.s.derive()
 
@@ -275,8 +353,8 @@ class FractionTables:
         out = self.columns.get(j)
         if out is None:
             coeff = self.frame.kernel.coeff(j)
-            out = self.columns[j] = peel({key[0]: x for key, x in coeff.terms.items()},
-                                         self.psi)
+            out = self.columns[j] = peel_fractions(
+                {key[0]: x for key, x in coeff.terms.items()}, self.psi)
         return out
 
     def r(self, a: int, b: int) -> dict:
@@ -306,13 +384,14 @@ class FractionTables:
             for n, c in self.residue(principal(k)).items():
                 by_free.setdefault(n, {})[-(k + 2)] = c
         return {(n, m): c for n, poly in by_free.items()
-                for m, c in peel(poly, self.psi).items()}
+                for m, c in peel_fractions(poly, self.psi).items()}
 
     def d(self) -> dict:
-        return self.residue(_principal(self.frame.b_self, Series.constant(QONE)))
+        return self.residue(_principal(as_fractions(self.frame.b_self),
+                                       Series.constant(QONE)))
 
     def w03(self) -> dict:
-        leg = peel({-2: QONE}, self.psi)
+        leg = peel_fractions({-2: QONE}, self.psi)
         free = self.residue({0: self.frame.s.derive().coeff(0)})
         return {(n, m1, m2): c * x * y for n, c in free.items()
                 for m1, x in leg.items() for m2, y in leg.items()}

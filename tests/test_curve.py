@@ -6,21 +6,21 @@ from eorec import (FramedCurve, MLaurent, Series, bergman_self_pairing,
                    conjugate_series, omega_diff_series, recursion_kernel)
 from eorec.series import integer_powers, substitute
 
-from oracles import (conjugate_series_by_powers, kernel_by_laurent_products,
-                     omega_diff_by_log1p, taylor_shift)
+from oracles import (as_fractions, conjugate_series_by_powers, invert,
+                     kernel_by_laurent_products, omega_diff_by_log1p, taylor_shift)
 
 Q = Fraction
 
 
 def _omega_diff(curve, window):
     """D on the involution of the given window, as a frame builds it."""
-    return omega_diff_series(curve, conjugate_series(curve, window))
+    return as_fractions(omega_diff_series(curve, integer_powers(conjugate_series(curve, window))))
 
 
 def _kernel(curve, window, sign=1):
     """K on the involution of the given window, as a frame builds it."""
-    s = conjugate_series(curve, window)
-    return recursion_kernel(s, omega_diff_series(curve, s), integer_powers(s), sign)
+    s_pows = integer_powers(conjugate_series(curve, window))
+    return recursion_kernel(omega_diff_series(curve, s_pows), s_pows, sign)
 
 
 class TestCurveData:
@@ -170,7 +170,7 @@ def _windowed(series: Series) -> tuple:
 
 def test_bergman_self_pairing_f1():
     s = conjugate_series(FramedCurve(1), 10)
-    b = bergman_self_pairing(s, integer_powers(s))
+    b = as_fractions(bergman_self_pairing(integer_powers(s)))
     assert b.coeff(-2) == Q(-1, 4)
     assert all(not b.coeff(k) for k in range(-1, 3))
 
@@ -181,8 +181,8 @@ def test_bergman_self_pairing_matches_squared_gap(f):
     curve, z = FramedCurve(f), Series(1, [Q(1)], exact=True)
     for window in range(4, 31):
         s = conjugate_series(curve, window)
-        assert _windowed(bergman_self_pairing(s, integer_powers(s))) == \
-            _windowed(s.derive() * ((z - s) * (z - s)).invert()), window
+        assert _windowed(as_fractions(bergman_self_pairing(integer_powers(s)))) == \
+            _windowed(s.derive() * invert((z - s) * (z - s))), window
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
@@ -201,7 +201,7 @@ def test_one_form_difference_matches_log1p_route(f):
     curve = FramedCurve(f)
     for window in range(4, 31):
         s = conjugate_series(curve, window)
-        assert _windowed(omega_diff_series(curve, s)) == \
+        assert _windowed(as_fractions(omega_diff_series(curve, integer_powers(s)))) == \
             _windowed(omega_diff_by_log1p(curve, window, s)), window
 
 
@@ -211,6 +211,7 @@ def test_kernel_matches_laurent_product_route(f):
     curve = FramedCurve(f)
     for window in range(4, 31):
         s = conjugate_series(curve, window)
-        D = omega_diff_series(curve, s)
-        assert _windowed(recursion_kernel(s, D, integer_powers(s), -1)) == \
-            _windowed(kernel_by_laurent_products(window, -1, s, D)), window
+        s_pows = integer_powers(s)
+        D = omega_diff_series(curve, s_pows)
+        assert _windowed(recursion_kernel(D, s_pows, -1)) == \
+            _windowed(kernel_by_laurent_products(window, -1, s, as_fractions(D))), window

@@ -1,21 +1,29 @@
-"""The integer-numerator versions of substitution into a series, the basis
-shift recursion and peeling agree with their ``Fraction`` oracles: values,
-windows and errors alike."""
+"""The integer-numerator versions of the series reciprocal and primitive,
+substitution into a series, the theta residue, the basis shift recursion
+and peeling agree with their ``Fraction`` oracles: values, windows and
+errors alike.  Building a frame and pairing theta do no ``Fraction``
+arithmetic beyond the kernel's closing scale."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from eorec import FramedCurve, PsiTable, Series, conjugate_series, psi_table, shift_step
+from eorec import (FramedCurve, PsiTable, Series, conjugate_series, omega_diff_series,
+                   psi_table, residue_theta_psi, shift_step)
+from eorec import hodge
 from eorec import recursion as rec_module
 from eorec import verify as verify_module
-from eorec.errors import PeelError
+from eorec.errors import PeelError, WindowError
 from eorec.psi import peel
-from eorec.recursion import CorrStore, window_policy
-from eorec.series import integer_powers, substitute
+from eorec.recursion import Conventions, CorrStore, window_policy
+from eorec.series import (integer_inverse, integer_powers, integer_primitive, integer_series,
+                          substitute)
 
-from oracles import peel_by_fractions, shift_step_by_fractions
+from oracles import (antiderive, as_fractions, invert, peel_by_fractions, peel_fractions,
+                     shift_step_by_fractions, theta_by_series)
 
 Q = Fraction
 
@@ -36,8 +44,8 @@ def test_substitute_matches_fraction_powers_on_random_laurent_polynomials(f):
     curve = FramedCurve(f)
     for window in range(4, 26):
         s = conjugate_series(curve, window)
-        pows, inv_pows = integer_powers(s), integer_powers(s.invert())
-        up, down = _fraction_powers(s, 8), _fraction_powers(s.invert(), 8)
+        pows, inv_pows = integer_powers(s), integer_powers(invert(s))
+        up, down = _fraction_powers(s, 8), _fraction_powers(invert(s), 8)
         for _ in range(6):
             poly = {e: Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
                     for e in rng.sample(range(-8, 9), rng.randint(1, 6))}
@@ -101,22 +109,24 @@ def test_peel_matches_the_fraction_oracle_on_dense_combinations(f):
         coeffs = {n: Q(rng.randint(-50, 50), rng.randint(1, 30)) for n in range(18)}
         coeffs = {n: c for n, c in coeffs.items() if c}
         combo = _combination(table, coeffs)
-        assert peel(combo, table) == peel_by_fractions(combo, table) == coeffs
+        assert peel_fractions(combo, table) == peel_by_fractions(combo, table) == coeffs
         # an arbitrary Laurent polynomial is mostly off the span: same error
         noise = {e: Q(rng.randint(-5, 5), rng.randint(1, 5)) for e in range(-36, 1)
                  if rng.random() < 0.5}
-        assert _peel_outcome(peel, noise, table) == _peel_outcome(peel_by_fractions, noise,
-                                                                  table)
+        assert _peel_outcome(peel_fractions, noise, table) == \
+            _peel_outcome(peel_by_fractions, noise, table)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3])
 def test_peel_matches_the_oracle_on_every_column_of_a_frame(monkeypatch, f):
-    """Every kernel column, E[b] polynomial and W03 leg that a frame peels."""
-    inputs = []
+    """Every kernel column, E[b] polynomial and W03 leg that a frame peels,
+    with the result in lowest terms."""
+    calls = []
 
     def recorded(slices, table):
-        inputs.append(dict(slices))
-        return peel(slices, table)
+        out = peel(slices, table)
+        calls.append((slices, out))
+        return out
 
     monkeypatch.setattr(rec_module, "peel", recorded)
     store = CorrStore(f, conventions=rec_module.calibrate(f))
@@ -127,6 +137,116 @@ def test_peel_matches_the_oracle_on_every_column_of_a_frame(monkeypatch, f):
     for b in range(9):
         frame.e_table(b)
     frame.w03_table()
-    assert len(inputs) >= window - 1 + 9
-    for slices in inputs:
-        assert peel(slices, store.psi) == peel_by_fractions(slices, store.psi)
+    assert len(calls) >= window - 1 + 9
+    for (den, nums), (out_den, out) in calls:
+        assert gcd(out_den, *out.values()) == 1
+        slices = {e: Q(c, den) for e, c in nums.items()}
+        assert {n: Q(c, out_den) for n, c in out.items()} == \
+            peel_by_fractions(slices, store.psi)
+
+
+def _outcome(fn):
+    """fn()'s series as (start, window_end, coefficients), or its error."""
+    try:
+        out = fn()
+    except (WindowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return out.start, out.window_end, list(out.coeffs)
+
+
+def _random_integer_series(rng) -> tuple[int, Series]:
+    """A random series over a random denominator: a leading zero, an exact
+    polynomial and a monomial all occur."""
+    coeffs = [rng.choice([0, rng.randint(-40, 40)]) for _ in range(rng.randint(1, 9))]
+    return rng.randint(1, 60), Series(rng.randint(-3, 3), coeffs, exact=rng.random() < 0.3)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_integer_inverse_matches_the_fraction_reference_on_random_series(seed):
+    rng = random.Random(7100 + seed)
+    for _ in range(150):
+        den, t = _random_integer_series(rng)
+        order = rng.choice([None, rng.randint(0, 14)])
+        assert _outcome(lambda: as_fractions(integer_inverse((den, t), order))) == \
+            _outcome(lambda: invert(as_fractions((den, t)), order)), (den, t.coeffs, order)
+
+
+@pytest.mark.parametrize("f", [3, 4])
+def test_integer_inverse_matches_the_fraction_reference_on_large_leads(f):
+    """The frame's divisors at window 41, where y* + s, x and D have leads
+    of up to a few hundred bits."""
+    curve = FramedCurve(f)
+    s = conjugate_series(curve, 41)
+    z = Series(1, [Q(1)], exact=True)
+    y_star = Series.constant(curve.y_star)
+    X = curve.x_shifted()
+    D = as_fractions(omega_diff_series(curve, integer_powers(s)))
+    for divisor, order in ((y_star + s, None), (X, 41), ((z - s) * (z - s), None), (D, None)):
+        got = as_fractions(integer_inverse(integer_series(divisor), order))
+        want = invert(divisor, order)
+        assert (got.start, got.window_end, got.coeffs) == \
+            (want.start, want.window_end, want.coeffs)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_integer_primitive_matches_the_fraction_reference_on_random_series(seed):
+    rng = random.Random(7200 + seed)
+    for _ in range(150):
+        den, t = _random_integer_series(rng)
+        assert _outcome(lambda: as_fractions(integer_primitive((den, t)))) == \
+            _outcome(lambda: _reference_primitive(as_fractions((den, t)))), (den, t.coeffs)
+
+
+def _reference_primitive(s: Series) -> Series:
+    """``antiderive``, with an exact result read on the window the integer
+    primitive keeps: from min(start + 1, 0)."""
+    out = antiderive(s)
+    if not s.exact:
+        return out
+    start = min(s.start + 1, 0)
+    return Series(start, [out.coeff(k) for k in range(start, s.start + len(s.coeffs) + 1)],
+                  exact=True)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4])
+def test_theta_residue_matches_the_fraction_dot_product(f, monkeypatch):
+    """The integer dot product against the ``Fraction`` one, for both parts
+    of theta from its series construction."""
+    monkeypatch.setattr(hodge, "_THETA", {})
+    curve, table = FramedCurve(f), psi_table(f)
+    rat, log = theta_by_series(curve, 2 * 20 + 1)
+    for n in range(21):
+        psi = table.shifted(n)
+        want = -sum(c * rat.coeff(-1 - e) for e, c in psi.items())
+        assert sum(c * log.coeff(-1 - e) for e, c in psi.items()) == 0
+        assert residue_theta_psi(curve, n, table=table) == want, n
+
+
+_FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def test_frames_and_theta_pairing_do_no_fraction_arithmetic(monkeypatch):
+    """A frame at window 21 for f = 1..3 calls ``Fraction`` + - * / only in
+    the kernel's closing sigma/2 scale, twice per kernel entry (a product
+    and a sum), and pairing theta for n = 0..8 not at all."""
+    stores = [CorrStore(f, Conventions(sigma_kernel=-1, sigma_psirec=1)) for f in (1, 2, 3)]
+    monkeypatch.setattr(hodge, "_THETA", {})
+    calls = Counter()
+    for name in _FRACTION_OPS:
+        def counted(a, b, real=getattr(Fraction, name), name=name):
+            calls[name] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    entries = 0
+    for store in stores:
+        frame = rec_module._Frame(store.curve, store.psi, 21, store.conventions.sigma_kernel)
+        entries += sum(len(coeff.terms) for coeff in frame.kernel.coeffs)
+    frame_calls = sum(calls.values())
+    calls.clear()
+    for store in stores:
+        for n in range(9):
+            residue_theta_psi(store.curve, n, table=store.psi)
+    assert entries and frame_calls <= 2 * entries
+    assert not calls

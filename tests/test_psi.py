@@ -10,7 +10,7 @@ from eorec.psi import peel
 from eorec.errors import CalibrationError, PeelError
 
 from oracles import (lagrange_interpolate, operator_forms_by_taylor_shift, peel_by_fractions,
-                     taylor_shift)
+                     peel_fractions, taylor_shift)
 
 Q = Fraction
 
@@ -152,31 +152,33 @@ def test_check_shape_rejects_a_residue_term():
 class TestPeel:
     def test_identity_case(self):
         t = psi_table(1)
-        assert peel(dict(t.shifted(2)), psi_table(1)) == {2: Q(1)}
+        assert peel(t.integer_form(2), t) == (1, {2: 1})
 
     def test_known_combination(self):
         # peel of -(W(1,1) scalar) at f=1 recovers its coefficients
         combo = {-2: Q(-1, 24), -4: Q(1, 128)}
-        assert peel(combo, psi_table(1)) == {0: Q(1, 8), 1: Q(-1, 12)}
+        assert peel_fractions(combo, psi_table(1)) == {0: Q(1, 8), 1: Q(-1, 12)}
+        # over one denominator, in lowest terms: 1/8 = 3/24, -1/12 = -2/24
+        assert peel((384, {-2: -16, -4: 3}), psi_table(1)) == (24, {0: 3, 1: -2})
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(PeelError):
-            peel({-3: Q(1)}, psi_table(1))
+            peel((1, {-3: 1}), psi_table(1))
 
     def test_exponent_above_minus_two_rejected(self):
         with pytest.raises(PeelError):
-            peel({-1: Q(1)}, psi_table(1))
+            peel((1, {-1: 1}), psi_table(1))
         with pytest.raises(PeelError):
-            peel({0: Q(1)}, psi_table(2))
+            peel((1, {0: 1}), psi_table(2))
 
     def test_out_of_span_remainder_rejected(self):
         # the f=2 basis has an odd subleading term; killing the lead of
         # index 1 alone leaves an odd remainder exponent
-        d = {-4: Q(1)}
         with pytest.raises(PeelError):
-            peel(d, psi_table(2))
+            peel((1, {-4: 1}), psi_table(2))
 
-    @pytest.mark.parametrize("peeler", [peel, peel_by_fractions])
+    @pytest.mark.parametrize("peeler", [peel_fractions, peel_by_fractions],
+                             ids=["peel", "peel_by_fractions"])
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_peel_errors_keep_their_messages(self, peeler, f):
         t = psi_table(f)
@@ -204,7 +206,7 @@ class TestPeel:
         for n, c in coeffs.items():
             for e, a in t.shifted(n).items():
                 combo[e] = combo.get(e, Q(0)) + c * a
-        assert peel(combo, psi_table(f)) == coeffs
+        assert peel_fractions(combo, psi_table(f)) == coeffs
 
 
 coeff_lists = st.lists(
@@ -222,4 +224,4 @@ def test_peel_roundtrip_random(cs, f):
         for e, a in t.shifted(n).items():
             combo[e] = combo.get(e, Q(0)) + c * a
     combo = {e: v for e, v in combo.items() if v}
-    assert peel(combo, psi_table(f)) == coeffs
+    assert peel_fractions(combo, psi_table(f)) == coeffs

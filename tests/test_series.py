@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from eorec import Series
 from eorec.errors import WindowError
+from eorec.series import integer_inverse, integer_primitive, integer_series
 
-from oracles import ibp_residue_check, series_log1p
+from oracles import as_fractions, ibp_residue_check, series_log1p
 
 Q = Fraction
 
@@ -46,19 +47,21 @@ class TestBasics:
 class TestCalculus:
     def test_antiderive_log_obstruction(self):
         with pytest.raises(WindowError):
-            S({-1: 1, 0: 1}).antiderive()
+            integer_primitive(integer_series(S({-1: 1, 0: 1})))
 
     def test_antiderive_logext_oracle(self):
         # termwise primitive of the f=1 theta differential start, the
         # coefficient of the log branch constant and the rational part
-        log = S({1: -8}).antiderive()
-        rat = S({2: 16}).antiderive()
+        log = as_fractions(integer_primitive(integer_series(S({1: -8}))))
+        rat = as_fractions(integer_primitive(integer_series(S({2: 16}))))
         assert (log.coeff(2), rat.coeff(2)) == (-4, 0)
         assert (log.coeff(3), rat.coeff(3)) == (0, Q(16, 3))
 
     def test_derive_antiderive_roundtrip(self):
         a = S({2: 3, 5: Q(1, 7)})
-        assert a.derive().antiderive().coeff_dict() == a.coeff_dict()
+        den, t = integer_series(a)
+        back = as_fractions(integer_primitive((den, t.derive())))
+        assert back.coeff_dict() == a.coeff_dict()
 
 
 class TestResidue:
@@ -110,23 +113,23 @@ class TestDivision:
     def test_geometric(self):
         one = S({0: 1})
         denom = S({0: 1, 1: -1})
-        inv = denom.invert(order=5)
+        inv = as_fractions(integer_inverse(integer_series(denom), order=5))
         assert all(inv.coeff(k) == 1 for k in range(6))
         assert (one * inv).coeff(3) == 1
 
     def test_invert_requires_known_lead(self):
-        a = Series(0, [Q(0), Q(0)], exact=False)
+        a = Series(0, [0, 0], exact=False)
         with pytest.raises(WindowError):
-            a.invert()
+            integer_inverse((1, a))
 
     def test_monomial_exact_inverse(self):
-        m = Series.monomial(Q(2), 3)
-        assert m.invert().coeff_dict() == {-3: Q(1, 2)}
+        den, inv = integer_inverse((1, Series.monomial(2, 3)))
+        assert (den, inv.coeff_dict(), inv.exact) == (2, {-3: 1}, True)
 
     def test_division_tracks_windows(self):
         num = Series(2, [Q(1), Q(1), Q(1)], exact=False)
-        den = Series(1, [Q(2), Q(4)], exact=False)
-        quot = num * den.invert()
+        den = Series(1, [2, 4], exact=False)
+        quot = num * as_fractions(integer_inverse((1, den)))
         assert quot.start == 1
         assert quot.coeff(1) == Q(1, 2)
 
