@@ -17,7 +17,7 @@ from .hodge import (EnergyRow, HodgeTable, bernoulli_energy, energy_table,
                     lambda_top_coefficient, lambda_triple, residue_theta_psi,
                     theta_series)
 from .laurent import MLaurent
-from .psi import PsiForm, PsiTable, psi_form, psi_table, shift_step
+from .psi import PsiTable, psi_table, shift_step
 from .recursion import Conventions, CorrDiff, CorrStore, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
 from .scalars import format_rational, parse_rational
@@ -33,8 +33,7 @@ __all__ = [
     "EnergyRow", "HodgeTable", "bernoulli_energy", "energy_table",
     "free_energy_direct", "free_energy_shortcut", "hodge_extract",
     "lambda_top_coefficient", "lambda_triple", "residue_theta_psi",
-    "theta_series", "MLaurent", "PsiForm", "PsiTable",
-    "psi_form", "psi_table", "shift_step",
+    "theta_series", "MLaurent", "PsiTable", "psi_table", "shift_step",
     "Conventions", "CorrDiff", "CorrStore", "window_policy",
     "reference_correlators", "two_point_genus_one_readings",
     "format_rational", "parse_rational", "Series",

@@ -2,11 +2,12 @@
 
 One JSON file per (f, g, h, kernel sign, shift-recursion sign), holding the
 tensor with rationals serialized as decimal ``p/q`` strings, a format
-version and a content checksum.  A version or checksum mismatch, fields
-that do not parse, or a file that is not a UTF-8 JSON object with a
-checksum, triggers recomputation;
-stale files are never silently reused, and every rejection is a warning on
-the ``eorec`` logger.  The calibration record
+version and a content checksum.  A version or checksum mismatch, a field
+that does not hold the type the format writes (an integer that is not a
+boolean, sorted non-negative indices, a canonical ``p/q`` string), or a
+file that is not a UTF-8 JSON object with a checksum, triggers
+recomputation; stale files are never silently reused, and every rejection
+is a warning on the ``eorec`` logger.  The calibration record
 (``conventions.json``) persists the signs discovered on first use of a
 cache directory, plus the global energy sign once an energy run has
 established it.
@@ -110,9 +111,29 @@ def corrdiff_payload(w: CorrDiff, conventions: Conventions) -> dict:
     }
 
 
+def _ints(*values) -> bool:
+    """Whether every value is an integer as the format writes one: a JSON
+    number, not a boolean."""
+    return all(type(v) is int for v in values)
+
+
 def corrdiff_from_payload(payload: dict) -> CorrDiff:
-    coeffs = {tuple(t["n"]): parse_rational(t["c"]) for t in payload["terms"]}
-    return CorrDiff(g=payload["g"], h=payload["h"], f=payload["f"], coeffs=coeffs)
+    """The tensor of a record; a ``ValueError`` unless f, g and h are
+    integers and each term holds h sorted non-negative integer indices and
+    a coefficient string as ``format_rational`` writes it."""
+    f, g, h = payload["f"], payload["g"], payload["h"]
+    if not _ints(f, g, h):
+        raise ValueError("f, g and h must be integers")
+    coeffs = {}
+    for t in payload["terms"]:
+        idx, c = t["n"], t["c"]
+        if not (isinstance(idx, list) and len(idx) == h and _ints(*idx)
+                and idx == sorted(idx) and min(idx, default=0) >= 0):
+            raise ValueError(f"malformed index {idx!r}")
+        if not isinstance(c, str) or format_rational(value := parse_rational(c)) != c:
+            raise ValueError(f"malformed coefficient {c!r}")
+        coeffs[tuple(idx)] = value
+    return CorrDiff(g=g, h=h, f=f, coeffs=coeffs)
 
 
 class CorrCache:
@@ -128,12 +149,14 @@ class CorrCache:
         path = self._path(f, g, h, conv)
 
         def build(blob: dict) -> CorrDiff | None:
-            key = (blob.get("f"), blob.get("g"), blob.get("h"),
-                   blob.get("sigma_kernel"), blob.get("sigma_psirec"))
-            if key != (f, g, h, conv.sigma_kernel, conv.sigma_psirec):
+            w = corrdiff_from_payload(blob)
+            signs = (blob["sigma_kernel"], blob["sigma_psirec"])
+            if not _ints(*signs):
+                raise ValueError("the signs must be integers")
+            if (w.f, w.g, w.h, *signs) != (f, g, h, conv.sigma_kernel, conv.sigma_psirec):
                 _warn(f"eorec: mismatched cache key in {path.name}, recomputing")
                 return None
-            return corrdiff_from_payload(blob)
+            return w
 
         return _read_record(path, f"eorec: unreadable cache file {path.name}, recomputing",
                             f"eorec: stale or corrupt cache file {path.name}, recomputing",
@@ -156,7 +179,7 @@ class CorrCache:
             conv = Conventions(sigma_kernel=blob["sigma_kernel"],
                                sigma_psirec=blob["sigma_psirec"])
             epsilon = blob.get("epsilon")
-            if epsilon not in (None, 1, -1):
+            if epsilon is not None and not (_ints(epsilon) and epsilon in (1, -1)):
                 raise ValueError("the energy sign must be +1, -1 or null")
             return conv, epsilon
 

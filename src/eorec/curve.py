@@ -7,7 +7,7 @@ shifted coordinate z = y - y*:
 
 * the conjugate involution s(z) with x(y* + s(z)) = x(y* + z), s(0) = 0,
   s'(0) = -1, found order by order on integer numerators and returned as
-  a rational series;
+  integer numerators over one denominator, like x(y* + z) itself;
 * the one-form difference D(z) dz = omega(q) - omega(q_bar) where
   omega = log y dx/x, and the Bergman self-pairing B(q, q_bar), each
   built from the integer powers of s and returned as integer numerators
@@ -28,61 +28,63 @@ from math import gcd
 from .errors import WindowError
 from .laurent import MLaurent
 from .series import (Series, integer_inverse, integer_power, integer_primitive,
-                     integer_product, integer_series, integer_sum)
-
-QONE = Fraction(1)
+                     integer_product, integer_sum, reduced)
 
 
 class FramedCurve:
-    """Framing, ramification data and x(y) about the ramification point."""
+    """Framing, ramification data and x(y) about the ramification point.
 
-    __slots__ = ("f", "y_star", "x_star", "_x")
+    With m = 1+f and u = m z, x(y* + z) = -P(u) / m^(f+1) for the integer
+    polynomial P(u) = (u - f)^f (u + 1), kept as its coefficients ``P``.
+    """
+
+    __slots__ = ("f", "y_star", "x_star", "P", "_x")
 
     def __init__(self, f: int):
         if f < 1:
             raise ValueError("framing must be a positive integer "
                              "(f = 0 collides the ramification point with a puncture)")
         self.f = f
-        self.y_star = Fraction(-f, f + 1)
-        # x(y* + z) = -(y* + z)^f (1 + y* + z)
-        y = Series(0, [self.y_star, QONE], exact=True)
-        x = y + Series.constant(QONE)
-        for _ in range(f):
-            x = x * y
-        self._x = -x
-        self.x_star = self._x.coeff(0)
+        m = f + 1
+        self.y_star = Fraction(-f, m)
+        P = [1]
+        for root in [f] * f + [-1]:  # times (u - root)
+            P = [(P[i - 1] if i else 0) - root * (P[i] if i < len(P) else 0)
+                 for i in range(len(P) + 1)]
+        self.P = P
+        self._x = reduced(m ** m, Series(0, [-c * m ** k for k, c in enumerate(P)],
+                                         exact=True))
+        self.x_star = Fraction(-P[0], m ** m)
 
-    def x_shifted(self) -> Series:
-        """x(y* + z) as an exact polynomial series in z."""
+    def x_shifted(self) -> tuple[int, Series]:
+        """x(y* + z) as an exact polynomial in z: integer numerators over one
+        denominator, in lowest terms."""
         return self._x
 
 
-def conjugate_series(curve: FramedCurve, window: int) -> Series:
-    """The local involution s(z) = -z + c2 z^2 + ... to the given window.
+def conjugate_series(curve: FramedCurve, window: int) -> tuple[int, Series]:
+    """The local involution s(z) = -z + c2 z^2 + ... to the given window, as
+    integer numerators over one denominator, in lowest terms.
 
     Solved order by order on the integers, in u = (1+f) z: there
-    x(y* + z) = -P(u) / (1+f)^(f+1) with the integer polynomial
-    P(u) = (u - f)^f (u + 1), so sigma(u) = (1+f) s(u/(1+f)) fixes P.  Each
-    new coefficient enters linearly through the quadratic lead of P.  The
-    coefficients of sigma are integer numerators over one running
-    denominator, which grows by the least factor that keeps a new
-    coefficient integral; the powers sigma^m, m = 2..f+1, are kept over its
-    m-th power and gain one coefficient per order: [u^(n+1)] of sigma^m
-    needs only the known coefficients of sigma, except for the term
-    2 sigma_1 sigma_n of sigma^2, which is the unknown itself.
-    s_k = sigma_k (1+f)^(k-1) is formed as one ``Fraction`` per coefficient.
+    x(y* + z) = -P(u) / (1+f)^(f+1) with the integer polynomial ``curve.P``,
+    so sigma(u) = (1+f) s(u/(1+f)) fixes P.  Each new coefficient enters
+    linearly through the quadratic lead of P.  The coefficients of sigma are
+    integer numerators over one running denominator, which grows by the
+    least factor that keeps a new coefficient integral; the powers sigma^m,
+    m = 2..f+1, are kept over its m-th power and gain one coefficient per
+    order: [u^(n+1)] of sigma^m needs only the known coefficients of sigma,
+    except for the term 2 sigma_1 sigma_n of sigma^2, which is the unknown
+    itself.  Then s_k = sigma_k (1+f)^(k-1) over the same denominator.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
     f = curve.f
     m = f + 1
-    P = [1]
-    for root in [f] * f + [-1]:  # times (u - root)
-        P = [(P[i - 1] if i else 0) - root * (P[i] if i < len(P) else 0)
-             for i in range(len(P) + 1)]
+    P = curve.P
     if not P[2]:
         raise WindowError("ramification point is not simple")  # cannot happen for f >= 1
-    P += [0] * (window + 2 - len(P))
+    P = P + [0] * (window + 2 - len(P))
     den, sigma = 1, [0, -1]  # sigma_k = sigma[k] / den
     # pows[j] holds [u^k] sigma^(j+2) over den^(j+2) for k = 0..n at the start of order n
     pows = [[0, 0, 1]] + [[0] * 3 for _ in range(f - 1)]
@@ -109,8 +111,7 @@ def conjugate_series(curve: FramedCurve, window: int) -> Series:
             den *= grow
         sigma.append(top * grow // q)
         pows[0][n + 1] += 2 * sigma[1] * sigma[n]
-    return Series(1, [Fraction(c * m ** k, den) for k, c in enumerate(sigma[1:])],
-                  exact=False)
+    return reduced(den, Series(1, [c * m ** k for k, c in enumerate(sigma[1:])]))
 
 
 def omega_diff_series(curve: FramedCurve, s_pows: list) -> tuple[int, Series]:
@@ -136,7 +137,7 @@ def omega_diff_series(curve: FramedCurve, s_pows: list) -> tuple[int, Series]:
     at_s = integer_product((sd, s.derive()), integer_inverse(y_of_s))
     at_z = integer_inverse(y_of_z, order=window)
     log_ratio = integer_primitive(integer_sum([at_z, (at_s[0], -at_s[1])]))
-    X = integer_series(curve.x_shifted())
+    X = curve.x_shifted()
     D = integer_product(integer_product(log_ratio, (X[0], X[1].derive())),
                         integer_inverse(X, order=window))
     if D[1].eff_start() != 2:

@@ -11,7 +11,8 @@
   theta and one ``Fraction`` per residue; it vanishes except at index 1;
 * extraction of triple-Hodge brackets from one-point tensors;
 * the top-degree coefficient of the product of the three dual Hodge
-  polynomials under the Mumford rewrite rules;
+  polynomials under the Mumford rewrite rules, an integer polynomial in the
+  framing;
 * the Bernoulli closed form for the genus-g free energy, evaluated two
   ways (full residue pairing and the index-1 shortcut) and compared.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .bernoulli import bernoulli
 from .curve import FramedCurve
@@ -97,13 +98,13 @@ def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None)
     psihat_n has exponents -(2n+2) .. -2 in z, so the residue is the dot
     product -sum_e psihat_n[e] theta_(-1-e) over theta_1 .. theta_(2n+1),
     taken with both parts of theta on integer numerators
-    (``PsiTable.integer_form``).  The coefficient of l must cancel exactly;
+    (``PsiTable.shifted``).  The coefficient of l must cancel exactly;
     the rational part is returned as one ``Fraction``.
     Vanishes for n = 0 and n >= 2; magnitude 1/(f(1+f)) at n = 1.
     """
     if table is None:
         table = psi_table(curve.f)
-    pden, psi = table.integer_form(n)
+    pden, psi = table.shifted(n)
     (rden, rat), (lden, log) = _theta(curve, 2 * n + 1)
     rat, log = (-sum(c * part.coeff(-1 - e) for e, c in psi.items()) for part in (rat, log))
     if log:
@@ -136,18 +137,19 @@ def hodge_extract(w: CorrDiff) -> HodgeTable:
 
 def lambda_top_coefficient(g: int) -> Series:
     """Coefficient of the top lambda word in the triple product, as a
-    polynomial in the framing.
+    polynomial in the framing with integer coefficients.
 
     Expands the degree 3g-3 part of L(1) L(-f-1) L(f), where
     L(t) = t^g - t^(g-1) l_1 + ... + (-1)^g l_g, over words in the top three
     lambda classes, rewrites with l_g^2 = 0 and l_{g-1}^2 = 2 l_g l_{g-2},
-    and returns the multiplier of l_g l_{g-1} l_{g-2}.
+    and returns the multiplier of l_g l_{g-1} l_{g-2}.  The word
+    l_i l_j l_k, one factor from each L in turn, carries
+    (-1)^(i+j+k) (-(f+1))^(g-j) f^(g-k) = (-1)^(i+k+g) (f+1)^(g-j) f^(g-k),
+    expanded binomially.
     """
     if g < 2:
         raise ValueError("needs genus >= 2")
-    t_vals = [Series.constant(QONE), Series(0, [-QONE, -QONE], exact=True),
-              Series.monomial(QONE, 1)]  # 1, -f-1, f
-    total = Series(0, [], exact=True)
+    total: dict[int, int] = {}
     target = 3 * g - 3
     lo = max(0, g - 3)
     for i in range(lo, g + 1):
@@ -155,48 +157,31 @@ def lambda_top_coefficient(g: int) -> Series:
             k = target - i - j
             if k < lo or k > g:
                 continue
-            coeff = Series.constant(QONE)
-            for t, d in zip(t_vals, (i, j, k)):
-                c = _lambda_factor(t, g, d)
-                if c is None:
-                    coeff = Series(0, [], exact=True)
-                    break
-                coeff = coeff * c
-            if coeff.is_known_zero():
-                continue
             word = tuple(sorted((i, j, k), reverse=True))
             mult = _rewrite_word(word, g)
             if mult is None:
                 raise ArithmeticError(f"word {word} does not normalize")
-            total = total + coeff.scale(mult)
-    return total
+            mult *= (-1) ** (i + k + g)
+            for r in range(g - j + 1):
+                total[r + g - k] = total.get(r + g - k, 0) + mult * comb(g - j, r)
+    return Series.from_dict({d: c for d, c in total.items() if c})
 
 
-def _lambda_factor(t: Series, g: int, d: int) -> Series | None:
-    """Scalar multiplying l_d inside L(t): (-1)^d t^(g-d); None for l_<0."""
-    if d < 0:
-        return None
-    out = Series.constant(QONE)
-    for _ in range(g - d):
-        out = out * t
-    return out if d % 2 == 0 else -out
-
-
-def _rewrite_word(word: tuple[int, int, int], g: int) -> Fraction | None:
+def _rewrite_word(word: tuple[int, int, int], g: int) -> int | None:
     """Multiplier of l_g l_{g-1} l_{g-2} after the rewrite rules; 0 if the
     word dies, None if it fails to normalize."""
     parts = [d for d in word if d > 0]  # l_0 = 1
-    mult = QONE
+    mult = 1
     counts = {d: parts.count(d) for d in set(parts)}
     if counts.get(g, 0) >= 2:
-        return Fraction(0)  # l_g^2 = 0
+        return 0  # l_g^2 = 0
     while counts.get(g - 1, 0) >= 2:
         counts[g - 1] -= 2
         counts[g] = counts.get(g, 0) + 1
         counts[g - 2] = counts.get(g - 2, 0) + 1
         mult *= 2
         if counts.get(g, 0) >= 2:
-            return Fraction(0)
+            return 0
     flat = sorted((d for d, c in counts.items() if d > 0 for _ in range(c)),
                   reverse=True)
     expected = [d for d in (g, g - 1, g - 2) if d > 0]

@@ -19,49 +19,40 @@ The chain runs on integer polynomials: with m = 1+f, p = m P and q = m Q
 satisfy q = p' lin - k m p and p_(n+1) = y(y+1) q from p_0 = 1.  In the
 shifted coordinate z = y + f/(1+f) the linear factor is m z, so psihat_n is
 one Taylor shift of q over m^(k+2) z^(k+1).  In u = m z that shift is by
-the integer -f, so it runs over the integers too, and each coefficient is
-formed as one ``Fraction`` over a power of m.  The result is a Laurent
-polynomial with exponents in [-(2n+2), -2] and no residue term.  The same
-family satisfies a one-step shift recursion
+the integer -f, so it runs over the integers too, and psihat_n is kept as
+integer numerators over a power of m, in lowest terms.  The result is a
+Laurent polynomial with exponents in [-(2n+2), -2] and no residue term.
+The same family satisfies a one-step shift recursion
 
     psihat_n(z) = sign * d/dz [ psihat_{n-1}(z) * B(z) ],
 
 whose global sign is calibrated against the operator definition rather than
 assumed; both constructions must agree for every index, which is enforced
 at table-extension time.  The step runs on integer numerators: with m = 1+f,
-m^2 (z - f/m)(z + 1/m) = m^2 z^2 + m(1-f) z - f.
+m^2 (z - f/m)(z + 1/m) = m^2 z^2 + m(1-f) z - f.  Both constructions end in
+lowest terms (positive denominator, numerators without a common factor with
+it), which is canonical, so the cross-check compares the pairs directly.
 
 Expansion of a Laurent object in this basis ("peeling") is triangular in
 the pole order: the leading exponent -(2n+2) identifies the index and the
 tail is eliminated fraction-free.  Input and output are integer numerators
 over one denominator: each step scales the remainder and the coefficients
 found so far by the basis lead (over their gcd) instead of dividing,
-against the basis form's integer numerators (``PsiTable.integer_form``),
-and no ``Fraction`` is formed.
+against the basis form's integer numerators (``PsiTable.shifted``), and
+no ``Fraction`` is formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from math import gcd
 from typing import Iterator
 
 from .errors import CalibrationError, PeelError
-from .series import integer_dict, lowest_terms
+from .series import lowest_terms
 
 
-@dataclass(frozen=True)
-class PsiForm:
-    """One basis scalar in the shifted coordinate (hat convention, no dy)."""
-
-    n: int
-    f: int
-    scalar_z: dict  # exponent -> Fraction, exact Laurent polynomial
-
-
-def _operator_forms(f: int) -> Iterator[dict]:
+def _operator_forms(f: int) -> Iterator[tuple[int, dict]]:
     """psihat_0, psihat_1, ... in z, from the operator definition.
 
     The chain runs on p = m P and q = m Q with m = 1+f, which stay integer
@@ -75,7 +66,7 @@ def _operator_forms(f: int) -> Iterator[dict]:
             q[i - 1] += i * f * p[i]
             q[i] += i * m * p[i]
         out = _shifted_form(q, k, f)
-        _check_shape(out, n)
+        _check_shape(out[1], n)
         yield out
         p = [0] + q + [0]
         for i, c in enumerate(q):
@@ -83,9 +74,9 @@ def _operator_forms(f: int) -> Iterator[dict]:
         k += 2
 
 
-def _shifted_form(q: list, k: int, f: int) -> dict:
+def _shifted_form(q: list, k: int, f: int) -> tuple[int, dict]:
     """psihat = q(y) / (m^(k+2) z^(k+1)) at y = z - f/m, m = 1+f, as
-    exponent -> Fraction.
+    (den, {exponent: numerator}) in lowest terms.
 
     In u = m z the shift is by the integer -f: with d = deg q and
     qt(v) = m^d q(v/m) = sum_j r_j (v+f)^j, q(z - f/m) = sum_j r_j m^(j-d) z^j.
@@ -96,34 +87,23 @@ def _shifted_form(q: list, k: int, f: int) -> dict:
     for i in range(d):  # Taylor shift by -f, one synthetic division per degree
         for j in range(d - 1, i - 1, -1):
             r[j] -= f * r[j + 1]
-    return {j - k - 1: Fraction(c, m ** (d + k + 2 - j)) for j, c in enumerate(r) if c}
+    return lowest_terms(m ** (d + k + 2), {j - k - 1: c * m ** j for j, c in enumerate(r)})
 
 
-def psi_form(n: int, f: int) -> PsiForm:
-    """Basis scalar from the operator definition (fresh chain)."""
-    if n < 0 or f < 1:
-        raise ValueError("need n >= 0 and framing f >= 1")
-    forms = _operator_forms(f)
-    for _ in range(n):
-        next(forms)
-    return PsiForm(n, f, next(forms))
-
-
-def _check_shape(d: dict, n: int) -> None:
-    if not d:
+def _check_shape(nums: dict, n: int) -> None:
+    if not nums:
         raise ArithmeticError("basis scalar vanished")
-    lo, hi = min(d), max(d)
+    lo, hi = min(nums), max(nums)
     if lo != -(2 * n + 2) or hi > -2:
         raise ArithmeticError(f"basis scalar has exponents [{lo}, {hi}], "
                               f"expected leading -(2n+2) = {-(2 * n + 2)} and top <= -2")
 
 
-def shift_step(prev: dict, f: int, sign: int) -> dict:
-    """One application of the shift recursion to a shifted scalar, on prev's
-    numerators over their least common denominator den: one ``Fraction`` over
-    den m^3 per output coefficient."""
+def shift_step(prev: tuple[int, dict], f: int, sign: int) -> tuple[int, dict]:
+    """One application of the shift recursion to a shifted scalar, on its
+    integer numerators over den; the result over den m^3, in lowest terms."""
     m = f + 1
-    den, nums = integer_dict(prev)
+    den, nums = prev
     # B(z) = (z - f/m)(z + 1/m) / (m z), and m^2 (z - f/m)(z + 1/m) is:
     quad = ((2, m * m), (1, m * (1 - f)), (0, -f))
     prod: dict = {}
@@ -132,13 +112,13 @@ def shift_step(prev: dict, f: int, sign: int) -> dict:
             if d:
                 prod[e + q] = prod.get(e + q, 0) + c * d
     # divide by m^3 z, then d/dz, then the calibrated sign
-    den *= m ** 3
-    return {e - 2: Fraction(sign * (e - 1) * c, den)
-            for e, c in prod.items() if c and e != 1}
+    return lowest_terms(den * m ** 3, {e - 2: sign * (e - 1) * c
+                                       for e, c in prod.items() if e != 1})
 
 
 class PsiTable:
-    """Per-framing memo table of basis forms.
+    """Per-framing memo table of basis forms, each held as (den,
+    {exponent: numerator}) in lowest terms.
 
     The operator definition is normative; every extension step cross-checks
     the shift recursion under the single calibrated sign and aborts on
@@ -151,9 +131,9 @@ class PsiTable:
             raise ValueError("framing must be >= 1")
         self.f = f
         self._operator = _operator_forms(f)
-        self._forms: list[PsiForm] = [PsiForm(0, f, next(self._operator))]
-        self._integer: list[tuple[int, dict]] = []
-        calibrated = self._calibrate()
+        self._forms: list[tuple[int, dict]] = [next(self._operator)]
+        first = next(self._operator)
+        calibrated = self._calibrate(first)
         if forced_sign is None:
             self.sign = calibrated
             self.forced = False
@@ -164,44 +144,37 @@ class PsiTable:
             # a forced sign that agrees with calibration keeps full checking;
             # the opposite sign builds the alternating audit basis
             self.forced = forced_sign != calibrated
+        if not self.forced:
+            self._forms.append(first)
 
-    def _calibrate(self) -> int:
-        base = self._forms[0].scalar_z
-        target = psi_form(1, self.f).scalar_z
+    def _calibrate(self, first: tuple[int, dict]) -> int:
+        """The sign under which one shift step takes psihat_0 to ``first``,
+        psihat_1 of the operator chain."""
         for sign in (1, -1):
-            if shift_step(base, self.f, sign) == target:
+            if shift_step(self._forms[0], self.f, sign) == first:
                 return sign
         raise CalibrationError("shift recursion matches the operator definition "
                                "under neither sign")
 
-    def form(self, n: int) -> PsiForm:
-        self._extend(n)
-        return self._forms[n]
-
-    def shifted(self, n: int) -> dict:
-        return self.form(n).scalar_z
-
-    def integer_form(self, n: int) -> tuple[int, dict]:
-        """psihat_n as (den, {exponent: numerator}), den the least common
-        denominator of its coefficients."""
-        while len(self._integer) <= n:
-            self._integer.append(integer_dict(self.shifted(len(self._integer))))
-        return self._integer[n]
-
-    def _extend(self, n: int) -> None:
+    def form(self, n: int) -> tuple[int, dict]:
+        """psihat_n, extending the table through index n; callers read it
+        through ``shifted``, and the benchmark's tracer times both."""
         while len(self._forms) <= n:
             m = len(self._forms)
-            stepped = shift_step(self._forms[m - 1].scalar_z, self.f, self.sign)
+            stepped = shift_step(self._forms[m - 1], self.f, self.sign)
             if self.forced:
                 # audit basis: shifted family from the recursion alone
-                _check_shape(stepped, m)
-                self._forms.append(PsiForm(m, self.f, stepped))
-                continue
-            form = PsiForm(m, self.f, next(self._operator))
-            if stepped != form.scalar_z:
+                _check_shape(stepped[1], m)
+            elif stepped != next(self._operator):
                 raise CalibrationError(
                     f"shift recursion disagrees with the operator definition at n={m}")
-            self._forms.append(form)
+            self._forms.append(stepped)
+        return self._forms[n]
+
+    def shifted(self, n: int) -> tuple[int, dict]:
+        """psihat_n(z) in the shifted coordinate, as (den, {exponent:
+        numerator}) in lowest terms."""
+        return self.form(n)
 
 
 _TABLES: dict[int, PsiTable] = {}
@@ -233,7 +206,7 @@ def peel(slices: tuple[int, dict], table: PsiTable) -> tuple[int, dict]:
         if k % 2:
             raise PeelError(f"odd leading exponent {k} is outside the basis span")
         n = (-k - 2) // 2
-        bden, basis = table.integer_form(n)
+        bden, basis = table.shifted(n)
         lead, top = basis[k], work[k]
         # the coefficient is top bden / (den lead); the remainder
         # work/den - (top/(den lead)) basis is kept over den (lead/g)

@@ -35,12 +35,13 @@ residue is then taken once per bracket entry: R[a,b] is read in one loop,
 however many terms share the entry.  A Bergman leg is not in the basis at
 q, so the D, W03 and E[b] terms go straight into the result.
 
-Tables and contraction run over the integers.  Each rational ingredient of
-a table (psihat_a at q, psihat_b(s) s' at q-bar and each kernel column K_j)
-is converted once per frame to integer numerators over one denominator, so
-a product of two legs is an integer convolution and a residue an integer
-dot product; each table is kept as numerators over its least common
-denominator.  The contraction reads each lower tensor the same way and
+Tables and contraction run over the integers.  The basis forms and the
+involution s come as integer numerators over one denominator, so psihat_a
+at q and psihat_b(s) s' at q-bar are built in that form; each kernel column
+K_j, the one rational ingredient of a table, is converted to it once per
+frame.  A product of two legs is then an integer convolution and a residue
+an integer dot product; each table is kept as numerators over its least
+common denominator.  The contraction reads each lower tensor the same way and
 sums Python ints over one running common denominator, and each entry of
 W(g,h) is formed as one ``Fraction``.
 
@@ -84,7 +85,8 @@ class Conventions:
     sigma_psirec: int
 
     def __post_init__(self):
-        if self.sigma_kernel not in (1, -1) or self.sigma_psirec not in (1, -1):
+        if not all(type(sign) is int and sign in (1, -1)
+                   for sign in (self.sigma_kernel, self.sigma_psirec)):
             raise ValueError("convention signs must be +1 or -1")
 
 
@@ -197,8 +199,8 @@ class _Frame:
     the residue tables of the recursion.
 
     Every table and every series that enters one is held as integer
-    numerators over one denominator, a pair (d, numerators); each rational
-    ingredient is converted once per frame.
+    numerators over one denominator, a pair (d, numerators); each kernel
+    column is converted to that form once per frame.
     """
 
     def __init__(self, curve: FramedCurve, psi: PsiTable, window: int, sigma_kernel: int):
@@ -226,7 +228,7 @@ class _Frame:
         denominator."""
         out = self._at_q.get(n)
         if out is None:
-            den, nums = self.psi.integer_form(n)
+            den, nums = self.psi.shifted(n)
             out = self._at_q[n] = (den, Series.from_dict(nums, exact=True))
         return out
 

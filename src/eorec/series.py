@@ -11,9 +11,10 @@ report anything outside it; asking for an uncertified coefficient raises
 :class:`~eorec.errors.WindowError` so callers can widen their truncation
 instead of silently reading garbage.
 
-The coefficient ring is duck-typed: ``Fraction``, ``int`` and
-:class:`~eorec.laurent.MLaurent` all work, as long as the ring supports
-``+ - *`` among themselves and with ``Fraction`` scalars.  The literal ``0``
+The coefficient ring is duck-typed, as long as it supports ``+ - *``
+among its elements.  The engine uses ``int``, for the integer numerators
+below, and :class:`~eorec.laurent.MLaurent`, for the kernel's coefficients
+in the free-slot coordinate; ``Fraction`` works as well.  The literal ``0``
 is the zero of every such ring: it is what a coefficient outside the stored
 range reads as, what pads a window and what an empty sum starts from.
 
@@ -21,8 +22,7 @@ The functions at the end of the module carry a rational series as integer
 numerators over one denominator.  Sums, products, powers, the reciprocal,
 the primitive and substitution run on these pairs with the window rules of
 ``Series``, so the local frame at the ramification point is built over the
-integers; a caller forms one ``Fraction`` per coefficient where it needs a
-rational.
+integers from curve data that is kept in the same form.
 """
 
 from __future__ import annotations
@@ -196,16 +196,7 @@ class Series:
 #
 # A rational series is carried as a pair (d, t): integer coefficients t over
 # the denominator d, with t keeping the window of the series.  Products of
-# such pairs are integer convolutions; one ``Fraction`` is formed only where
-# a rational coefficient is needed.
-
-def integer_series(s: Series) -> tuple[int, Series]:
-    """(d, t) with s = t/d: t keeps s's window and has integer coefficients,
-    and d is the least common denominator of s's coefficients."""
-    den = math.lcm(*(c.denominator for c in s.coeffs))
-    return den, Series(s.start, [c.numerator * (den // c.denominator) for c in s.coeffs],
-                       exact=s.exact)
-
+# such pairs are integer convolutions.
 
 def integer_dict(values: dict) -> tuple[int, dict]:
     """(d, {k: v*d}): rational values as integers over their least common
@@ -310,10 +301,10 @@ def integer_primitive(a: tuple[int, Series]) -> tuple[int, Series]:
     return reduced(d * scale, Series(start, out, exact=t.exact))
 
 
-def integer_powers(s: Series) -> list:
+def integer_powers(s: tuple[int, Series]) -> list:
     """The list [1, s] of integer series over their denominators, which
     ``integer_power`` extends to [1, s, s^2, ...]."""
-    return [(1, Series.constant(1)), integer_series(s)]
+    return [(1, Series.constant(1)), s]
 
 
 def integer_power(pows: list, k: int) -> tuple[int, Series]:
@@ -324,11 +315,14 @@ def integer_power(pows: list, k: int) -> tuple[int, Series]:
     return pows[k]
 
 
-def substitute(poly: dict, pows: list, inv_pows: list | None = None) -> tuple[int, Series]:
-    """sum_e c_e x^e for the Laurent polynomial {e: c_e} over Q, from the
-    lists [1, x, x^2, ...] and [1, 1/x, 1/x^2, ...] of integer series over
-    their denominators (``integer_powers``), extended on demand; the sum
-    over its common denominator."""
+def substitute(poly: tuple[int, dict], pows: list,
+               inv_pows: list | None = None) -> tuple[int, Series]:
+    """sum_e c_e x^e for the Laurent polynomial (d, {e: c_e}), integer
+    numerators c_e over d, from the lists [1, x, x^2, ...] and
+    [1, 1/x, 1/x^2, ...] of integer series over their denominators
+    (``integer_powers``), extended on demand; the sum over its common
+    denominator."""
+    den, nums = poly
     terms = [(c, integer_power(pows, e) if e >= 0 else integer_power(inv_pows, -e))
-             for e, c in poly.items()]
-    return integer_sum([(c.denominator * d, t.scale(c.numerator)) for c, (d, t) in terms])
+             for e, c in nums.items()]
+    return integer_sum([(den * d, t.scale(c)) for c, (d, t) in terms])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .curve import conjugate_series
 from .errors import LogBranchError
@@ -25,10 +26,7 @@ from .psi import peel
 from .recursion import HARD_G_CAP, CorrStore, Conventions, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
 from .scalars import format_rational
-from .series import Series, integer_dict, integer_powers, substitute
-
-QZERO = Fraction(0)
-
+from .series import Series, integer_powers, lowest_terms, substitute
 
 @dataclass
 class CheckRecord:
@@ -201,13 +199,13 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
     # and s(s(z)) through z^20.  s(z) = z passes both, hence also s'(0) = -1.
     for store in stores:
         window = 20
-        s = conjugate_series(store.curve, window)
-        s_pows = integer_powers(s)
-        X = store.curve.x_shifted()
-        den, x_of_s = substitute(X.coeff_dict(), s_pows)
-        den_s, s_of_s = substitute(s.coeff_dict(), s_pows)
-        ok = (s.coeff(1) == -1
-              and not any((x_of_s - X.scale(den)).coeffs)
+        s_pows = integer_powers(conjugate_series(store.curve, window))
+        sd, s = s_pows[1]
+        xd, X = store.curve.x_shifted()
+        den, x_of_s = substitute((xd, X.coeff_dict()), s_pows)
+        den_s, s_of_s = substitute((sd, s.coeff_dict()), s_pows)
+        ok = (s.coeff(1) == -sd
+              and not any((x_of_s.scale(xd) - X.scale(den)).coeffs)
               and not any((s_of_s - Series.monomial(den_s, 1)).coeffs))
         add(CheckRecord(
             name="involution",
@@ -216,22 +214,26 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
             actual="holds" if ok else "violated",
             passed=ok))
 
-    # peel remainder: a dense combination in the basis must peel back
-    # exactly (the recursion asserts the same on every residue)
+    # peel remainder: the dense combination sum_n (3n+2)/(n+5) psihat_n,
+    # n = 0..5, over one denominator must peel back exactly (the recursion
+    # asserts the same on every residue)
+    cden = lcm(*range(5, 11))
+    coeffs = lowest_terms(cden, {n: (3 * n + 2) * (cden // (n + 5)) for n in range(6)})
     for store in stores:
-        coeffs = {n: Fraction(3 * n + 2, n + 5) for n in range(6)}
+        den = cden * lcm(*(store.psi.shifted(n)[0] for n in range(6)))
         combo: dict = {}
-        for n, c in coeffs.items():
-            for e, a in store.psi.shifted(n).items():
-                combo[e] = combo.get(e, QZERO) + c * a
-        den, nums = peel(integer_dict(combo), store.psi)
-        recovered = {n: Fraction(c, den) for n, c in nums.items()}
+        for n in range(6):
+            pden, psi = store.psi.shifted(n)
+            c = (3 * n + 2) * (den // ((n + 5) * pden))
+            for e, a in psi.items():
+                combo[e] = combo.get(e, 0) + c * a
+        ok = peel((den, combo), store.psi) == coeffs
         add(CheckRecord(
             name="peel-remainder",
             params={"f": store.f, "indices": "0..5"},
             expected="exact roundtrip with zero remainder",
-            actual="roundtrip exact" if recovered == coeffs else "mismatch",
-            passed=recovered == coeffs))
+            actual="roundtrip exact" if ok else "mismatch",
+            passed=ok))
 
     # truncation stability: recompute with a widened window
     for store in stores:

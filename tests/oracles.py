@@ -1,21 +1,25 @@
 """Exact reference routines that only the tests use: the reciprocal and
 the primitive of a series in ``Fraction`` arithmetic, the conversions
 between rational data and integer numerators over one denominator, the
-Taylor shift of a polynomial and polynomial interpolation, the
+Taylor shift of a polynomial and polynomial interpolation, x about the
+ramification point as a product of ``Fraction`` series, the
 integration-by-parts residue identity, log(1 + u) summed
 as a power series, the primitive theta built by series arithmetic, the
 involution solved by recomputing powers, the basis operator chain, the
 one-form difference and the kernel built in ``Fraction`` arithmetic, the
-residue tables of a frame built in ``Fraction`` arithmetic, and the basis
-shift recursion and peeling in ``Fraction`` arithmetic.  Polynomials are
-exact ``Series``."""
+residue tables of a frame built in ``Fraction`` arithmetic, the basis
+shift recursion and peeling in ``Fraction`` arithmetic, and the top
+lambda-word coefficient from products of ``Fraction`` series.  Polynomials
+are exact ``Series``."""
 
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Iterator, Sequence
 
 from eorec import FramedCurve, MLaurent, Series
 from eorec.errors import PeelError, WindowError
+from eorec.hodge import _rewrite_word
 from eorec.psi import peel
 from eorec.series import integer_dict
 
@@ -89,6 +93,20 @@ def as_fractions(pair: tuple[int, Series]) -> Series:
     """The rational series of integer numerators over one denominator."""
     den, t = pair
     return Series(t.start, [Fraction(c, den) for c in t.coeffs], exact=t.exact)
+
+
+def fraction_dict(pair: tuple[int, dict]) -> dict:
+    """The rational values of integer numerators over one denominator."""
+    den, nums = pair
+    return {k: Fraction(c, den) for k, c in nums.items()}
+
+
+def integer_series(s: Series) -> tuple[int, Series]:
+    """(d, t) with s = t/d: t keeps s's window and has integer coefficients,
+    and d is the least common denominator of s's coefficients."""
+    den = lcm(*(c.denominator for c in s.coeffs))
+    return den, Series(s.start, [c.numerator * (den // c.denominator) for c in s.coeffs],
+                       exact=s.exact)
 
 
 def peel_fractions(slices: dict, table) -> dict:
@@ -198,7 +216,7 @@ def peel_by_fractions(slices: dict, table) -> dict:
         if k % 2:
             raise PeelError(f"odd leading exponent {k} is outside the basis span")
         n = (-k - 2) // 2
-        basis = table.shifted(n)
+        basis = fraction_dict(table.shifted(n))
         q = work[k] * (QONE / basis[k])
         out[n] = q
         for e, a in basis.items():
@@ -227,10 +245,20 @@ def theta_by_series(curve: FramedCurve, window: int) -> tuple[Series, Series]:
     return antiderive(pre * log_tail), antiderive(pre)
 
 
+def x_shifted_by_products(curve: FramedCurve) -> Series:
+    """x(y* + z) = -(y* + z)^f (1 + y* + z) as a product of ``Fraction``
+    series."""
+    y = Series(0, [curve.y_star, QONE], exact=True)
+    x = y + Series.constant(QONE)
+    for _ in range(curve.f):
+        x = x * y
+    return -x
+
+
 def conjugate_series_by_powers(curve: FramedCurve, window: int) -> Series:
     """The involution s(z) solved order by order, recomputing every power of
     the current truncation of s at each order: O(f window^3) products."""
-    X = curve.x_shifted()
+    X = x_shifted_by_products(curve)
     X2 = X.coeff(2)
     xs = [X.coeff(k) for k in range(window + 2)]
     s = [Fraction(0), Fraction(-1)]
@@ -270,7 +298,7 @@ def omega_diff_by_log1p(curve: FramedCurve, window: int, s: Series) -> Series:
     y_star = Series.constant(curve.y_star)
     z = Series(1, [QONE], exact=True)
     log_ratio = series_log1p((z - s) * invert(y_star + s))
-    X = curve.x_shifted()
+    X = x_shifted_by_products(curve)
     return log_ratio * X.derive() * invert(X, order=window)
 
 
@@ -326,20 +354,21 @@ class FractionTables:
     def __init__(self, frame):
         self.frame = frame
         self.psi = frame.psi
+        self.s = as_fractions(frame.s)
         self.inv_s_pows = [Series.constant(QONE)]
         self.columns: dict = {}
 
     def at_q(self, n: int) -> Series:
-        return Series.from_dict(self.psi.shifted(n))
+        return Series.from_dict(fraction_dict(self.psi.shifted(n)))
 
     def at_qbar(self, n: int) -> Series:
         pows = self.inv_s_pows
         acc = Series(0, [], exact=True)
-        for e, c in self.psi.shifted(n).items():
+        for e, c in fraction_dict(self.psi.shifted(n)).items():
             while len(pows) <= -e:
-                pows.append(pows[-1] * invert(self.frame.s))
+                pows.append(pows[-1] * invert(self.s))
             acc = acc + pows[-e].scale(c)
-        return acc * self.frame.s.derive()
+        return acc * self.s.derive()
 
     def residue(self, principal: dict) -> dict:
         out: dict = {}
@@ -370,7 +399,7 @@ class FractionTables:
     def e_mirror(self, b: int) -> dict:
         """The q-leg of index b against B(q-bar,p), the same sum with s(z)
         for z."""
-        at_q, s = self.at_q(b), self.frame.s
+        at_q, s = self.at_q(b), self.s
         s_pows = [s]
         for _ in range(2 * b + 2):
             s_pows.append(s_pows[-1] * s)
@@ -392,6 +421,30 @@ class FractionTables:
 
     def w03(self) -> dict:
         leg = peel_fractions({-2: QONE}, self.psi)
-        free = self.residue({0: self.frame.s.derive().coeff(0)})
+        free = self.residue({0: self.s.derive().coeff(0)})
         return {(n, m1, m2): c * x * y for n, c in free.items()
                 for m1, x in leg.items() for m2, y in leg.items()}
+
+
+def lambda_top_coefficient_by_series(g: int) -> Series:
+    """The top lambda-word coefficient of ``lambda_top_coefficient``, each
+    word's factor a product of ``Fraction`` series: (-1)^d t^(g-d) for l_d
+    inside L(t), at t = 1, -f-1 and f."""
+    t_vals = [Series.constant(QONE), Series(0, [-QONE, -QONE], exact=True),
+              Series.monomial(QONE, 1)]
+    total = Series(0, [], exact=True)
+    target = 3 * g - 3
+    lo = max(0, g - 3)
+    for i in range(lo, g + 1):
+        for j in range(lo, g + 1):
+            k = target - i - j
+            if k < lo or k > g:
+                continue
+            coeff = Series.constant(QONE)
+            for t, d in zip(t_vals, (i, j, k)):
+                factor = Series.constant(QONE)
+                for _ in range(g - d):
+                    factor = factor * t
+                coeff = coeff * (factor if d % 2 == 0 else -factor)
+            total = total + coeff.scale(_rewrite_word(tuple(sorted((i, j, k), reverse=True)), g))
+    return total

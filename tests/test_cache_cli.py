@@ -187,6 +187,23 @@ def _bad_rational(blob):
     blob["terms"][0]["c"] = "x/y"
 
 
+def _set(*path_and_value):
+    """An edit that puts the value at the path of keys and list positions."""
+    *path, key, value = path_and_value
+
+    def edit(blob):
+        for step in path:
+            blob = blob[step]
+        blob[key] = value
+
+    return edit
+
+
+CORR = "corr_f1_g1_h1_k-1_p1.json"
+STALE_CORR = f"eorec: stale or corrupt cache file {CORR}, recomputing"
+STALE_CONV = "eorec: stale calibration record, recalibrating"
+
+
 #: a field edit that leaves a record checksummed but unparsable -> (file, warning)
 MALFORMED = {
     "sigma_kernel-2": (_bad_sign, "conventions.json",
@@ -198,6 +215,20 @@ MALFORMED = {
     "rational-x/y": (_bad_rational, "corr_f1_g1_h1_k-1_p1.json",
                      "eorec: stale or corrupt cache file corr_f1_g1_h1_k-1_p1.json, "
                      "recomputing"),
+    # each of these was accepted, and echoed or crashed on, by the record
+    # check that compared values alone
+    "g-true": (_set("g", True), CORR, STALE_CORR),
+    "f-true": (_set("f", True), CORR, STALE_CORR),
+    "sigma_psirec-true-in-tensor": (_set("sigma_psirec", True), CORR, STALE_CORR),
+    "n-true": (_set("terms", 1, "n", [True]), CORR, STALE_CORR),
+    "n-float": (_set("terms", 0, "n", [0.0]), CORR, STALE_CORR),
+    "n-string": (_set("terms", 0, "n", ["0"]), CORR, STALE_CORR),
+    "n-negative": (_set("terms", 0, "n", [-2]), CORR, STALE_CORR),
+    "n-too-long": (_set("terms", 0, "n", [0, 0]), CORR, STALE_CORR),
+    "c-float": (_set("terms", 0, "c", 0.1), CORR, STALE_CORR),
+    "c-not-lowest-terms": (_set("terms", 0, "c", "2/16"), CORR, STALE_CORR),
+    "sigma_psirec-true": (_set("sigma_psirec", True), "conventions.json", STALE_CONV),
+    "epsilon-true": (_set("epsilon", True), "conventions.json", STALE_CONV),
 }
 
 

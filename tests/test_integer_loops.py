@@ -1,8 +1,10 @@
 """The integer-numerator versions of the series reciprocal and primitive,
-substitution into a series, the theta residue, the basis shift recursion
-and peeling agree with their ``Fraction`` oracles: values, windows and
-errors alike.  Building a frame and pairing theta do no ``Fraction``
-arithmetic beyond the kernel's closing scale."""
+substitution into a series, the theta residue, the basis shift recursion,
+peeling and the top lambda-word coefficient agree with their ``Fraction``
+oracles: values, windows and errors alike.  Building a frame and pairing
+theta do no ``Fraction`` arithmetic beyond the kernel's closing scale, and
+a basis table and the residue tables of a frame create no ``Fraction``
+outside the kernel."""
 
 import random
 from collections import Counter
@@ -11,18 +13,19 @@ from math import gcd
 
 import pytest
 
-from eorec import (FramedCurve, PsiTable, Series, conjugate_series, omega_diff_series,
-                   psi_table, residue_theta_psi, shift_step)
+from eorec import (FramedCurve, PsiTable, Series, conjugate_series, lambda_top_coefficient,
+                   omega_diff_series, psi_table, residue_theta_psi, shift_step)
 from eorec import hodge
 from eorec import recursion as rec_module
 from eorec import verify as verify_module
 from eorec.errors import PeelError, WindowError
 from eorec.psi import peel
 from eorec.recursion import Conventions, CorrStore, window_policy
-from eorec.series import (integer_inverse, integer_powers, integer_primitive, integer_series,
+from eorec.series import (integer_dict, integer_inverse, integer_powers, integer_primitive,
                           substitute)
 
-from oracles import (antiderive, as_fractions, invert, peel_by_fractions, peel_fractions,
+from oracles import (antiderive, as_fractions, fraction_dict, integer_series, invert,
+                     lambda_top_coefficient_by_series, peel_by_fractions, peel_fractions,
                      shift_step_by_fractions, theta_by_series)
 
 Q = Fraction
@@ -44,15 +47,16 @@ def test_substitute_matches_fraction_powers_on_random_laurent_polynomials(f):
     curve = FramedCurve(f)
     for window in range(4, 26):
         s = conjugate_series(curve, window)
-        pows, inv_pows = integer_powers(s), integer_powers(invert(s))
-        up, down = _fraction_powers(s, 8), _fraction_powers(invert(s), 8)
+        q = as_fractions(s)
+        pows, inv_pows = integer_powers(s), integer_powers(integer_series(invert(q)))
+        up, down = _fraction_powers(q, 8), _fraction_powers(invert(q), 8)
         for _ in range(6):
             poly = {e: Q(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
                     for e in rng.sample(range(-8, 9), rng.randint(1, 6))}
             want = Series(0, [], exact=True)
             for e, c in poly.items():
                 want = want + (up[e] if e >= 0 else down[-e]).scale(c)
-            den, got = substitute(poly, pows, inv_pows)
+            den, got = substitute(integer_dict(poly), pows, inv_pows)
             assert (got.start, [Q(c, den) for c in got.coeffs], got.window_end) == \
                 (want.start, list(want.coeffs), want.window_end), (window, poly)
 
@@ -82,14 +86,15 @@ def test_shift_step_matches_the_fraction_oracle(f):
         for n in range(1, 18):
             prev = table.shifted(n - 1)
             for sign in (1, -1):
-                assert shift_step(prev, f, sign) == shift_step_by_fractions(prev, f, sign)
+                assert fraction_dict(shift_step(prev, f, sign)) == \
+                    shift_step_by_fractions(fraction_dict(prev), f, sign)
             assert shift_step(prev, f, table.sign) == table.shifted(n)
 
 
 def _combination(table, coeffs):
     combo: dict = {}
     for n, c in coeffs.items():
-        for e, a in table.shifted(n).items():
+        for e, a in fraction_dict(table.shifted(n)).items():
             combo[e] = combo.get(e, Q(0)) + c * a
     return {e: v for e, v in combo.items() if v}
 
@@ -176,11 +181,11 @@ def test_integer_inverse_matches_the_fraction_reference_on_large_leads(f):
     """The frame's divisors at window 41, where y* + s, x and D have leads
     of up to a few hundred bits."""
     curve = FramedCurve(f)
-    s = conjugate_series(curve, 41)
+    s = as_fractions(conjugate_series(curve, 41))
     z = Series(1, [Q(1)], exact=True)
     y_star = Series.constant(curve.y_star)
-    X = curve.x_shifted()
-    D = as_fractions(omega_diff_series(curve, integer_powers(s)))
+    X = as_fractions(curve.x_shifted())
+    D = as_fractions(omega_diff_series(curve, integer_powers(integer_series(s))))
     for divisor, order in ((y_star + s, None), (X, 41), ((z - s) * (z - s), None), (D, None)):
         got = as_fractions(integer_inverse(integer_series(divisor), order))
         want = invert(divisor, order)
@@ -216,10 +221,18 @@ def test_theta_residue_matches_the_fraction_dot_product(f, monkeypatch):
     curve, table = FramedCurve(f), psi_table(f)
     rat, log = theta_by_series(curve, 2 * 20 + 1)
     for n in range(21):
-        psi = table.shifted(n)
+        psi = fraction_dict(table.shifted(n))
         want = -sum(c * rat.coeff(-1 - e) for e, c in psi.items())
         assert sum(c * log.coeff(-1 - e) for e, c in psi.items()) == 0
         assert residue_theta_psi(curve, n, table=table) == want, n
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_lambda_top_coefficient_matches_the_series_products(g):
+    """The binomial expansion over the integers against the product of
+    ``Fraction`` series, past the genera that ``verify`` checks."""
+    got, want = lambda_top_coefficient(g), lambda_top_coefficient_by_series(g)
+    assert got.coeff_dict() == want.coeff_dict() == ({1: 1, 2: 1} if g % 2 else {1: -1, 2: -1})
 
 
 _FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
@@ -229,7 +242,10 @@ _FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
 def test_frames_and_theta_pairing_do_no_fraction_arithmetic(monkeypatch):
     """A frame at window 21 for f = 1..3 calls ``Fraction`` + - * / only in
     the kernel's closing sigma/2 scale, twice per kernel entry (a product
-    and a sum), and pairing theta for n = 0..8 not at all."""
+    and a sum), and pairing theta for n = 0..8 not at all.  For f = 1..4, a
+    fresh basis table, a frame at window 21 and its R[a,b] (a <= b <= 4),
+    E[b] (b <= 4), D and W03 tables create no ``Fraction`` outside the
+    kernel."""
     stores = [CorrStore(f, Conventions(sigma_kernel=-1, sigma_psirec=1)) for f in (1, 2, 3)]
     monkeypatch.setattr(hodge, "_THETA", {})
     calls = Counter()
@@ -250,3 +266,36 @@ def test_frames_and_theta_pairing_do_no_fraction_arithmetic(monkeypatch):
             residue_theta_psi(store.curve, n, table=store.psi)
     assert entries and frame_calls <= 2 * entries
     assert not calls
+    monkeypatch.undo()
+
+    in_kernel = []
+    real_kernel = rec_module.recursion_kernel
+
+    def kernel(*args):
+        in_kernel.append(True)
+        try:
+            return real_kernel(*args)
+        finally:
+            in_kernel.pop()
+
+    created = Counter()
+    real_new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        if not in_kernel:
+            created[f] += 1
+        return real_new(cls, *args, **kwargs)
+
+    curves = {f: FramedCurve(f) for f in range(1, 5)}
+    monkeypatch.setattr(rec_module, "recursion_kernel", kernel)
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    for f, curve in curves.items():
+        frame = rec_module._Frame(curve, PsiTable(f), 21, -1)
+        for b in range(5):
+            for a in range(b + 1):
+                frame.r_table(a, b)
+            frame.e_table(b)
+        frame.d_table()
+        frame.w03_table()
+    monkeypatch.undo()
+    assert not created, dict(created)

@@ -1,27 +1,34 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eorec import PsiTable, Series, psi_form, psi_table, shift_step
+from eorec import PsiTable, Series, psi_table, shift_step
 from eorec import psi as psi_module
 from eorec.psi import peel
 from eorec.errors import CalibrationError, PeelError
 
-from oracles import (lagrange_interpolate, operator_forms_by_taylor_shift, peel_by_fractions,
-                     peel_fractions, taylor_shift)
+from oracles import (fraction_dict, lagrange_interpolate, operator_forms_by_taylor_shift,
+                     peel_by_fractions, peel_fractions, taylor_shift)
 
 Q = Fraction
 
 
-def _y_numerator(form, f):
+def _operator_form(n, f):
+    """psihat_n from a fresh operator chain."""
+    return next(islice(psi_module._operator_forms(f), n, None))
+
+
+def _y_numerator(n, f):
     """Numerator of psihat_n over lin^(2n+2), lin = f + (f+1) y, as {degree:
-    coefficient}, read back from the z-form: at z = y + f/(1+f) the linear
-    factor is (1+f) z."""
-    top = 2 * form.n + 2
-    assert set(form.scalar_z) <= set(range(-top, -1))
-    z_num = Series(0, [Q(form.scalar_z.get(i - top, 0)) for i in range(top - 1)], exact=True)
+    coefficient}, read back from the z-form of the operator chain: at
+    z = y + f/(1+f) the linear factor is (1+f) z."""
+    top = 2 * n + 2
+    form = fraction_dict(_operator_form(n, f))
+    assert set(form) <= set(range(-top, -1))
+    z_num = Series(0, [Q(form.get(i - top, 0)) for i in range(top - 1)], exact=True)
     return taylor_shift(z_num, Q(f, f + 1)).scale((1 + f) ** top).coeff_dict()
 
 
@@ -29,7 +36,7 @@ class TestOperatorDefinition:
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_index_zero_matches_display(self, f):
         # psihat_0 = -1 / (f + (f+1) y)^2
-        assert _y_numerator(psi_form(0, f), f) == {0: -1}
+        assert _y_numerator(0, f) == {0: -1}
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_index_one_matches_display(self, f):
@@ -37,18 +44,19 @@ class TestOperatorDefinition:
         lin = Series(0, [f, f + 1], exact=True)
         yy1 = Series(1, [1, 1], exact=True)  # y (y + 1)
         num = yy1.scale(3 * (1 + f)) - Series(0, [1, 2], exact=True) * lin
-        assert _y_numerator(psi_form(1, f), f) == num.coeff_dict()
+        assert _y_numerator(1, f) == num.coeff_dict()
 
     def test_shifted_forms_framing_one(self):
         t = psi_table(1)
-        assert t.shifted(0) == {-2: Q(-1, 4)}
-        assert t.shifted(1) == {-2: Q(1, 8), -4: Q(-3, 32)}
-        assert t.shifted(2) == {-2: Q(-1, 16), -4: Q(3, 16), -6: Q(-15, 256)}
+        # -1/4; 1/8 - 3/32; -1/16 + 3/16 - 15/256, each in lowest terms
+        assert t.shifted(0) == (4, {-2: -1})
+        assert t.shifted(1) == (32, {-2: 4, -4: -3})
+        assert t.shifted(2) == (256, {-2: -16, -4: 48, -6: -15})
 
     def test_shifted_base_is_squared_pole(self):
         # -1/((1+f) z)^2, not a simple pole
         for f in (1, 2, 3):
-            assert psi_table(f).shifted(0) == {-2: Q(-1, (1 + f) ** 2)}
+            assert psi_table(f).shifted(0) == ((1 + f) ** 2, {-2: -1})
 
 
 class TestShiftRecursion:
@@ -57,17 +65,19 @@ class TestShiftRecursion:
             assert psi_table(f).sign == 1
 
     def test_single_step_framing_one(self):
-        out = shift_step({-2: Q(-1, 4)}, 1, 1)
-        assert out == {-2: Q(1, 8), -4: Q(-3, 32)}
+        out = shift_step((4, {-2: -1}), 1, 1)
+        assert out == (32, {-2: 4, -4: -3})
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_agrees_with_operator_to_ten(self, f):
         # through index 17; free-energy --g-max 6 reads up to index 16
         t = psi_table(f)
+        operator = psi_module._operator_forms(f)
+        next(operator)
         for n in range(1, 18):
             stepped = shift_step(t.shifted(n - 1), f, t.sign)
             assert stepped == t.shifted(n)
-            assert stepped == psi_form(n, f).scalar_z
+            assert stepped == next(operator)
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_disagreement_after_calibration_raises(self, f, monkeypatch):
@@ -75,10 +85,10 @@ class TestShiftRecursion:
         want = psi_table(f).shifted(2)
 
         def perturbed(prev, f, sign):
-            out = real(prev, f, sign)
-            if -min(prev) // 2 >= 3:  # stepping psihat_(m-1), lead -2m, to m
-                out[-2] = out.get(-2, 0) + 1
-            return out
+            den, out = real(prev, f, sign)
+            if -min(prev[1]) // 2 >= 3:  # stepping psihat_(m-1), lead -2m, to m
+                out[-2] = out.get(-2, 0) + den
+            return den, out
 
         monkeypatch.setattr(psi_module, "shift_step", perturbed)
         t = PsiTable(f)
@@ -90,8 +100,8 @@ class TestShiftRecursion:
         t = PsiTable(1, forced_sign=-1)
         ref = psi_table(1)
         for n in range(4):
-            want = {e: c * (-1) ** n for e, c in ref.shifted(n).items()}
-            assert t.shifted(n) == want
+            den, nums = ref.shifted(n)
+            assert t.shifted(n) == (den, {e: c * (-1) ** n for e, c in nums.items()})
 
     def test_forced_matching_sign_keeps_checks(self):
         t = PsiTable(2, forced_sign=1)
@@ -104,7 +114,7 @@ class TestShape:
     def test_exponent_range_and_lead(self, f):
         t = psi_table(f)
         for n in range(0, 13):
-            d = t.shifted(n)
+            _, d = t.shifted(n)
             assert min(d) == -(2 * n + 2)
             assert max(d) <= -2
             assert d[-(2 * n + 2)] != 0
@@ -113,7 +123,7 @@ class TestShape:
     def test_no_residue_term(self, f):
         t = psi_table(f)
         for n in range(0, 11):
-            assert -1 not in t.shifted(n)
+            assert -1 not in t.shifted(n)[1]
 
     def test_numerators_are_polynomial_in_framing(self):
         # a_i(f) := [z^(i - 2n - 2)] psihat_n * (1+f)^(3n+2) z^(2n+2) is a
@@ -122,7 +132,7 @@ class TestShape:
         # to clear the denominators (a_0 = -3f/(1+f) already at n = 1)
         for n in (1, 2, 3):
             samples = list(range(1, 2 * n + 5))
-            tables = {f: psi_table(f).shifted(n) for f in samples}
+            tables = {f: fraction_dict(psi_table(f).shifted(n)) for f in samples}
             for i in range(0, 2 * n + 1):
                 pts = []
                 for f in samples:
@@ -138,7 +148,7 @@ def test_operator_forms_match_taylor_shift_chain(f):
     """The integer operator chain gives the forms of the Fraction chain."""
     for n, got, want in zip(range(21), psi_module._operator_forms(f),
                             operator_forms_by_taylor_shift(f)):
-        assert got == want, n
+        assert fraction_dict(got) == want, n
 
 
 def test_check_shape_rejects_a_residue_term():
@@ -152,7 +162,7 @@ def test_check_shape_rejects_a_residue_term():
 class TestPeel:
     def test_identity_case(self):
         t = psi_table(1)
-        assert peel(t.integer_form(2), t) == (1, {2: 1})
+        assert peel(t.shifted(2), t) == (1, {2: 1})
 
     def test_known_combination(self):
         # peel of -(W(1,1) scalar) at f=1 recovers its coefficients
@@ -192,7 +202,7 @@ class TestPeel:
         # at the inner odd exponent -5: -10, -8 and -6 peel, then -5 is left
         combo = {}
         for n in range(5):
-            for e, a in t.shifted(n).items():
+            for e, a in fraction_dict(t.shifted(n)).items():
                 combo[e] = combo.get(e, Q(0)) + Q(n + 1, 3) * a
         combo[-5] = combo.get(-5, Q(0)) + 1
         with pytest.raises(PeelError, match=odd.format(-5)):
@@ -204,7 +214,7 @@ class TestPeel:
         coeffs = {n: Q(n * n + 1, n + 2) for n in range(0, 9)}
         combo = {}
         for n, c in coeffs.items():
-            for e, a in t.shifted(n).items():
+            for e, a in fraction_dict(t.shifted(n)).items():
                 combo[e] = combo.get(e, Q(0)) + c * a
         assert peel_fractions(combo, psi_table(f)) == coeffs
 
@@ -221,7 +231,7 @@ def test_peel_roundtrip_random(cs, f):
     coeffs = {n: c for n, c in enumerate(cs) if c}
     combo = {}
     for n, c in coeffs.items():
-        for e, a in t.shifted(n).items():
+        for e, a in fraction_dict(t.shifted(n)).items():
             combo[e] = combo.get(e, Q(0)) + c * a
     combo = {e: v for e, v in combo.items() if v}
     assert peel_fractions(combo, psi_table(f)) == coeffs

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from eorec import Series
 from eorec.errors import WindowError
-from eorec.series import integer_inverse, integer_primitive, integer_series
+from eorec.series import integer_inverse, integer_primitive
 
-from oracles import as_fractions, ibp_residue_check, series_log1p
+from oracles import as_fractions, ibp_residue_check, integer_series, series_log1p
 
 Q = Fraction
 
