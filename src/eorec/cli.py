@@ -5,7 +5,9 @@ rationals are serialized as decimal ``p/q`` strings; JSON output is
 canonical (sorted keys, newline-terminated) so identical configurations
 produce byte-identical output.  The default cache directory comes from the
 ``EOREC_CACHE_DIR`` environment variable; calibration runs automatically on
-first use of a cache directory and is persisted there.
+first use of a cache directory and is persisted there.  A cache path that
+cannot be made a directory, and a framing given twice, are rejected with
+exit status 2 before anything is calibrated or written.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ def _parse_framings(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("framings must be a comma list of integers")
     if not fs or any(f < 1 for f in fs):
         raise argparse.ArgumentTypeError("framings must be integers >= 1")
+    if len(set(fs)) < len(fs):
+        raise argparse.ArgumentTypeError("framings must not repeat")
     return fs
 
 
@@ -127,7 +131,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"eorec: {error}", file=sys.stderr)
         return 2
     cache_dir = args.cache_dir or default_cache_dir()
-    cache = CorrCache(cache_dir) if cache_dir else None
+    try:
+        cache = CorrCache(cache_dir) if cache_dir else None
+    except OSError as exc:
+        print(f"eorec: cannot use cache directory {cache_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     try:
         conv, epsilon, overridden = _resolve_conventions(args, cache)
         stores = build_stores(args.f, conventions=conv, cache=cache)

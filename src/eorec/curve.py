@@ -6,18 +6,17 @@ away from the punctures y = 0, -1.  All local data is expanded in the
 shifted coordinate z = y - y*:
 
 * the conjugate involution s(z) with x(y* + s(z)) = x(y* + z), s(0) = 0,
-  s'(0) = -1, found order by order on integer numerators and returned as
-  integer numerators over one denominator, like x(y* + z) itself;
+  s'(0) = -1, found order by order on integer numerators;
 * the one-form difference D(z) dz = omega(q) - omega(q_bar) where
   omega = log y dx/x, and the Bergman self-pairing B(q, q_bar), each
-  built from the integer powers of s and returned as integer numerators
-  over one denominator;
+  built from s;
 * the recursion kernel K(w; z), a z-series whose coefficients are Laurent
   polynomials in the free-slot coordinate w = y_p - y*, summed over the
   integers from the powers of s and 1/D, with one ``Fraction`` per entry.
 
-Every reciprocal, product and primitive on the way runs on integer
-numerators over one denominator (:mod:`eorec.series`).
+x(y* + z), s, D and B(q, q_bar) are integer series over a denominator
+(:class:`~eorec.series.Series`), so every reciprocal, product and
+primitive on the way runs on integer numerators.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ from math import gcd
 
 from .errors import WindowError
 from .laurent import MLaurent
-from .series import (Series, integer_inverse, integer_power, integer_primitive,
-                     integer_product, integer_sum, reduced)
+from .series import Series
 
 
 class FramedCurve:
@@ -52,19 +50,18 @@ class FramedCurve:
             P = [(P[i - 1] if i else 0) - root * (P[i] if i < len(P) else 0)
                  for i in range(len(P) + 1)]
         self.P = P
-        self._x = reduced(m ** m, Series(0, [-c * m ** k for k, c in enumerate(P)],
-                                         exact=True))
+        self._x = Series(0, [-c * m ** k for k, c in enumerate(P)], exact=True, den=m ** m)
         self.x_star = Fraction(-P[0], m ** m)
 
-    def x_shifted(self) -> tuple[int, Series]:
-        """x(y* + z) as an exact polynomial in z: integer numerators over one
-        denominator, in lowest terms."""
+    def x_shifted(self) -> Series:
+        """x(y* + z) as an exact polynomial in z, an integer series over its
+        denominator."""
         return self._x
 
 
-def conjugate_series(curve: FramedCurve, window: int) -> tuple[int, Series]:
-    """The local involution s(z) = -z + c2 z^2 + ... to the given window, as
-    integer numerators over one denominator, in lowest terms.
+def conjugate_series(curve: FramedCurve, window: int) -> Series:
+    """The local involution s(z) = -z + c2 z^2 + ... to the given window, an
+    integer series over its denominator.
 
     Solved order by order on the integers, in u = (1+f) z: there
     x(y* + z) = -P(u) / (1+f)^(f+1) with the integer polynomial ``curve.P``,
@@ -111,82 +108,75 @@ def conjugate_series(curve: FramedCurve, window: int) -> tuple[int, Series]:
             den *= grow
         sigma.append(top * grow // q)
         pows[0][n + 1] += 2 * sigma[1] * sigma[n]
-    return reduced(den, Series(1, [c * m ** k for k, c in enumerate(sigma[1:])]))
+    return Series(1, [c * m ** k for k, c in enumerate(sigma[1:])], den=den)
 
 
-def omega_diff_series(curve: FramedCurve, s_pows: list) -> tuple[int, Series]:
-    """Scalar D(z) with omega(q) - omega(q_bar) = D(z) dz, valuation 2, as
-    integer numerators over one denominator.
+def omega_diff_series(curve: FramedCurve, s: Series) -> Series:
+    """Scalar D(z) with omega(q) - omega(q_bar) = D(z) dz, valuation 2, an
+    integer series over its denominator.
 
     D = log((y* + z)/(y* + s(z))) * x'(z)/x(z) evaluated along y = y* + z,
-    from the integer powers ``s_pows`` of the involution s
-    (``integer_powers`` of ``conjugate_series``), whose window is the
+    from the involution s (``conjugate_series``), whose window is the
     window of the result.  The log of the ratio vanishes at z = 0, so it is
     the primitive with zero constant of 1/(y* + z) - s'(z)/(y* + s(z)), and
     no branch constant enters.  With m = 1+f, y* + z = (m z - f)/m.
     """
-    sd, s = s_pows[1]
     window = s.window_end
     if window < 4:
         raise ValueError("window must be at least 4")
     f = curve.f
     m = f + 1
-    # y* + s = (m s - f) / m over the denominator of s
-    y_of_s = (m * sd, s.scale(m) + Series.constant(-f * sd))
-    y_of_z = (m, Series(0, [-f, m], exact=True))
-    at_s = integer_product((sd, s.derive()), integer_inverse(y_of_s))
-    at_z = integer_inverse(y_of_z, order=window)
-    log_ratio = integer_primitive(integer_sum([at_z, (at_s[0], -at_s[1])]))
+    y_of_z = Series(0, [-f, m], exact=True, den=m)
+    y_of_s = s + Series(0, [-f], exact=True, den=m)
+    log_ratio = (y_of_z.invert(order=window) - s.derive() * y_of_s.invert()).primitive()
     X = curve.x_shifted()
-    D = integer_product(integer_product(log_ratio, (X[0], X[1].derive())),
-                        integer_inverse(X, order=window))
-    if D[1].eff_start() != 2:
+    D = log_ratio * X.derive() * X.invert(order=window)
+    if D.eff_start() != 2:
         raise WindowError("window too small to certify the valuation of the one-form difference")
     return D
 
 
-def bergman_self_pairing(s_pows: list) -> tuple[int, Series]:
-    """Scalar of B(q, q_bar) against dz^2, s'(z) / (z - s(z))^2, as integer
-    numerators over one denominator.
+def bergman_self_pairing(s: Series) -> Series:
+    """Scalar of B(q, q_bar) against dz^2, s'(z) / (z - s(z))^2, an integer
+    series over its denominator.
 
-    From the integer powers ``s_pows`` of the involution s
-    (``integer_powers`` of ``conjugate_series``), which a frame shares with
-    the kernel; the window of s bounds the result's.
-    (z - s)^2 = z^2 - 2 z s + s^2 takes s^2 from ``s_pows``.
+    From the involution s (``conjugate_series``), whose window bounds the
+    result's, with (z - s)^2 = z^2 - 2 z s + s^2.
     """
-    sd, s = s_pows[1]
-    gap = integer_sum([(1, Series.monomial(1, 2)), (sd, s.shift(1).scale(-2)),
-                       integer_power(s_pows, 2)])
-    return integer_product((sd, s.derive()), integer_inverse(gap))
+    gap = Series.monomial(1, 2) - s.shift(1).scale(2) + s * s
+    return s.derive() * gap.invert()
 
 
-def recursion_kernel(D: tuple[int, Series], s_pows: list, sign: int) -> Series:
+def recursion_kernel(D: Series, s: Series, sign: int) -> Series:
     """K(w; z) = sign * (1/2) [1/(w - s(z)) - 1/(w - z)] / D(z).
 
     Returned as a z-series with coefficients that are Laurent polynomials
     in the single variable w (poles only at w = 0); the lowest z-exponent
     is -1.  Since 1/(w - s) - 1/(w - z) = sum_k w^-(k+1) (s^k - z^k), the
     coefficient of w^-(k+1) in K_j is sign/2 [z^j] (s^k - z^k)/D.  Each is
-    summed over the integers, from the integer powers ``s_pows`` of the
-    involution s (``integer_powers``) and 1/D over one denominator (``D``
-    from ``omega_diff_series``), and formed as one ``Fraction``.  The
-    windows of s and D bound the window of the result.
+    summed over the integers, from the integer series s
+    (``conjugate_series``) and D (``omega_diff_series``), and formed as one
+    ``Fraction``.  The powers s^k are cut after the highest exponent read;
+    the windows of s and D bound the window of the result.
     """
-    den, inv_d = integer_inverse(D)  # 1/D starts at z^lo
+    inv_d = D.invert()  # 1/D starts at z^lo
     lo = inv_d.start
     # s - z starts at z^1: the window of (s - z) (1/D)
-    start, end = 1 + lo, min(s_pows[1][1].window_end + lo, inv_d.window_end + 1)
+    start, end = 1 + lo, min(s.window_end + lo, inv_d.window_end + 1)
+    top = end - lo  # the highest exponent of s^k read
     columns = [{} for _ in range(start, end + 1)]
-    for k in range(1, end - lo + 1):
-        d, power = integer_power(s_pows, k)
-        # d (s^k - z^k) at z^(k+i), i = 0 .. end-lo-k
-        diff = [power.coeff(k + i) for i in range(end - lo - k + 1)]
-        diff[0] -= d
+    power = Series.constant(1)
+    for k in range(1, top + 1):
+        power = power * s
+        power = Series(power.start, power.coeffs[:top + 1 - power.start], den=power.den)
+        # s^k - z^k at z^(k+i), i = 0 .. top-k, over the denominator of s^k
+        diff = [power.coeff(k + i) for i in range(top - k + 1)]
+        diff[0] -= power.den
         for j in range(k + lo, end + 1):
-            top = j - lo - k  # z^(k+i) meets z^(j-k-i) of 1/D, stored at top-i
-            c = sum(diff[i] * inv_d.coeffs[top - i] for i in range(top + 1))
+            t = j - lo - k  # z^(k+i) meets z^(j-k-i) of 1/D, stored at t-i
+            c = sum(diff[i] * inv_d.coeffs[t - i] for i in range(t + 1))
             if c:
-                columns[j - start][(-(k + 1),)] = Fraction(c, d * den)
+                columns[j - start][(-(k + 1),)] = Fraction(c, power.den * inv_d.den)
     acc = Series(start, [MLaurent(1, col) for col in columns])
     kernel = acc.scale(MLaurent.const(1, Fraction(sign, 2)))
     if kernel.eff_start() != -1:

@@ -1,7 +1,7 @@
 """Everything downstream of the correlators.
 
-* the primitive theta of omega = log y dx/x as two series, each held as
-  integer numerators over one denominator: its rational part and its
+* the primitive theta of omega = log y dx/x as two integer series over
+  their denominators: its rational part and its
   coefficient of the branch constant l of the log at the ramification
   point, which must cancel from every residue handed back to callers; each
   coefficient has a closed form, and one primitive per framing serves
@@ -29,17 +29,16 @@ from .errors import EorecError, LogBranchError
 from .psi import PsiTable, psi_table
 from .recursion import CorrDiff, CorrStore
 from .scalars import format_rational
-from .series import Series, reduced
+from .series import Series
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
-def theta_series(curve: FramedCurve, window: int) -> tuple[tuple[int, Series], tuple[int, Series]]:
+def theta_series(curve: FramedCurve, window: int) -> tuple[Series, Series]:
     """Local primitive of log y dx/x at the ramification point, valuation 2,
-    as the pair (rational part, coefficient of l) of series, each certified
-    up to exponent window + 2 and held as integer numerators over one
-    denominator.
+    as the pair (rational part, coefficient of l) of integer series over
+    their denominators, each certified up to exponent window + 2.
 
     Its differential is
         (1+f) z log(z - a) / ((z - a)(z + b)) dz,   a = f/(1+f), b = 1/(1+f),
@@ -71,17 +70,17 @@ def theta_series(curve: FramedCurve, window: int) -> tuple[tuple[int, Series], t
         rat.append(scale * (harmonic + alternating))
         log.append(-scale * (1 + (-1) ** (m - 1) * f ** m))
     den = f ** top * M
-    return reduced(den * L, Series(0, rat)), reduced(den, Series(0, log))
+    return Series(0, rat, den=den * L), Series(0, log, den=den)
 
 
 _THETA: dict[int, tuple] = {}  # framing -> widest primitive built so far
 
 
-def _theta(curve: FramedCurve, top: int) -> tuple[tuple[int, Series], tuple[int, Series]]:
+def _theta(curve: FramedCurve, top: int) -> tuple[Series, Series]:
     """A primitive certified at least up to exponent ``top``: the widest one
     built for this framing, or a new one of just the needed window."""
     got = _THETA.get(curve.f)
-    if got is None or got[0][1].window_end < top:
+    if got is None or got[0].window_end < top:
         got = _THETA[curve.f] = theta_series(curve, max(3, top - 2))
     return got
 
@@ -105,14 +104,15 @@ def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None)
     if table is None:
         table = psi_table(curve.f)
     pden, psi = table.shifted(n)
-    (rden, rat), (lden, log) = _theta(curve, 2 * n + 1)
-    rat, log = (-sum(c * part.coeff(-1 - e) for e, c in psi.items()) for part in (rat, log))
+    theta = _theta(curve, 2 * n + 1)
+    rat, log = (-sum(c * part.coeff(-1 - e) for e, c in psi.items()) for part in theta)
+    rden, lden = (pden * part.den for part in theta)
     if log:
-        value = f"{format_rational(Fraction(log, pden * lden))}*l"
+        value = f"{format_rational(Fraction(log, lden))}*l"
         if rat:
-            value = f"{format_rational(Fraction(rat, pden * rden))} + {value}"
+            value = f"{format_rational(Fraction(rat, rden))} + {value}"
         raise LogBranchError(f"branch symbol survives the index-{n} residue: {value}")
-    return Fraction(rat, pden * rden)
+    return Fraction(rat, rden)
 
 
 @dataclass(frozen=True)

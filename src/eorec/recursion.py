@@ -35,10 +35,11 @@ residue is then taken once per bracket entry: R[a,b] is read in one loop,
 however many terms share the entry.  A Bergman leg is not in the basis at
 q, so the D, W03 and E[b] terms go straight into the result.
 
-Tables and contraction run over the integers.  The basis forms and the
-involution s come as integer numerators over one denominator, so psihat_a
-at q and psihat_b(s) s' at q-bar are built in that form; each kernel column
-K_j, the one rational ingredient of a table, is converted to it once per
+Tables and contraction run over the integers.  The basis forms come as
+integer numerators over one denominator and the involution s as an integer
+series over its denominator, so psihat_a at q and psihat_b(s) s' at q-bar
+are integer series too; each kernel column K_j, the one rational ingredient
+of a table, is converted to numerators over one denominator once per
 frame.  A product of two legs is then an integer convolution and a residue
 an integer dot product; each table is kept as numerators over its least
 common denominator.  The contraction reads each lower tensor the same way and
@@ -71,8 +72,7 @@ from .curve import (FramedCurve, bergman_self_pairing, conjugate_series,
 from .errors import CalibrationError, NotRepresentableError
 from .psi import PsiTable, peel, psi_table
 from .reference import reference_correlators
-from .series import (Series, integer_dict, integer_inverse, integer_powers,
-                     integer_product, lowest_terms, substitute)
+from .series import Series, integer_dict, integer_powers, lowest_terms, substitute
 
 QZERO = Fraction(0)
 
@@ -198,48 +198,44 @@ class _Frame:
     """Prepared local data for one (curve, window); memoizes slot series and
     the residue tables of the recursion.
 
-    Every table and every series that enters one is held as integer
-    numerators over one denominator, a pair (d, numerators); each kernel
-    column is converted to that form once per frame.
+    Every series that enters a table is an integer series over its
+    denominator, and every table is held as integer numerators over one
+    denominator, a pair (d, numerators); each kernel column is converted to
+    that form once per frame.
     """
 
     def __init__(self, curve: FramedCurve, psi: PsiTable, window: int, sigma_kernel: int):
         self.curve = curve
         self.psi = psi
-        self.s = conjugate_series(curve, window)
-        # integer powers of s and of 1/s, shared by every piece of the frame
-        self._s_pows = integer_powers(self.s)
-        self.kernel = recursion_kernel(omega_diff_series(curve, self._s_pows),
-                                       self._s_pows, sigma_kernel)
-        self.b_self = bergman_self_pairing(self._s_pows)
-        sd, s = self._s_pows[1]
-        self._s_prime = (sd, s.derive())
-        self._inv_s_pows = [self._s_pows[0], integer_inverse(self._s_pows[1])]
-        self._at_q: dict[int, tuple[int, Series]] = {}
-        self._at_qbar: dict[int, tuple[int, Series]] = {}
+        self.s = s = conjugate_series(curve, window)
+        self.kernel = recursion_kernel(omega_diff_series(curve, s), s, sigma_kernel)
+        self.b_self = bergman_self_pairing(s)
+        self._s_prime = s.derive()
+        # powers of s and of 1/s for the substitution psihat_b(s)
+        self._s_pows = integer_powers(s)
+        self._inv_s_pows = integer_powers(s.invert())
+        self._at_q: dict[int, Series] = {}
+        self._at_qbar: dict[int, Series] = {}
         self._kernel_basis: dict[int, tuple[int, dict]] = {}
         self._r: dict[tuple[int, int], tuple[int, dict]] = {}
         self._e: dict[int, tuple[int, dict]] = {}
         self._d: tuple[int, dict] | None = None
         self._w03: tuple[int, dict] | None = None
 
-    def psihat_at_q(self, n: int) -> tuple[int, Series]:
-        """psihat_n(z), the basis scalar with its leg at q, over one
-        denominator."""
+    def psihat_at_q(self, n: int) -> Series:
+        """psihat_n(z), the basis scalar with its leg at q."""
         out = self._at_q.get(n)
         if out is None:
             den, nums = self.psi.shifted(n)
-            out = self._at_q[n] = (den, Series.from_dict(nums, exact=True))
+            out = self._at_q[n] = Series.from_dict(nums, den=den)
         return out
 
-    def psihat_at_qbar(self, n: int) -> tuple[int, Series]:
-        """psihat_n(s(z)) s'(z), the basis scalar with its leg at q-bar, over
-        one denominator."""
+    def psihat_at_qbar(self, n: int) -> Series:
+        """psihat_n(s(z)) s'(z), the basis scalar with its leg at q-bar."""
         out = self._at_qbar.get(n)
         if out is None:
-            out = self._at_qbar[n] = integer_product(
-                substitute(self.psi.shifted(n), self._s_pows, self._inv_s_pows),
-                self._s_prime)
+            out = self._at_qbar[n] = substitute(
+                self.psihat_at_q(n), self._s_pows, self._inv_s_pows) * self._s_prime
         return out
 
     # -- residue tables ---------------------------------------------------
@@ -276,9 +272,9 @@ class _Frame:
             a, b = b, a
         out = self._r.get((a, b))
         if out is None:
-            (da, at_q), (db, at_qbar) = self.psihat_at_q(a), self.psihat_at_qbar(b)
+            at_q, at_qbar = self.psihat_at_q(a), self.psihat_at_qbar(b)
             out = self._r[(a, b)] = lowest_terms(
-                *self.residue(da * db, _principal(at_q, at_qbar)))
+                *self.residue(at_q.den * at_qbar.den, _principal(at_q, at_qbar)))
         return out
 
     def e_table(self, b: int) -> tuple[int, dict[tuple[int, int], int]]:
@@ -290,8 +286,8 @@ class _Frame:
         """
         out = self._e.get(b)
         if out is None:
-            den, at_qbar = self.psihat_at_qbar(b)
-            legs = [self.residue(den, _principal(Series.monomial(k + 1, k), at_qbar))
+            at_qbar = self.psihat_at_qbar(b)
+            legs = [self.residue(at_qbar.den, _principal(Series.monomial(k + 1, k), at_qbar))
                     for k in range(2 * b + 3)]
             lden = lcm(*(d for d, _ in legs))
             by_free: dict[int, dict] = {}
@@ -308,9 +304,9 @@ class _Frame:
     def d_table(self) -> tuple[int, dict[int, int]]:
         """D: the residue of the Bergman self-pairing B(q, q-bar)."""
         if self._d is None:
-            den, b = self.b_self  # a coefficient past its window raises WindowError
-            self._d = lowest_terms(*self.residue(den, {e: b.coeff(e)
-                                                       for e in range(b.start, 1)}))
+            b = self.b_self  # a coefficient past its window raises WindowError
+            self._d = lowest_terms(*self.residue(b.den, {e: b.coeff(e)
+                                                         for e in range(b.start, 1)}))
         return self._d
 
     def w03_table(self) -> tuple[int, dict[tuple[int, int, int], int]]:
@@ -318,8 +314,7 @@ class _Frame:
         u1^-2 s'(0) u2^-2 of their leading terms reaches the residue."""
         if self._w03 is None:
             dl, leg = peel((1, {-2: 1}), self.psi)
-            ds, s_prime = self._s_prime
-            df, free = self.residue(ds, {0: s_prime.coeff(0)})
+            df, free = self.residue(self._s_prime.den, {0: self._s_prime.coeff(0)})
             self._w03 = lowest_terms(df * dl * dl, {
                 (n, m1, m2): c * x * y for n, c in free.items()
                 for m1, x in leg.items() for m2, y in leg.items()})

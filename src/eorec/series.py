@@ -12,17 +12,20 @@ report anything outside it; asking for an uncertified coefficient raises
 instead of silently reading garbage.
 
 The coefficient ring is duck-typed, as long as it supports ``+ - *``
-among its elements.  The engine uses ``int``, for the integer numerators
-below, and :class:`~eorec.laurent.MLaurent`, for the kernel's coefficients
-in the free-slot coordinate; ``Fraction`` works as well.  The literal ``0``
-is the zero of every such ring: it is what a coefficient outside the stored
-range reads as, what pads a window and what an empty sum starts from.
+among its elements.  The engine uses ``int`` and
+:class:`~eorec.laurent.MLaurent`, for the kernel's coefficients in the
+free-slot coordinate; ``Fraction`` works as well.  The literal ``0`` is the
+zero of every such ring: it is what a coefficient outside the stored range
+reads as, what pads a window and what an empty sum starts from.
 
-The functions at the end of the module carry a rational series as integer
-numerators over one denominator.  Sums, products, powers, the reciprocal,
-the primitive and substitution run on these pairs with the window rules of
-``Series``, so the local frame at the ramification point is built over the
-integers from curve data that is kept in the same form.
+Over the integers a series also carries a denominator ``den`` (1 by
+default): it stands for its integer coefficients divided by ``den``, held
+in lowest terms with ``den > 0``.  Sums put both sides over the least
+common multiple of their denominators, products multiply them, and the
+reciprocal and the primitive run on the numerators, so the local frame at
+the ramification point is built over the integers from curve data kept in
+the same form.  A series with ``den = 1`` does no denominator work at all,
+whatever its ring.
 """
 
 from __future__ import annotations
@@ -35,16 +38,22 @@ INF = math.inf
 
 
 class Series:
-    __slots__ = ("start", "coeffs", "exact")
+    __slots__ = ("start", "coeffs", "exact", "den")
 
-    def __init__(self, start: int, coeffs, exact: bool = False):
+    def __init__(self, start: int, coeffs, exact: bool = False, den: int = 1):
         cs = list(coeffs)
         if exact:
             while cs and not cs[-1]:
                 cs.pop()
+        if den != 1:
+            g = math.gcd(den, *cs) if den > 0 else -math.gcd(den, *cs)
+            if g != 1:
+                den //= g
+                cs = [c // g for c in cs]
         self.start = start
         self.coeffs = tuple(cs)
         self.exact = exact
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
@@ -57,12 +66,12 @@ class Series:
         return Series(k, [c], exact=True)
 
     @staticmethod
-    def from_dict(d: dict, exact: bool = True) -> "Series":
+    def from_dict(d: dict, exact: bool = True, den: int = 1) -> "Series":
         """Series from an exponent->coefficient mapping (a Laurent polynomial)."""
         if not d:
             return Series(0, [], exact=exact)
         lo, hi = min(d), max(d)
-        return Series(lo, [d.get(k, 0) for k in range(lo, hi + 1)], exact=exact)
+        return Series(lo, [d.get(k, 0) for k in range(lo, hi + 1)], exact=exact, den=den)
 
     # -- window bookkeeping -------------------------------------------
 
@@ -94,7 +103,8 @@ class Series:
         return self.exact and not self.coeffs
 
     def coeff(self, k: int):
-        """Certified coefficient at exponent ``k``."""
+        """Certified coefficient at exponent ``k``: its numerator over
+        ``den``."""
         if k < self.start:
             return 0
         if k <= self._stored_end():
@@ -124,25 +134,28 @@ class Series:
             end = int(min(self.window_end, other.window_end))
             if end < start:
                 raise WindowError("sum has an empty certified window")
-        return Series(
-            start,
-            [self.coeff(k) + other.coeff(k) for k in range(start, end + 1)],
-            exact=exact,
-        )
+        den = self.den
+        if other.den == den:
+            coeffs = [self.coeff(k) + other.coeff(k) for k in range(start, end + 1)]
+        else:
+            den = math.lcm(den, other.den)
+            a, b = den // self.den, den // other.den
+            coeffs = [self.coeff(k) * a + other.coeff(k) * b for k in range(start, end + 1)]
+        return Series(start, coeffs, exact=exact, den=den)
 
     def __sub__(self, other: "Series") -> "Series":
         return self + (-other)
 
     def __neg__(self) -> "Series":
-        return Series(self.start, [-c for c in self.coeffs], exact=self.exact)
+        return Series(self.start, [-c for c in self.coeffs], exact=self.exact, den=self.den)
 
     def scale(self, c) -> "Series":
         """Multiply every coefficient by a ring element."""
-        return Series(self.start, [x * c for x in self.coeffs], exact=self.exact)
+        return Series(self.start, [x * c for x in self.coeffs], exact=self.exact, den=self.den)
 
     def shift(self, k: int) -> "Series":
         """Multiply by z**k."""
-        return Series(self.start + k, self.coeffs, exact=self.exact)
+        return Series(self.start + k, self.coeffs, exact=self.exact, den=self.den)
 
     def __mul__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
@@ -175,7 +188,54 @@ class Series:
                     continue
                 if k >= start:
                     out[k - start] = out[k - start] + a * b
-        return Series(start, out, exact=exact)
+        return Series(start, out, exact=exact, den=self.den * other.den)
+
+    def invert(self, order: int | None = None) -> "Series":
+        """The reciprocal of an integer series, known to the certified order.
+
+        ``order`` bounds the number of known coefficients past the leading
+        one; it is required when inverting an exact polynomial with more
+        than one term (the reciprocal is an infinite series).  With
+        t = lead z^v (1 + ...), the coefficients of 1/t follow from
+        w_k = -(sum_j t_(v+j) w_(k-j)) / lead.  They are integer numerators
+        over one running denominator, which grows by the least factor that
+        keeps a new coefficient integral; multiplying by powers of the lead
+        instead would carry a factor lead^k that the result mostly does not
+        need.
+        """
+        if self.is_known_zero():
+            raise ZeroDivisionError("inverse of the zero series")
+        v = self.eff_start()
+        end = self._stored_end()
+        if not self.exact and v > end:
+            raise WindowError("divisor has no certified nonzero coefficient")
+        lead = self.coeff(v)
+        if self.exact and end == v:
+            # monomial: exact inverse
+            return Series(-v, [self.den if lead > 0 else -self.den], exact=True, den=abs(lead))
+        if self.exact:
+            if order is None:
+                raise WindowError("inverting an exact polynomial needs an explicit order")
+            n = order
+        else:
+            n = end - v
+            if order is not None:
+                n = min(n, order)
+        tail = [(j, c) for j in range(1, min(n, end - v) + 1) if (c := self.coeff(v + j))]
+        den, w = abs(lead), [1 if lead > 0 else -1]  # 1/t = w/den
+        for k in range(1, n + 1):
+            c = 0
+            for j, x in tail:
+                if j > k:
+                    break
+                c += x * w[k - j]
+            if c % lead:
+                grow = abs(lead) // math.gcd(c, lead)
+                w = [x * grow for x in w]
+                den *= grow
+                c *= grow
+            w.append(-(c // lead))
+        return Series(-v, [self.den * x for x in w], den=den)
 
     # -- calculus ------------------------------------------------------
 
@@ -184,19 +244,32 @@ class Series:
         return Series(
             self.start - 1,
             [(self.start + i) * c for i, c in enumerate(self.coeffs)],
-            exact=self.exact,
+            exact=self.exact, den=self.den,
         )
+
+    def primitive(self) -> "Series":
+        """Termwise primitive, with zero integration constant, of an integer
+        series.
+
+        Requires the coefficient at exponent -1 to be certified zero, since
+        integrating it would leave the Laurent ring.
+        """
+        if self.coeff(-1):  # raises WindowError when -1 is not certified
+            raise WindowError("antiderivative obstructed by a nonzero z^-1 coefficient")
+        start = min(self.start + 1, 0)  # the zero constant at exponent 0 is known
+        terms = [(self.start + i + 1, c) for i, c in enumerate(self.coeffs) if c]
+        scale = math.lcm(*(e for e, _ in terms))  # over every exponent it divides by
+        out = [0] * (self._stored_end() + 2 - start)
+        for e, c in terms:
+            out[e - start] = c * (scale // e)
+        return Series(start, out, exact=self.exact, den=self.den * scale)
 
     def residue(self):
         """Certified coefficient of z**-1."""
         return self.coeff(-1)
 
 
-# -- integer series over one denominator -------------------------------------
-#
-# A rational series is carried as a pair (d, t): integer coefficients t over
-# the denominator d, with t keeping the window of the series.  Products of
-# such pairs are integer convolutions.
+# -- index tables and powers over the integers ---------------------------------
 
 def integer_dict(values: dict) -> tuple[int, dict]:
     """(d, {k: v*d}): rational values as integers over their least common
@@ -212,117 +285,29 @@ def lowest_terms(den: int, nums: dict) -> tuple[int, dict]:
     return den // g, {k: v // g for k, v in nums.items() if v}
 
 
-def reduced(den: int, t: Series) -> tuple[int, Series]:
-    """The integer series t over den in lowest terms."""
-    g = math.gcd(den, *t.coeffs)
-    return den // g, Series(t.start, [c // g for c in t.coeffs], exact=t.exact)
+def integer_powers(s: Series) -> list:
+    """The list [1, s] of integer series, which ``integer_power`` extends to
+    [1, s, s^2, ...]."""
+    return [Series.constant(1), s]
 
 
-def integer_sum(terms: list) -> tuple[int, Series]:
-    """The sum of integer series over their denominators, over the least
-    common multiple of the denominators."""
-    den = math.lcm(*(d for d, _ in terms))
-    acc = Series(0, [], exact=True)
-    for d, t in terms:
-        acc = acc + t.scale(den // d)
-    return den, acc
-
-
-def integer_product(a: tuple[int, Series], b: tuple[int, Series]) -> tuple[int, Series]:
-    """The product of two integer series over their denominators."""
-    return reduced(a[0] * b[0], a[1] * b[1])
-
-
-def integer_inverse(a: tuple[int, Series], order: int | None = None) -> tuple[int, Series]:
-    """The reciprocal of the integer series t over d, known to the certified
-    order, in lowest terms.
-
-    ``order`` bounds the number of known coefficients past the leading one;
-    it is required when inverting an exact polynomial with more than one term
-    (the reciprocal is an infinite series).  With t = lead z^v (1 + ...),
-    the coefficients of 1/t follow from w_k = -(sum_j t_(v+j) w_(k-j)) / lead.
-    They are integer numerators over one running denominator, which grows by
-    the least factor that keeps a new coefficient integral; multiplying by
-    powers of the lead instead would carry a factor lead^k that the result
-    mostly does not need.
-    """
-    d, t = a
-    if t.is_known_zero():
-        raise ZeroDivisionError("inverse of the zero series")
-    v = t.eff_start()
-    end = t._stored_end()
-    if not t.exact and v > end:
-        raise WindowError("divisor has no certified nonzero coefficient")
-    lead = t.coeff(v)
-    if t.exact and end == v:
-        # monomial: exact inverse
-        return reduced(abs(lead), Series(-v, [d if lead > 0 else -d], exact=True))
-    if t.exact:
-        if order is None:
-            raise WindowError("inverting an exact polynomial needs an explicit order")
-        n = order
-    else:
-        n = end - v
-        if order is not None:
-            n = min(n, order)
-    tail = [(j, c) for j in range(1, min(n, end - v) + 1) if (c := t.coeff(v + j))]
-    den, w = abs(lead), [1 if lead > 0 else -1]  # 1/t = w/den
-    for k in range(1, n + 1):
-        c = 0
-        for j, x in tail:
-            if j > k:
-                break
-            c += x * w[k - j]
-        if c % lead:
-            grow = abs(lead) // math.gcd(c, lead)
-            w = [x * grow for x in w]
-            den *= grow
-            c *= grow
-        w.append(-(c // lead))
-    return reduced(den, Series(-v, [d * x for x in w]))
-
-
-def integer_primitive(a: tuple[int, Series]) -> tuple[int, Series]:
-    """Termwise primitive with zero integration constant of the integer
-    series t over d, in lowest terms.
-
-    Requires the coefficient at exponent -1 to be certified zero, since
-    integrating it would leave the Laurent ring.
-    """
-    d, t = a
-    if t.coeff(-1):  # raises WindowError when -1 is not certified
-        raise WindowError("antiderivative obstructed by a nonzero z^-1 coefficient")
-    start = min(t.start + 1, 0)  # the zero constant at exponent 0 is known
-    terms = [(t.start + i + 1, c) for i, c in enumerate(t.coeffs) if c]
-    scale = math.lcm(*(e for e, _ in terms))  # over every exponent it divides by
-    out = [0] * (t._stored_end() + 2 - start)
-    for e, c in terms:
-        out[e - start] = c * (scale // e)
-    return reduced(d * scale, Series(start, out, exact=t.exact))
-
-
-def integer_powers(s: tuple[int, Series]) -> list:
-    """The list [1, s] of integer series over their denominators, which
-    ``integer_power`` extends to [1, s, s^2, ...]."""
-    return [(1, Series.constant(1)), s]
-
-
-def integer_power(pows: list, k: int) -> tuple[int, Series]:
-    """x^k from the list [1, x, x^2, ...] of integer series over their
-    denominators, extended on demand."""
+def integer_power(pows: list, k: int) -> Series:
+    """x^k from the list [1, x, x^2, ...] of integer series, extended on
+    demand."""
     while len(pows) <= k:
-        pows.append(integer_product(pows[-1], pows[1]))
+        pows.append(pows[-1] * pows[1])
     return pows[k]
 
 
-def substitute(poly: tuple[int, dict], pows: list,
-               inv_pows: list | None = None) -> tuple[int, Series]:
-    """sum_e c_e x^e for the Laurent polynomial (d, {e: c_e}), integer
-    numerators c_e over d, from the lists [1, x, x^2, ...] and
-    [1, 1/x, 1/x^2, ...] of integer series over their denominators
-    (``integer_powers``), extended on demand; the sum over its common
-    denominator."""
-    den, nums = poly
+def substitute(poly: Series, pows: list, inv_pows: list | None = None) -> Series:
+    """sum_e c_e x^e for the Laurent polynomial ``poly`` with coefficients
+    c_e, from the lists [1, x, x^2, ...] and [1, 1/x, 1/x^2, ...] of integer
+    series (``integer_powers``), extended on demand.  The terms are summed
+    over the least common multiple of their denominators."""
     terms = [(c, integer_power(pows, e) if e >= 0 else integer_power(inv_pows, -e))
-             for e, c in nums.items()]
-    return integer_sum([(den * d, t.scale(c)) for c, (d, t) in terms])
+             for e, c in poly.coeff_dict().items()]
+    den = math.lcm(*(t.den for _, t in terms))
+    acc = Series(0, [], exact=True)
+    for c, t in terms:
+        acc = acc + Series(t.start, t.coeffs, t.exact).scale(c * (den // t.den))
+    return Series(acc.start, acc.coeffs, acc.exact, den=poly.den * den)

@@ -3,8 +3,8 @@ the primitive of a series in ``Fraction`` arithmetic, the conversions
 between rational data and integer numerators over one denominator, the
 Taylor shift of a polynomial and polynomial interpolation, x about the
 ramification point as a product of ``Fraction`` series, the
-integration-by-parts residue identity, log(1 + u) summed
-as a power series, the primitive theta built by series arithmetic, the
+integration-by-parts residue identity, the outcome of a series operation
+(its window or its error), log(1 + u) summed as a power series, the primitive theta built by series arithmetic, the
 involution solved by recomputing powers, the basis operator chain, the
 one-form difference and the kernel built in ``Fraction`` arithmetic, the
 residue tables of a frame built in ``Fraction`` arithmetic, the basis
@@ -82,17 +82,24 @@ def antiderive(s: Series) -> Series:
         if k == -1 or not c:
             continue
         out[k + 1] = c * Fraction(1, k + 1)
-    if s.exact:
-        return Series.from_dict(out, exact=True)
     start = min(s.start + 1, 0)  # the zero constant at exponent 0 is known
     end = s.start + len(s.coeffs)
-    return Series(start, [out.get(k, 0) for k in range(start, end + 1)], exact=False)
+    return Series(start, [out.get(k, 0) for k in range(start, end + 1)], exact=s.exact)
 
 
-def as_fractions(pair: tuple[int, Series]) -> Series:
-    """The rational series of integer numerators over one denominator."""
-    den, t = pair
-    return Series(t.start, [Fraction(c, den) for c in t.coeffs], exact=t.exact)
+def series_outcome(fn):
+    """fn()'s series as (start, window_end, exact, coefficients), or the type
+    and message of its ``WindowError`` or ``ZeroDivisionError``."""
+    try:
+        out = fn()
+    except (WindowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return out.start, out.window_end, out.exact, list(out.coeffs)
+
+
+def as_fractions(t: Series) -> Series:
+    """The ``Fraction`` series of an integer series over its denominator."""
+    return Series(t.start, [Fraction(c, t.den) for c in t.coeffs], exact=t.exact)
 
 
 def fraction_dict(pair: tuple[int, dict]) -> dict:
@@ -101,12 +108,12 @@ def fraction_dict(pair: tuple[int, dict]) -> dict:
     return {k: Fraction(c, den) for k, c in nums.items()}
 
 
-def integer_series(s: Series) -> tuple[int, Series]:
-    """(d, t) with s = t/d: t keeps s's window and has integer coefficients,
-    and d is the least common denominator of s's coefficients."""
+def integer_series(s: Series) -> Series:
+    """The ``Fraction`` series s as an integer series over the least common
+    denominator of its coefficients, with s's window."""
     den = lcm(*(c.denominator for c in s.coeffs))
-    return den, Series(s.start, [c.numerator * (den // c.denominator) for c in s.coeffs],
-                       exact=s.exact)
+    return Series(s.start, [c.numerator * (den // c.denominator) for c in s.coeffs],
+                  exact=s.exact, den=den)
 
 
 def peel_fractions(slices: dict, table) -> dict:

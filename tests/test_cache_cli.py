@@ -368,6 +368,42 @@ class TestCli:
         assert exc.value.code == 2
         assert "unrecognized arguments: --window-margin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["flag", "env"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unusable_cache_directory_exits_cleanly(self, capsys, tmp_path, monkeypatch,
+                                                     where, below):
+        """A cache path that is a file, or lies under one, is reported before
+        anything is calibrated or written, with no traceback."""
+        blocker = tmp_path / "F"
+        blocker.write_text("not a directory")
+        path = str(blocker / "sub" if below else blocker)
+        argv = ["correlator", "--f", "1", "--g", "0", "--h", "3"]
+        if where == "flag":
+            argv += ["--cache-dir", path]
+        else:
+            monkeypatch.setenv("EOREC_CACHE_DIR", path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"eorec: cannot use cache directory {path}: ")
+        assert "Traceback" not in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["F"]
+        assert blocker.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("argv", [
+        "correlator --f 1,1 --g 0 --h 3",
+        "free-energy --f 1,2,1 --g-max 2",
+        "verify --f 2,2 --g-max 0",
+    ])
+    def test_repeated_framing_is_rejected(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split() + ["--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --f: framings must not repeat" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("EOREC_CACHE_DIR", str(tmp_path))
         assert main(["correlator", "--f", "1", "--g", "1", "--h", "1"]) == 0

@@ -75,12 +75,12 @@ class TestThetaSeries:
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_valuation_two(self, f):
-        (_, rat), (_, log) = theta_series(FramedCurve(f), 5)
+        rat, log = theta_series(FramedCurve(f), 5)
         assert min(rat.eff_start(), log.eff_start()) == 2
 
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_quadratic_coefficient_is_pure_symbol(self, f):
-        (_, rat), (_, log) = theta_series(FramedCurve(f), 5)
+        rat, log = theta_series(FramedCurve(f), 5)
         assert rat.coeff(2) == 0 and log.coeff(2) != 0
 
     @pytest.mark.parametrize("f", [1, 2, 3])
@@ -155,10 +155,10 @@ class TestResidueTable:
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_surviving_branch_symbol_raises(self, monkeypatch, n):
         curve = FramedCurve(1)
-        rat, (den, log) = theta_series(curve, 2 * n + 3)
+        rat, log = theta_series(curve, 2 * n + 3)
         coeffs = list(log.coeffs)
-        coeffs[2 * n + 1] += den  # one unit of l, meets the z^-(2n+2) lead
-        monkeypatch.setattr(hodge, "_THETA", {1: (rat, (den, Series(log.start, coeffs)))})
+        coeffs[2 * n + 1] += log.den  # one unit of l, meets the z^-(2n+2) lead
+        monkeypatch.setattr(hodge, "_THETA", {1: (rat, Series(log.start, coeffs, den=log.den))})
         with pytest.raises(LogBranchError, match=f"index-{n} residue"):
             residue_theta_psi(curve, n)
 

@@ -18,15 +18,14 @@ from eorec import (FramedCurve, PsiTable, Series, conjugate_series, lambda_top_c
 from eorec import hodge
 from eorec import recursion as rec_module
 from eorec import verify as verify_module
-from eorec.errors import PeelError, WindowError
+from eorec.errors import PeelError
 from eorec.psi import peel
 from eorec.recursion import Conventions, CorrStore, window_policy
-from eorec.series import (integer_dict, integer_inverse, integer_powers, integer_primitive,
-                          substitute)
+from eorec.series import integer_powers, substitute
 
 from oracles import (antiderive, as_fractions, fraction_dict, integer_series, invert,
                      lambda_top_coefficient_by_series, peel_by_fractions, peel_fractions,
-                     shift_step_by_fractions, theta_by_series)
+                     series_outcome, shift_step_by_fractions, theta_by_series)
 
 Q = Fraction
 
@@ -56,8 +55,8 @@ def test_substitute_matches_fraction_powers_on_random_laurent_polynomials(f):
             want = Series(0, [], exact=True)
             for e, c in poly.items():
                 want = want + (up[e] if e >= 0 else down[-e]).scale(c)
-            den, got = substitute(integer_dict(poly), pows, inv_pows)
-            assert (got.start, [Q(c, den) for c in got.coeffs], got.window_end) == \
+            got = as_fractions(substitute(integer_series(Series.from_dict(poly)), pows, inv_pows))
+            assert (got.start, list(got.coeffs), got.window_end) == \
                 (want.start, list(want.coeffs), want.window_end), (window, poly)
 
 
@@ -68,7 +67,7 @@ def test_the_involution_probes_are_certified_through_z20(stores, monkeypatch):
 
     def recorded(poly, pows, inv_pows=None):
         out = substitute(poly, pows, inv_pows)
-        results.append(out[1])
+        results.append(out)
         return out
 
     monkeypatch.setattr(verify_module, "substitute", recorded)
@@ -150,30 +149,22 @@ def test_peel_matches_the_oracle_on_every_column_of_a_frame(monkeypatch, f):
             peel_by_fractions(slices, store.psi)
 
 
-def _outcome(fn):
-    """fn()'s series as (start, window_end, coefficients), or its error."""
-    try:
-        out = fn()
-    except (WindowError, ZeroDivisionError) as exc:
-        return type(exc), str(exc)
-    return out.start, out.window_end, list(out.coeffs)
-
-
-def _random_integer_series(rng) -> tuple[int, Series]:
+def _random_integer_series(rng) -> Series:
     """A random series over a random denominator: a leading zero, an exact
     polynomial and a monomial all occur."""
     coeffs = [rng.choice([0, rng.randint(-40, 40)]) for _ in range(rng.randint(1, 9))]
-    return rng.randint(1, 60), Series(rng.randint(-3, 3), coeffs, exact=rng.random() < 0.3)
+    den = rng.randint(1, 60)
+    return Series(rng.randint(-3, 3), coeffs, exact=rng.random() < 0.3, den=den)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_integer_inverse_matches_the_fraction_reference_on_random_series(seed):
     rng = random.Random(7100 + seed)
     for _ in range(150):
-        den, t = _random_integer_series(rng)
+        t = _random_integer_series(rng)
         order = rng.choice([None, rng.randint(0, 14)])
-        assert _outcome(lambda: as_fractions(integer_inverse((den, t), order))) == \
-            _outcome(lambda: invert(as_fractions((den, t)), order)), (den, t.coeffs, order)
+        assert series_outcome(lambda: as_fractions(t.invert(order))) == \
+            series_outcome(lambda: invert(as_fractions(t), order)), (t.den, t.coeffs, order)
 
 
 @pytest.mark.parametrize("f", [3, 4])
@@ -185,9 +176,9 @@ def test_integer_inverse_matches_the_fraction_reference_on_large_leads(f):
     z = Series(1, [Q(1)], exact=True)
     y_star = Series.constant(curve.y_star)
     X = as_fractions(curve.x_shifted())
-    D = as_fractions(omega_diff_series(curve, integer_powers(integer_series(s))))
+    D = as_fractions(omega_diff_series(curve, integer_series(s)))
     for divisor, order in ((y_star + s, None), (X, 41), ((z - s) * (z - s), None), (D, None)):
-        got = as_fractions(integer_inverse(integer_series(divisor), order))
+        got = as_fractions(integer_series(divisor).invert(order))
         want = invert(divisor, order)
         assert (got.start, got.window_end, got.coeffs) == \
             (want.start, want.window_end, want.coeffs)
@@ -197,20 +188,9 @@ def test_integer_inverse_matches_the_fraction_reference_on_large_leads(f):
 def test_integer_primitive_matches_the_fraction_reference_on_random_series(seed):
     rng = random.Random(7200 + seed)
     for _ in range(150):
-        den, t = _random_integer_series(rng)
-        assert _outcome(lambda: as_fractions(integer_primitive((den, t)))) == \
-            _outcome(lambda: _reference_primitive(as_fractions((den, t)))), (den, t.coeffs)
-
-
-def _reference_primitive(s: Series) -> Series:
-    """``antiderive``, with an exact result read on the window the integer
-    primitive keeps: from min(start + 1, 0)."""
-    out = antiderive(s)
-    if not s.exact:
-        return out
-    start = min(s.start + 1, 0)
-    return Series(start, [out.coeff(k) for k in range(start, s.start + len(s.coeffs) + 1)],
-                  exact=True)
+        t = _random_integer_series(rng)
+        assert series_outcome(lambda: as_fractions(t.primitive())) == \
+            series_outcome(lambda: antiderive(as_fractions(t))), (t.den, t.coeffs)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])

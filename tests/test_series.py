@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from eorec import Series
 from eorec.errors import WindowError
-from eorec.series import integer_inverse, integer_primitive
 
-from oracles import as_fractions, ibp_residue_check, integer_series, series_log1p
+from oracles import (antiderive, as_fractions, ibp_residue_check, integer_series, invert,
+                     series_log1p, series_outcome)
 
 Q = Fraction
 
@@ -47,20 +48,19 @@ class TestBasics:
 class TestCalculus:
     def test_antiderive_log_obstruction(self):
         with pytest.raises(WindowError):
-            integer_primitive(integer_series(S({-1: 1, 0: 1})))
+            integer_series(S({-1: 1, 0: 1})).primitive()
 
     def test_antiderive_logext_oracle(self):
         # termwise primitive of the f=1 theta differential start, the
         # coefficient of the log branch constant and the rational part
-        log = as_fractions(integer_primitive(integer_series(S({1: -8}))))
-        rat = as_fractions(integer_primitive(integer_series(S({2: 16}))))
+        log = as_fractions(integer_series(S({1: -8})).primitive())
+        rat = as_fractions(integer_series(S({2: 16})).primitive())
         assert (log.coeff(2), rat.coeff(2)) == (-4, 0)
         assert (log.coeff(3), rat.coeff(3)) == (0, Q(16, 3))
 
     def test_derive_antiderive_roundtrip(self):
         a = S({2: 3, 5: Q(1, 7)})
-        den, t = integer_series(a)
-        back = as_fractions(integer_primitive((den, t.derive())))
+        back = as_fractions(integer_series(a).derive().primitive())
         assert back.coeff_dict() == a.coeff_dict()
 
 
@@ -113,23 +113,23 @@ class TestDivision:
     def test_geometric(self):
         one = S({0: 1})
         denom = S({0: 1, 1: -1})
-        inv = as_fractions(integer_inverse(integer_series(denom), order=5))
+        inv = as_fractions(integer_series(denom).invert(order=5))
         assert all(inv.coeff(k) == 1 for k in range(6))
         assert (one * inv).coeff(3) == 1
 
     def test_invert_requires_known_lead(self):
         a = Series(0, [0, 0], exact=False)
         with pytest.raises(WindowError):
-            integer_inverse((1, a))
+            a.invert()
 
     def test_monomial_exact_inverse(self):
-        den, inv = integer_inverse((1, Series.monomial(2, 3)))
-        assert (den, inv.coeff_dict(), inv.exact) == (2, {-3: 1}, True)
+        inv = Series.monomial(2, 3).invert()
+        assert (inv.den, inv.coeff_dict(), inv.exact) == (2, {-3: 1}, True)
 
     def test_division_tracks_windows(self):
         num = Series(2, [Q(1), Q(1), Q(1)], exact=False)
         den = Series(1, [2, 4], exact=False)
-        quot = num * as_fractions(integer_inverse((1, den)))
+        quot = num * as_fractions(den.invert())
         assert quot.start == 1
         assert quot.coeff(1) == Q(1, 2)
 
@@ -190,3 +190,49 @@ def test_mul_window_soundness(da, db, cut_a, cut_b):
         return
     for k in range(prod.start, prod._stored_end() + 1):
         assert prod.coeff(k) == exact.get(k, 0)
+
+
+# arithmetic over denominators: an integer series over its denominator gives
+# the same values, windows, exactness and errors as the ``Fraction`` series
+# of its values, and every result is in lowest terms
+integer_series_over_dens = st.builds(
+    lambda start, coeffs, exact, den: Series(start, coeffs, exact=exact, den=den),
+    st.integers(min_value=-3, max_value=3),
+    st.lists(st.one_of(st.just(0), st.integers(min_value=-40, max_value=40)), max_size=8),
+    st.booleans(),
+    st.integers(min_value=-60, max_value=60).filter(bool),
+)
+
+
+def _lowest(t: Series) -> Series:
+    """t as a ``Fraction`` series, after checking its denominator."""
+    assert t.den > 0 and (t.den == 1 or gcd(t.den, *t.coeffs) == 1), (t.den, t.coeffs)
+    return as_fractions(t)
+
+
+@given(integer_series_over_dens, integer_series_over_dens,
+       st.integers(min_value=-6, max_value=6), st.integers(min_value=-3, max_value=3),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=10)))
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_over_denominators_matches_fractions(a, b, c, k, order):
+    qa, qb = _lowest(a), _lowest(b)
+    cases = [
+        (lambda: a + b, lambda: qa + qb),
+        (lambda: a - b, lambda: qa - qb),
+        (lambda: a * b, lambda: qa * qb),
+        (lambda: a.scale(c), lambda: qa.scale(Q(c))),
+        (lambda: a.shift(k), lambda: qa.shift(k)),
+        (lambda: a.derive(), lambda: qa.derive()),
+        (lambda: a.invert(order), lambda: invert(qa, order)),
+        (lambda: a.primitive(), lambda: antiderive(qa)),
+    ]
+    for got, want in cases:
+        assert series_outcome(lambda: _lowest(got())) == series_outcome(want)
+
+
+def test_sum_over_coprime_denominators_uses_their_lcm():
+    a = Series(0, [1, 1], exact=True, den=4)
+    b = Series(0, [1], exact=True, den=6)
+    total = a + b
+    assert (total.den, total.coeffs) == (12, (5, 3))
+    assert (a - a).is_known_zero() and (a - a).den == 1
