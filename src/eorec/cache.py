@@ -8,9 +8,10 @@ boolean, sorted non-negative indices, a canonical ``p/q`` string), or a
 file that is not a UTF-8 JSON object with a checksum, triggers
 recomputation; stale files are never silently reused, and every rejection
 is a warning on the ``eorec`` logger.  The calibration record
-(``conventions.json``) persists the signs discovered on first use of a
-cache directory, plus the global energy sign once an energy run has
-established it.
+(``conventions.json``) holds the two signs calibrated on first use of a
+cache directory, and is written only then.  The energy sign is not part of
+it: a record that still carries an ``epsilon`` key loads with the key
+ignored.
 """
 
 from __future__ import annotations
@@ -174,25 +175,20 @@ class CorrCache:
     def _conv_path(self) -> Path:
         return self.dir / "conventions.json"
 
-    def load_conventions(self) -> tuple[Conventions, int | None] | None:
-        def build(blob: dict) -> tuple[Conventions, int | None]:
-            conv = Conventions(sigma_kernel=blob["sigma_kernel"],
+    def load_conventions(self) -> Conventions | None:
+        def build(blob: dict) -> Conventions:
+            return Conventions(sigma_kernel=blob["sigma_kernel"],
                                sigma_psirec=blob["sigma_psirec"])
-            epsilon = blob.get("epsilon")
-            if epsilon is not None and not (_ints(epsilon) and epsilon in (1, -1)):
-                raise ValueError("the energy sign must be +1, -1 or null")
-            return conv, epsilon
 
         return _read_record(self._conv_path(),
                             "eorec: unreadable calibration record, recalibrating",
                             "eorec: stale calibration record, recalibrating", build)
 
-    def store_conventions(self, conv: Conventions, epsilon: int | None) -> None:
+    def store_conventions(self, conv: Conventions) -> None:
         payload = {
             "format_version": FORMAT_VERSION,
             "sigma_kernel": conv.sigma_kernel,
             "sigma_psirec": conv.sigma_psirec,
-            "epsilon": epsilon,
         }
         payload["checksum"] = _checksum(payload)
         _write_atomic(self._conv_path(), _canonical(payload) + "\n")

@@ -5,9 +5,11 @@ rationals are serialized as decimal ``p/q`` strings; JSON output is
 canonical (sorted keys, newline-terminated) so identical configurations
 produce byte-identical output.  The default cache directory comes from the
 ``EOREC_CACHE_DIR`` environment variable; calibration runs automatically on
-first use of a cache directory and is persisted there.  A cache path that
-cannot be made a directory, and a framing given twice, are rejected with
-exit status 2 before anything is calibrated or written.
+first use of a cache directory and its two signs are persisted there, once.
+The energy sign is computed by ``free-energy`` and ``verify`` and printed
+by them alone; the other commands print it as null.  Indices out of range,
+a cache path that cannot be made a directory and a framing given twice are
+rejected with exit status 2 before anything is calibrated or written.
 """
 
 from __future__ import annotations
@@ -75,30 +77,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_conventions(args, cache: CorrCache | None) -> tuple[Conventions, int | None, bool]:
-    """Calibrated or persisted conventions, with audit overrides applied.
+def _resolve_conventions(args, cache: CorrCache | None) -> Conventions:
+    """Persisted or calibrated conventions, with audit overrides applied.
 
-    Returns (conventions, persisted epsilon, overridden flag); overridden
-    conventions are never written back to the cache record.
+    Signs calibrated into a cache directory are written to its record;
+    overridden signs never are.
     """
     ko, po = args.override_sign_kernel, args.override_sign_psirec
     if ko is not None and po is not None:
-        return Conventions(sigma_kernel=ko, sigma_psirec=po), None, True
-    persisted = cache.load_conventions() if cache else None
-    if persisted is not None:
-        conv, eps = persisted
-    else:
-        conv, eps = calibrate(args.f[0]), None
+        return Conventions(sigma_kernel=ko, sigma_psirec=po)
+    conv = cache.load_conventions() if cache else None
+    if conv is None:
+        conv = calibrate(args.f[0])
         if cache is not None:
-            cache.store_conventions(conv, eps)
-    if ko is not None or po is not None:
-        conv = Conventions(sigma_kernel=ko if ko is not None else conv.sigma_kernel,
-                           sigma_psirec=po if po is not None else conv.sigma_psirec)
-        return conv, None, True
-    return conv, eps, False
+            cache.store_conventions(conv)
+    return Conventions(sigma_kernel=conv.sigma_kernel if ko is None else ko,
+                       sigma_psirec=conv.sigma_psirec if po is None else po)
 
 
-def _conv_payload(conv: Conventions, epsilon: int | None) -> dict:
+def _conv_payload(conv: Conventions, epsilon: int | None = None) -> dict:
     return {"sigma_kernel": conv.sigma_kernel, "sigma_psirec": conv.sigma_psirec,
             "epsilon": epsilon}
 
@@ -109,11 +106,11 @@ def _emit(payload: dict) -> None:
 
 def _out_of_range(args) -> str | None:
     """Why the command rejects its indices, checked before anything is
-    calibrated or written; a bad ``--g-max`` exits at once."""
+    calibrated or written."""
     if args.command in ("free-energy", "verify"):
         minimum = 2 if args.command == "free-energy" else 0
         if not minimum <= args.g_max <= HARD_G_CAP:
-            raise SystemExit(f"eorec: --g-max must be between {minimum} and {HARD_G_CAP}")
+            return f"--g-max must be between {minimum} and {HARD_G_CAP}"
     elif args.command == "correlator":
         if args.g > HARD_G_CAP or 2 * args.g - 2 + args.h > 2 * HARD_G_CAP - 1:
             return (f"correlator indices beyond the desk-scale cap "
@@ -138,30 +135,25 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
-        conv, epsilon, overridden = _resolve_conventions(args, cache)
+        conv = _resolve_conventions(args, cache)
         stores = build_stores(args.f, conventions=conv, cache=cache)
     except EorecError as exc:
         print(f"eorec: {exc}", file=sys.stderr)
         return 2
 
-    if args.command == "correlator":
-        return _cmd_correlator(args, stores, conv, epsilon)
-    if args.command == "hodge":
-        return _cmd_hodge(args, stores, conv, epsilon)
-    if args.command == "free-energy":
-        return _cmd_free_energy(args, stores, conv, cache, overridden)
-    if args.command == "verify":
-        return _cmd_verify(args, stores, cache, overridden)
-    raise AssertionError("unreachable")
+    commands = {"correlator": _cmd_correlator, "hodge": _cmd_hodge,
+                "free-energy": _cmd_free_energy, "verify": _cmd_verify}
+    return commands[args.command](args, stores)
 
 
-def _cmd_correlator(args, stores, conv, epsilon) -> int:
+def _cmd_correlator(args, stores) -> int:
+    conv = stores[0].conventions
     results = []
     for store in stores:
         w = store.correlator(args.g, args.h)
         results.append({"f": store.f, "g": w.g, "h": w.h, "terms": terms_payload(w)})
     if args.output_format == "json":
-        _emit({"command": "correlator", "conventions": _conv_payload(conv, epsilon),
+        _emit({"command": "correlator", "conventions": _conv_payload(conv),
                "results": results})
     else:
         print(f"conventions: sigma_kernel={conv.sigma_kernel}, "
@@ -173,7 +165,8 @@ def _cmd_correlator(args, stores, conv, epsilon) -> int:
     return 0
 
 
-def _cmd_hodge(args, stores, conv, epsilon) -> int:
+def _cmd_hodge(args, stores) -> int:
+    conv = stores[0].conventions
     rows = []
     ratios = set()
     for store in stores:
@@ -189,7 +182,7 @@ def _cmd_hodge(args, stores, conv, epsilon) -> int:
             row["dilaton_sign"] = d.sign
         rows.append(row)
     payload = {"command": "hodge", "g": args.g,
-               "conventions": _conv_payload(conv, epsilon),
+               "conventions": _conv_payload(conv),
                "rows": rows, "framing_independent": len(ratios) == 1}
     if args.output_format == "json":
         _emit(payload)
@@ -208,10 +201,9 @@ def _cmd_hodge(args, stores, conv, epsilon) -> int:
     return 0
 
 
-def _cmd_free_energy(args, stores, conv, cache, overridden) -> int:
+def _cmd_free_energy(args, stores) -> int:
+    conv = stores[0].conventions
     rows, epsilon = energy_table(stores, list(range(2, args.g_max + 1)))
-    if cache is not None and not overridden and epsilon is not None:
-        cache.store_conventions(conv, epsilon)
     payload_rows = []
     all_ok = True
     for row in rows:
@@ -246,10 +238,8 @@ def _cmd_free_energy(args, stores, conv, cache, overridden) -> int:
     return 0 if all_ok else 1
 
 
-def _cmd_verify(args, stores, cache, overridden) -> int:
+def _cmd_verify(args, stores) -> int:
     report = run_verification(stores, g_max=args.g_max)
-    if cache is not None and not overridden and report.epsilon is not None:
-        cache.store_conventions(stores[0].conventions, report.epsilon)
     if args.output_format == "json":
         _emit({"command": "verify", **report.to_payload()})
     else:

@@ -14,7 +14,7 @@ class PeelError(EorecError):
 
 
 class LogBranchError(EorecError):
-    """The opaque log-branch symbol failed to cancel, or its degree cap was hit."""
+    """The opaque log-branch symbol failed to cancel from a theta residue."""
 
 
 class CalibrationError(EorecError):

@@ -96,17 +96,18 @@ def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None)
 
     psihat_n has exponents -(2n+2) .. -2 in z, so the residue is the dot
     product -sum_e psihat_n[e] theta_(-1-e) over theta_1 .. theta_(2n+1),
-    taken with both parts of theta on integer numerators
-    (``PsiTable.shifted``).  The coefficient of l must cancel exactly;
-    the rational part is returned as one ``Fraction``.
+    taken on the integer numerators of the basis series
+    (``PsiTable.shifted``) and of both parts of theta.  The coefficient of l
+    must cancel exactly; the rational part is returned as one ``Fraction``.
     Vanishes for n = 0 and n >= 2; magnitude 1/(f(1+f)) at n = 1.
     """
     if table is None:
         table = psi_table(curve.f)
-    pden, psi = table.shifted(n)
+    psi = table.shifted(n)
     theta = _theta(curve, 2 * n + 1)
-    rat, log = (-sum(c * part.coeff(-1 - e) for e, c in psi.items()) for part in theta)
-    rden, lden = (pden * part.den for part in theta)
+    rat, log = (-sum(c * part.coeff(-1 - e) for e, c in enumerate(psi.coeffs, psi.start) if c)
+                for part in theta)
+    rden, lden = (psi.den * part.den for part in theta)
     if log:
         value = f"{format_rational(Fraction(log, lden))}*l"
         if rat:

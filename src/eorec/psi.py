@@ -19,27 +19,28 @@ The chain runs on integer polynomials: with m = 1+f, p = m P and q = m Q
 satisfy q = p' lin - k m p and p_(n+1) = y(y+1) q from p_0 = 1.  In the
 shifted coordinate z = y + f/(1+f) the linear factor is m z, so psihat_n is
 one Taylor shift of q over m^(k+2) z^(k+1).  In u = m z that shift is by
-the integer -f, so it runs over the integers too, and psihat_n is kept as
-integer numerators over a power of m, in lowest terms.  The result is a
-Laurent polynomial with exponents in [-(2n+2), -2] and no residue term.
+the integer -f, so it runs over the integers too, and psihat_n is an exact
+``Series`` over a power of m, in lowest terms.  The result is a Laurent
+polynomial with exponents in [-(2n+2), -2] and no residue term.
 The same family satisfies a one-step shift recursion
 
     psihat_n(z) = sign * d/dz [ psihat_{n-1}(z) * B(z) ],
 
 whose global sign is calibrated against the operator definition rather than
 assumed; both constructions must agree for every index, which is enforced
-at table-extension time.  The step runs on integer numerators: with m = 1+f,
-m^2 (z - f/m)(z + 1/m) = m^2 z^2 + m(1-f) z - f.  Both constructions end in
-lowest terms (positive denominator, numerators without a common factor with
-it), which is canonical, so the cross-check compares the pairs directly.
+at table-extension time.  With m = 1+f, B is the exact series
+(m^2 z^2 + m(1-f) z - f) / (m^3 z), so a step is one series product.  Both
+constructions end in lowest terms with a nonzero lead at -(2n+2), which is
+canonical, so the cross-check compares start, numerators and denominator.
 
-Expansion of a Laurent object in this basis ("peeling") is triangular in
-the pole order: the leading exponent -(2n+2) identifies the index and the
-tail is eliminated fraction-free.  Input and output are integer numerators
-over one denominator: each step scales the remainder and the coefficients
-found so far by the basis lead (over their gcd) instead of dividing,
-against the basis form's integer numerators (``PsiTable.shifted``), and
-no ``Fraction`` is formed.
+Expansion of a Laurent polynomial in this basis ("peeling") is triangular
+in the pole order: the leading exponent -(2n+2) identifies the index and
+the tail is eliminated fraction-free.  The input is a series over its
+denominator and the output integer numerators over one denominator, keyed
+by basis index: each step scales the remainder and the coefficients found
+so far by the basis lead (over their gcd) instead of dividing, against the
+basis form's integer numerators (``PsiTable.shifted``), and no
+``Fraction`` is formed.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ from math import gcd
 from typing import Iterator
 
 from .errors import CalibrationError, PeelError
-from .series import lowest_terms
+from .series import Series, lowest_terms
 
 
-def _operator_forms(f: int) -> Iterator[tuple[int, dict]]:
+def _operator_forms(f: int) -> Iterator[Series]:
     """psihat_0, psihat_1, ... in z, from the operator definition.
 
     The chain runs on p = m P and q = m Q with m = 1+f, which stay integer
@@ -66,7 +67,7 @@ def _operator_forms(f: int) -> Iterator[tuple[int, dict]]:
             q[i - 1] += i * f * p[i]
             q[i] += i * m * p[i]
         out = _shifted_form(q, k, f)
-        _check_shape(out[1], n)
+        _check_shape(out, n)
         yield out
         p = [0] + q + [0]
         for i, c in enumerate(q):
@@ -74,9 +75,9 @@ def _operator_forms(f: int) -> Iterator[tuple[int, dict]]:
         k += 2
 
 
-def _shifted_form(q: list, k: int, f: int) -> tuple[int, dict]:
-    """psihat = q(y) / (m^(k+2) z^(k+1)) at y = z - f/m, m = 1+f, as
-    (den, {exponent: numerator}) in lowest terms.
+def _shifted_form(q: list, k: int, f: int) -> Series:
+    """psihat = q(y) / (m^(k+2) z^(k+1)) at y = z - f/m, m = 1+f, as an
+    exact series in lowest terms.
 
     In u = m z the shift is by the integer -f: with d = deg q and
     qt(v) = m^d q(v/m) = sum_j r_j (v+f)^j, q(z - f/m) = sum_j r_j m^(j-d) z^j.
@@ -87,38 +88,35 @@ def _shifted_form(q: list, k: int, f: int) -> tuple[int, dict]:
     for i in range(d):  # Taylor shift by -f, one synthetic division per degree
         for j in range(d - 1, i - 1, -1):
             r[j] -= f * r[j + 1]
-    return lowest_terms(m ** (d + k + 2), {j - k - 1: c * m ** j for j, c in enumerate(r)})
+    return Series(-k - 1, [c * m ** j for j, c in enumerate(r)], exact=True,
+                  den=m ** (d + k + 2))
 
 
-def _check_shape(nums: dict, n: int) -> None:
-    if not nums:
+def _check_shape(form: Series, n: int) -> None:
+    lo, hi = form.eff_start(), form.start + len(form.coeffs) - 1
+    if lo is None:
         raise ArithmeticError("basis scalar vanished")
-    lo, hi = min(nums), max(nums)
     if lo != -(2 * n + 2) or hi > -2:
         raise ArithmeticError(f"basis scalar has exponents [{lo}, {hi}], "
                               f"expected leading -(2n+2) = {-(2 * n + 2)} and top <= -2")
 
 
-def shift_step(prev: tuple[int, dict], f: int, sign: int) -> tuple[int, dict]:
-    """One application of the shift recursion to a shifted scalar, on its
-    integer numerators over den; the result over den m^3, in lowest terms."""
+def _same(a: Series, b: Series) -> bool:
+    """Equality of canonical basis forms: exact, in lowest terms, nonzero lead."""
+    return (a.start, a.coeffs, a.den) == (b.start, b.coeffs, b.den)
+
+
+def shift_step(prev: Series, f: int, sign: int) -> Series:
+    """One application of the shift recursion, sign d/dz [prev(z) B(z)],
+    to a shifted scalar; the result is in lowest terms."""
     m = f + 1
-    den, nums = prev
-    # B(z) = (z - f/m)(z + 1/m) / (m z), and m^2 (z - f/m)(z + 1/m) is:
-    quad = ((2, m * m), (1, m * (1 - f)), (0, -f))
-    prod: dict = {}
-    for e, c in nums.items():
-        for q, d in quad:
-            if d:
-                prod[e + q] = prod.get(e + q, 0) + c * d
-    # divide by m^3 z, then d/dz, then the calibrated sign
-    return lowest_terms(den * m ** 3, {e - 2: sign * (e - 1) * c
-                                       for e, c in prod.items() if e != 1})
+    B = Series(-1, [-f, m * (1 - f), m * m], exact=True, den=m ** 3)
+    return (prev * B.scale(sign)).derive()
 
 
 class PsiTable:
-    """Per-framing memo table of basis forms, each held as (den,
-    {exponent: numerator}) in lowest terms.
+    """Per-framing memo table of basis forms, each an exact ``Series`` in
+    lowest terms.
 
     The operator definition is normative; every extension step cross-checks
     the shift recursion under the single calibrated sign and aborts on
@@ -131,7 +129,7 @@ class PsiTable:
             raise ValueError("framing must be >= 1")
         self.f = f
         self._operator = _operator_forms(f)
-        self._forms: list[tuple[int, dict]] = [next(self._operator)]
+        self._forms: list[Series] = [next(self._operator)]
         first = next(self._operator)
         calibrated = self._calibrate(first)
         if forced_sign is None:
@@ -147,16 +145,16 @@ class PsiTable:
         if not self.forced:
             self._forms.append(first)
 
-    def _calibrate(self, first: tuple[int, dict]) -> int:
+    def _calibrate(self, first: Series) -> int:
         """The sign under which one shift step takes psihat_0 to ``first``,
         psihat_1 of the operator chain."""
         for sign in (1, -1):
-            if shift_step(self._forms[0], self.f, sign) == first:
+            if _same(shift_step(self._forms[0], self.f, sign), first):
                 return sign
         raise CalibrationError("shift recursion matches the operator definition "
                                "under neither sign")
 
-    def form(self, n: int) -> tuple[int, dict]:
+    def form(self, n: int) -> Series:
         """psihat_n, extending the table through index n; callers read it
         through ``shifted``, and the benchmark's tracer times both."""
         while len(self._forms) <= n:
@@ -164,16 +162,16 @@ class PsiTable:
             stepped = shift_step(self._forms[m - 1], self.f, self.sign)
             if self.forced:
                 # audit basis: shifted family from the recursion alone
-                _check_shape(stepped[1], m)
-            elif stepped != next(self._operator):
+                _check_shape(stepped, m)
+            elif not _same(stepped, next(self._operator)):
                 raise CalibrationError(
                     f"shift recursion disagrees with the operator definition at n={m}")
             self._forms.append(stepped)
         return self._forms[n]
 
-    def shifted(self, n: int) -> tuple[int, dict]:
-        """psihat_n(z) in the shifted coordinate, as (den, {exponent:
-        numerator}) in lowest terms."""
+    def shifted(self, n: int) -> Series:
+        """psihat_n(z) in the shifted coordinate, an exact series in lowest
+        terms."""
         return self.form(n)
 
 
@@ -188,16 +186,14 @@ def psi_table(f: int) -> PsiTable:
     return tab
 
 
-def peel(slices: tuple[int, dict], table: PsiTable) -> tuple[int, dict]:
-    """Expand exponent->coefficient data in the shifted basis.
+def peel(slices: Series, table: PsiTable) -> tuple[int, dict]:
+    """Expand an exact Laurent polynomial in the shifted basis.
 
-    ``slices`` is (den, {z-exponent: numerator}), rational coefficients as
-    integer numerators over one denominator.  Returns (d, {index:
-    numerator}) in lowest terms, with  input = sum (coeff[n] / d) * psihat_n.
+    Returns (d, {index: numerator}) in lowest terms, with
+    slices = sum (coeff[n] / d) * psihat_n.
     Raises :class:`PeelError` when the input is outside the span.
     """
-    den, work = slices
-    work = {e: c for e, c in work.items() if c}
+    den, work = slices.den, slices.coeff_dict()
     out: dict = {}
     while work:
         k = min(work)
@@ -206,8 +202,8 @@ def peel(slices: tuple[int, dict], table: PsiTable) -> tuple[int, dict]:
         if k % 2:
             raise PeelError(f"odd leading exponent {k} is outside the basis span")
         n = (-k - 2) // 2
-        bden, basis = table.shifted(n)
-        lead, top = basis[k], work[k]
+        basis = table.shifted(n)
+        lead, top = basis.coeffs[0], work[k]
         # the coefficient is top bden / (den lead); the remainder
         # work/den - (top/(den lead)) basis is kept over den (lead/g)
         g = gcd(lead, top)
@@ -217,13 +213,14 @@ def peel(slices: tuple[int, dict], table: PsiTable) -> tuple[int, dict]:
         den *= lead
         for i in out:
             out[i] *= lead
-        out[n] = top * bden
+        out[n] = top * basis.den
         for e in work:
             work[e] *= lead
-        for e, a in basis.items():
-            s = work.get(e, 0) - top * a
-            if s:
-                work[e] = s
-            else:
-                work.pop(e, None)
+        for e, a in enumerate(basis.coeffs, k):
+            if a:
+                s = work.get(e, 0) - top * a
+                if s:
+                    work[e] = s
+                else:
+                    work.pop(e, None)
     return lowest_terms(den, out)

@@ -35,16 +35,15 @@ residue is then taken once per bracket entry: R[a,b] is read in one loop,
 however many terms share the entry.  A Bergman leg is not in the basis at
 q, so the D, W03 and E[b] terms go straight into the result.
 
-Tables and contraction run over the integers.  The basis forms come as
-integer numerators over one denominator and the involution s as an integer
-series over its denominator, so psihat_a at q and psihat_b(s) s' at q-bar
-are integer series too; each kernel column K_j, the one rational ingredient
-of a table, is converted to numerators over one denominator once per
-frame.  A product of two legs is then an integer convolution and a residue
-an integer dot product; each table is kept as numerators over its least
-common denominator.  The contraction reads each lower tensor the same way and
-sums Python ints over one running common denominator, and each entry of
-W(g,h) is formed as one ``Fraction``.
+Tables and contraction run over the integers.  The basis forms and the
+involution s are integer series over their denominators, so psihat_a at q
+and psihat_b(s) s' at q-bar are integer series too; each kernel column K_j,
+the one rational ingredient of a table, is converted to one such series
+once per frame.  A product of two legs is then an integer convolution and a
+residue an integer dot product; each table, keyed by basis indices, is kept
+as numerators over its least common denominator.  The contraction reads
+each lower tensor the same way and sums Python ints over one running common
+denominator, and each entry of W(g,h) is formed as one ``Fraction``.
 
 The tables hold psihat itself at every basis leg, while Psi_n = -psihat_n
 dy.  The orientation signs of a term (one per fixed slot carried over from
@@ -155,22 +154,22 @@ def _merge(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], i
     return tail, weight
 
 
-def _principal(a: Series, b: Series) -> dict[int, int]:
-    """a * b at exponents <= 0, the only ones a kernel residue reads, for
-    series with integer coefficients."""
-    out: dict[int, int] = {}
+def _principal(a: Series, b: Series) -> Series:
+    """a * b known through z^0, the last exponent a kernel residue reads, for
+    integer series over their denominators."""
     sa, sb = a.eff_start(), b.eff_start()
     if sa is None or sb is None:
-        return out
-    for ea in range(sa, 1 - sb):
-        x = a.coeff(ea)
-        if not x:
-            continue
-        for eb in range(sb, 1 - ea):
-            y = b.coeff(eb)
-            if y:
-                out[ea + eb] = out.get(ea + eb, 0) + x * y
-    return out
+        return Series(0, [], exact=True)
+    n = 1 - sa - sb  # the exponents sa+sb .. 0
+    xs = [a.coeff(sa + i) for i in range(n)]
+    ys = [b.coeff(sb + j) for j in range(n)]
+    out = [0] * n
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys[:n - i]):
+                if y:
+                    out[i + j] += x * y
+    return Series(sa + sb, out, den=a.den * b.den)
 
 
 class _Sum:
@@ -199,9 +198,9 @@ class _Frame:
     the residue tables of the recursion.
 
     Every series that enters a table is an integer series over its
-    denominator, and every table is held as integer numerators over one
-    denominator, a pair (d, numerators); each kernel column is converted to
-    that form once per frame.
+    denominator, each kernel column is converted to one once per frame, and
+    every table is held as integer numerators over one denominator, a pair
+    (d, numerators) keyed by basis indices.
     """
 
     def __init__(self, curve: FramedCurve, psi: PsiTable, window: int, sigma_kernel: int):
@@ -214,7 +213,6 @@ class _Frame:
         # powers of s and of 1/s for the substitution psihat_b(s)
         self._s_pows = integer_powers(s)
         self._inv_s_pows = integer_powers(s.invert())
-        self._at_q: dict[int, Series] = {}
         self._at_qbar: dict[int, Series] = {}
         self._kernel_basis: dict[int, tuple[int, dict]] = {}
         self._r: dict[tuple[int, int], tuple[int, dict]] = {}
@@ -222,20 +220,12 @@ class _Frame:
         self._d: tuple[int, dict] | None = None
         self._w03: tuple[int, dict] | None = None
 
-    def psihat_at_q(self, n: int) -> Series:
-        """psihat_n(z), the basis scalar with its leg at q."""
-        out = self._at_q.get(n)
-        if out is None:
-            den, nums = self.psi.shifted(n)
-            out = self._at_q[n] = Series.from_dict(nums, den=den)
-        return out
-
     def psihat_at_qbar(self, n: int) -> Series:
         """psihat_n(s(z)) s'(z), the basis scalar with its leg at q-bar."""
         out = self._at_qbar.get(n)
         if out is None:
             out = self._at_qbar[n] = substitute(
-                self.psihat_at_q(n), self._s_pows, self._inv_s_pows) * self._s_prime
+                self.psi.shifted(n), self._s_pows, self._inv_s_pows) * self._s_prime
         return out
 
     # -- residue tables ---------------------------------------------------
@@ -246,22 +236,24 @@ class _Frame:
         out = self._kernel_basis.get(j)
         if out is None:
             coeff = self.kernel.coeff(j)  # WindowError past the certified window
-            out = self._kernel_basis[j] = peel(
-                integer_dict({key[0]: c for key, c in coeff.terms.items()}), self.psi)
+            den, nums = integer_dict({key[0]: c for key, c in coeff.terms.items()})
+            out = self._kernel_basis[j] = peel(Series.from_dict(nums, den=den), self.psi)
         return out
 
-    def residue(self, den: int, principal: dict[int, int]) -> tuple[int, dict[int, int]]:
-        """Res_z K(w;z) F(z) in the basis of w, from the numerators over den of
-        F's z^e coefficients, e <= 0: a dot product with the kernel columns.
+    def residue(self, F: Series) -> tuple[int, dict[int, int]]:
+        """Res_z K(w;z) F(z) in the basis of w, from the numerators of F's
+        z^e coefficients, e <= 0: a dot product with the kernel columns.
         The result is not in lowest terms."""
-        cols = [(c, self.kernel_basis(-1 - e)) for e, c in principal.items() if c]
+        F.coeff(0)  # raises WindowError unless F is known through z^0
+        cols = [(c, self.kernel_basis(-1 - e))
+                for e, c in enumerate(F.coeffs[:max(0, 1 - F.start)], F.start) if c]
         kden = lcm(*(d for _, (d, _) in cols))
         out: dict[int, int] = defaultdict(int)
         for c, (d, col) in cols:
             c *= kden // d
             for n, k in col.items():
                 out[n] += c * k
-        return den * kden, out
+        return F.den * kden, out
 
     def r_table(self, a: int, b: int) -> tuple[int, dict[int, int]]:
         """R[a,b]: the q-leg of index a against the q-bar leg of index b.
@@ -272,29 +264,28 @@ class _Frame:
             a, b = b, a
         out = self._r.get((a, b))
         if out is None:
-            at_q, at_qbar = self.psihat_at_q(a), self.psihat_at_qbar(b)
-            out = self._r[(a, b)] = lowest_terms(
-                *self.residue(at_q.den * at_qbar.den, _principal(at_q, at_qbar)))
+            out = self._r[(a, b)] = lowest_terms(*self.residue(
+                _principal(self.psi.shifted(a), self.psihat_at_qbar(b))))
         return out
 
     def e_table(self, b: int) -> tuple[int, dict[tuple[int, int], int]]:
         """E[b]: B(q,p) with the q-bar leg of index b, keyed (free index,
         index at p).
 
-        B(q,p) = sum_k u^-(k+2) d/dz z^(k+1), u the coordinate of p; only
-        k <= 2b+2 reaches the residue.
+        B(q,p) = sum_k u^-(k+2) d/dz z^(k+1) = sum_k (k+1) u^-(k+2) z^k, u the
+        coordinate of p; only k <= 2b+2 reaches the residue.
         """
         out = self._e.get(b)
         if out is None:
             at_qbar = self.psihat_at_qbar(b)
-            legs = [self.residue(at_qbar.den, _principal(Series.monomial(k + 1, k), at_qbar))
-                    for k in range(2 * b + 3)]
+            legs = [self.residue(at_qbar.shift(k)) for k in range(2 * b + 3)]
             lden = lcm(*(d for d, _ in legs))
             by_free: dict[int, dict] = {}
             for k, (d, res) in enumerate(legs):
                 for n, c in res.items():
-                    by_free.setdefault(n, {})[-(k + 2)] = c * (lden // d)
-            peeled = {n: peel((lden, poly), self.psi) for n, poly in by_free.items()}
+                    by_free.setdefault(n, {})[-(k + 2)] = (k + 1) * c * (lden // d)
+            peeled = {n: peel(Series.from_dict(poly, den=lden), self.psi)
+                      for n, poly in by_free.items()}
             eden = lcm(*(d for d, _ in peeled.values()))
             out = self._e[b] = lowest_terms(eden, {
                 (n, m): c * (eden // d) for n, (d, poly) in peeled.items()
@@ -304,17 +295,16 @@ class _Frame:
     def d_table(self) -> tuple[int, dict[int, int]]:
         """D: the residue of the Bergman self-pairing B(q, q-bar)."""
         if self._d is None:
-            b = self.b_self  # a coefficient past its window raises WindowError
-            self._d = lowest_terms(*self.residue(b.den, {e: b.coeff(e)
-                                                         for e in range(b.start, 1)}))
+            # a coefficient past its window raises WindowError
+            self._d = lowest_terms(*self.residue(self.b_self))
         return self._d
 
     def w03_table(self) -> tuple[int, dict[tuple[int, int, int], int]]:
         """B(q,p1) B(q-bar,p2): both legs start at z^0, so only the product
         u1^-2 s'(0) u2^-2 of their leading terms reaches the residue."""
         if self._w03 is None:
-            dl, leg = peel((1, {-2: 1}), self.psi)
-            df, free = self.residue(self._s_prime.den, {0: self._s_prime.coeff(0)})
+            dl, leg = peel(Series.monomial(1, -2), self.psi)
+            df, free = self.residue(self._s_prime)
             self._w03 = lowest_terms(df * dl * dl, {
                 (n, m1, m2): c * x * y for n, c in free.items()
                 for m1, x in leg.items() for m2, y in leg.items()})

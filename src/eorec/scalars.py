@@ -1,7 +1,8 @@
 """Exact rational coefficients: rendering and parsing.
 
-All engine arithmetic runs over ``fractions.Fraction`` (already canonical:
-reduced, positive denominator, 0/1 zero).
+Every printed or cached number is a ``fractions.Fraction`` (already
+canonical: reduced, positive denominator, 0/1 zero); the engine's inner
+loops run on integer numerators over a common denominator instead.
 """
 
 from __future__ import annotations

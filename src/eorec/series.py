@@ -24,8 +24,11 @@ in lowest terms with ``den > 0``.  Sums put both sides over the least
 common multiple of their denominators, products multiply them, and the
 reciprocal and the primitive run on the numerators, so the local frame at
 the ramification point is built over the integers from curve data kept in
-the same form.  A series with ``den = 1`` does no denominator work at all,
-whatever its ring.
+the same form.  Every Laurent polynomial or series in one variable is held
+this way, the pole basis and the residue integrands included; only data
+keyed by basis index is a (den, {index: numerator}) pair (``integer_dict``,
+``lowest_terms``).  A series with ``den = 1`` does no denominator work at
+all, whatever its ring.
 """
 
 from __future__ import annotations
@@ -269,7 +272,7 @@ class Series:
         return self.coeff(-1)
 
 
-# -- index tables and powers over the integers ---------------------------------
+# -- tables keyed by basis index, and powers over the integers -----------------
 
 def integer_dict(values: dict) -> tuple[int, dict]:
     """(d, {k: v*d}): rational values as integers over their least common

@@ -213,19 +213,14 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
             passed=ok))
 
     # peel remainder: the dense combination sum_n (3n+2)/(n+5) psihat_n,
-    # n = 0..5, over one denominator must peel back exactly (the recursion
-    # asserts the same on every residue)
+    # n = 0..5, must peel back exactly (the recursion asserts the same on
+    # every residue)
     cden = lcm(*range(5, 11))
     coeffs = lowest_terms(cden, {n: (3 * n + 2) * (cden // (n + 5)) for n in range(6)})
     for store in stores:
-        den = cden * lcm(*(store.psi.shifted(n)[0] for n in range(6)))
-        combo: dict = {}
-        for n in range(6):
-            pden, psi = store.psi.shifted(n)
-            c = (3 * n + 2) * (den // ((n + 5) * pden))
-            for e, a in psi.items():
-                combo[e] = combo.get(e, 0) + c * a
-        ok = peel((den, combo), store.psi) == coeffs
+        combo = sum((Series(0, [3 * n + 2], exact=True, den=n + 5) * store.psi.shifted(n)
+                     for n in range(6)), Series(0, [], exact=True))
+        ok = peel(combo, store.psi) == coeffs
         add(CheckRecord(
             name="peel-remainder",
             params={"f": store.f, "indices": "0..5"},

@@ -21,7 +21,6 @@ from eorec import FramedCurve, MLaurent, Series
 from eorec.errors import PeelError, WindowError
 from eorec.hodge import _rewrite_word
 from eorec.psi import peel
-from eorec.series import integer_dict
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -102,10 +101,16 @@ def as_fractions(t: Series) -> Series:
     return Series(t.start, [Fraction(c, t.den) for c in t.coeffs], exact=t.exact)
 
 
-def fraction_dict(pair: tuple[int, dict]) -> dict:
-    """The rational values of integer numerators over one denominator."""
-    den, nums = pair
-    return {k: Fraction(c, den) for k, c in nums.items()}
+def fraction_dict(t: Series) -> dict:
+    """The nonzero rational coefficients of an integer series over its
+    denominator, by exponent."""
+    return {k: Fraction(c, t.den) for k, c in t.coeff_dict().items()}
+
+
+def integer_pair(t: Series) -> tuple[int, dict]:
+    """(den, {exponent: numerator}) of an integer series over its
+    denominator: its value and, when it is in lowest terms, its form."""
+    return t.den, t.coeff_dict()
 
 
 def integer_series(s: Series) -> Series:
@@ -117,9 +122,9 @@ def integer_series(s: Series) -> Series:
 
 
 def peel_fractions(slices: dict, table) -> dict:
-    """``peel`` on rational coefficients: the input as integer numerators
+    """``peel`` on rational coefficients: the input as an integer series
     over their least common denominator, the output as ``Fraction``s."""
-    den, nums = peel(integer_dict(slices), table)
+    den, nums = peel(integer_series(Series.from_dict(slices)), table)
     return {n: Fraction(c, den) for n, c in nums.items()}
 
 

@@ -78,10 +78,10 @@ class TestCache:
 
     def test_stale_calibration_record_is_logged(self, tmp_path, caplog):
         cache = CorrCache(tmp_path)
-        cache.store_conventions(CONV, epsilon=-1)
+        cache.store_conventions(CONV)
         path = tmp_path / "conventions.json"
         blob = json.loads(path.read_text())
-        blob["epsilon"] = 1  # tamper without fixing the checksum
+        blob["sigma_psirec"] = -1  # tamper without fixing the checksum
         path.write_text(json.dumps(blob))
         assert cache.load_conventions() is None
         assert self._warnings(caplog) == [(
@@ -114,9 +114,21 @@ class TestCache:
     def test_conventions_record_roundtrip(self, tmp_path):
         cache = CorrCache(tmp_path)
         assert cache.load_conventions() is None
-        cache.store_conventions(CONV, epsilon=-1)
-        loaded = cache.load_conventions()
-        assert loaded == (CONV, -1)
+        cache.store_conventions(CONV)
+        assert cache.load_conventions() == CONV
+        assert set(json.loads((tmp_path / "conventions.json").read_text())) == {
+            "checksum", "format_version", "sigma_kernel", "sigma_psirec"}
+
+    @pytest.mark.parametrize("epsilon", [-1, 1, None])
+    def test_record_with_an_energy_sign_loads_unwarned(self, tmp_path, caplog, epsilon):
+        """A checksummed record that still carries ``epsilon`` loads its
+        signs, with the key ignored and no warning."""
+        payload = {"format_version": 1, "sigma_kernel": -1, "sigma_psirec": 1,
+                   "epsilon": epsilon}
+        payload["checksum"] = _checksum(payload)
+        (tmp_path / "conventions.json").write_text(_canonical(payload) + "\n")
+        assert CorrCache(tmp_path).load_conventions() == CONV
+        assert caplog.records == []
 
     def test_rationals_serialized_as_strings(self, tmp_path):
         w = CorrDiff(g=0, h=3, f=2, coeffs={(0, 0, 0): Q(-36)})
@@ -127,7 +139,7 @@ class TestCache:
         cache = CorrCache(tmp_path)
         old = CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 8)})
         cache.store(old, CONV)
-        cache.store_conventions(CONV, epsilon=None)
+        cache.store_conventions(CONV)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def interrupted(src, dst):
@@ -138,14 +150,14 @@ class TestCache:
         with pytest.raises(OSError, match="disk full"):
             cache.store(new, CONV)
         with pytest.raises(OSError, match="disk full"):
-            cache.store_conventions(CONV, epsilon=-1)
+            cache.store_conventions(Conventions(sigma_kernel=1, sigma_psirec=1))
         monkeypatch.undo()
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert cache.load(1, 1, 1, CONV).coeffs == old.coeffs
-        assert cache.load_conventions() == (CONV, None)
+        assert cache.load_conventions() == CONV
 
 
-#: calls rejected for their indices -> (exit code, or None for SystemExit; message)
+#: calls rejected for their indices -> (exit code, message)
 REJECTED = {
     "correlator --g 7 --h 1": (2, "beyond the desk-scale cap"),
     "correlator --g 0 --h 14": (2, "beyond the desk-scale cap"),
@@ -154,10 +166,10 @@ REJECTED = {
     "correlator --g -1 --h 5": (2, "invalid correlator indices (g=-1, h=5)"),
     "hodge --g 0": (2, "--g must be between 1 and 6"),
     "hodge --g 7": (2, "--g must be between 1 and 6"),
-    "free-energy --g-max 1": (None, "--g-max must be between 2 and 6"),
-    "free-energy --g-max 7": (None, "--g-max must be between 2 and 6"),
-    "verify --g-max -1": (None, "--g-max must be between 0 and 6"),
-    "verify --g-max 7": (None, "--g-max must be between 0 and 6"),
+    "free-energy --g-max 1": (2, "--g-max must be between 2 and 6"),
+    "free-energy --g-max 7": (2, "--g-max must be between 2 and 6"),
+    "verify --g-max -1": (2, "--g-max must be between 0 and 6"),
+    "verify --g-max 7": (2, "--g-max must be between 0 and 6"),
 }
 
 #: bytes that make a cache file unreadable: JSON that is not an object, or not UTF-8
@@ -177,10 +189,6 @@ def _bad_sign(blob):
 
 def _no_sign(blob):
     del blob["sigma_kernel"]
-
-
-def _bad_epsilon(blob):
-    blob["epsilon"] = "x"
 
 
 def _bad_rational(blob):
@@ -210,8 +218,6 @@ MALFORMED = {
                        "eorec: stale calibration record, recalibrating"),
     "no-sigma_kernel": (_no_sign, "conventions.json",
                         "eorec: stale calibration record, recalibrating"),
-    "epsilon-x": (_bad_epsilon, "conventions.json",
-                  "eorec: stale calibration record, recalibrating"),
     "rational-x/y": (_bad_rational, "corr_f1_g1_h1_k-1_p1.json",
                      "eorec: stale or corrupt cache file corr_f1_g1_h1_k-1_p1.json, "
                      "recomputing"),
@@ -228,7 +234,6 @@ MALFORMED = {
     "c-float": (_set("terms", 0, "c", 0.1), CORR, STALE_CORR),
     "c-not-lowest-terms": (_set("terms", 0, "c", "2/16"), CORR, STALE_CORR),
     "sigma_psirec-true": (_set("sigma_psirec", True), "conventions.json", STALE_CONV),
-    "epsilon-true": (_set("epsilon", True), "conventions.json", STALE_CONV),
 }
 
 
@@ -289,6 +294,36 @@ class TestCli:
         warm = capsys.readouterr().out
         assert cold == warm
 
+    @pytest.mark.parametrize("argv", ["correlator --g 1 --h 2", "hodge --g 2"])
+    def test_warm_output_after_an_energy_run_equals_cold(self, capsys, tmp_path, argv):
+        """An energy run into the same cache changes nothing these commands
+        print: their energy sign is null, warm or cold."""
+        argv = argv.split() + ["--f", "1,2"]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert json.loads(cold)["conventions"]["epsilon"] is None
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(["free-energy", "--f", "1,2", "--g-max", "2", *cache]) == 0
+        capsys.readouterr()
+        assert main(argv + cache) == 0
+        assert capsys.readouterr().out == cold
+
+    @pytest.mark.parametrize("argv", ["verify --g-max 2", "free-energy --g-max 2"])
+    def test_warm_energy_run_writes_nothing(self, capsys, tmp_path, monkeypatch, argv):
+        """A fully warm run reads the cache and the calibration record and
+        writes no file, so it succeeds with the cold output even when every
+        replace fails."""
+        argv = argv.split() + ["--f", "1", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+
+        def failing(src, dst):
+            raise OSError("read-only")
+
+        monkeypatch.setattr(os, "replace", failing)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+
     def test_verify_detects_forced_wrong_kernel_sign(self, capsys):
         code = main(["verify", "--f", "1", "--g-max", "2",
                      "--override-sign-kernel", "1"])
@@ -297,9 +332,9 @@ class TestCli:
         names = {c["name"] for c in out["checks"] if not c["pass"]}
         assert "known-correlator" in names
 
-    def test_g_max_cap(self):
-        with pytest.raises(SystemExit):
-            main(["verify", "--f", "1", "--g-max", "7"])
+    def test_g_max_cap(self, capsys):
+        assert main(["verify", "--f", "1", "--g-max", "7"]) == 2
+        assert capsys.readouterr().err == "eorec: --g-max must be between 0 and 6\n"
 
     @pytest.mark.parametrize("g", [0, 7, 9])
     def test_hodge_genus_cap(self, capsys, g):
@@ -314,15 +349,10 @@ class TestCli:
         calibration record is written."""
         code, message = REJECTED[argv]
         argv = argv.split() + ["--f", "1", "--cache-dir", str(tmp_path)]
-        if code is None:  # --g-max exits with its message, as before
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert message in exc.value.code
-        else:
-            assert main(argv) == code
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert message in captured.err
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("content", list(CORRUPT))

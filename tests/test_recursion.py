@@ -123,7 +123,7 @@ class TestStructure:
             t = psi_table(store.f)
             for g in (2, 3):
                 w = store.correlator(g, 1)
-                res = sum((-c) * t.shifted(idx[0])[1].get(-1, 0)
+                res = sum((-c) * t.shifted(idx[0]).coeff(-1)
                           for idx, c in w.coeffs.items())
                 assert res == 0
 
