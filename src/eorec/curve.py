@@ -11,8 +11,9 @@ shifted coordinate z = y - y*:
   omega = log y dx/x, and the Bergman self-pairing B(q, q_bar), each
   built from s;
 * the recursion kernel K(w; z), a z-series whose coefficients are Laurent
-  polynomials in the free-slot coordinate w = y_p - y*, summed over the
-  integers from the powers of s and 1/D, with one ``Fraction`` per entry.
+  polynomials in the free-slot coordinate w = y_p - y*, read off the
+  integer products (s^k - z^k)/D, each cut after the highest exponent the
+  kernel keeps, with one ``Fraction`` per entry.
 
 x(y* + z), s, D and B(q, q_bar) are integer series over a denominator
 (:class:`~eorec.series.Series`), so every reciprocal, product and
@@ -156,8 +157,9 @@ def recursion_kernel(D: Series, s: Series, sign: int) -> Series:
     coefficient of w^-(k+1) in K_j is sign/2 [z^j] (s^k - z^k)/D.  Each is
     summed over the integers, from the integer series s
     (``conjugate_series``) and D (``omega_diff_series``), and formed as one
-    ``Fraction``.  The powers s^k are cut after the highest exponent read;
-    the windows of s and D bound the window of the result.
+    ``Fraction``.  The powers s^k and the products (s^k - z^k)/D are cut
+    after the highest exponent read (``Series.mul``); the windows of s and
+    D bound the window of the result.
     """
     inv_d = D.invert()  # 1/D starts at z^lo
     lo = inv_d.start
@@ -167,16 +169,11 @@ def recursion_kernel(D: Series, s: Series, sign: int) -> Series:
     columns = [{} for _ in range(start, end + 1)]
     power = Series.constant(1)
     for k in range(1, top + 1):
-        power = power * s
-        power = Series(power.start, power.coeffs[:top + 1 - power.start], den=power.den)
-        # s^k - z^k at z^(k+i), i = 0 .. top-k, over the denominator of s^k
-        diff = [power.coeff(k + i) for i in range(top - k + 1)]
-        diff[0] -= power.den
-        for j in range(k + lo, end + 1):
-            t = j - lo - k  # z^(k+i) meets z^(j-k-i) of 1/D, stored at t-i
-            c = sum(diff[i] * inv_d.coeffs[t - i] for i in range(t + 1))
-            if c:
-                columns[j - start][(-(k + 1),)] = Fraction(c, power.den * inv_d.den)
+        power = power.mul(s, top)
+        part = (power - Series.monomial(1, k)).mul(inv_d, end)
+        for j in range(part.start, end + 1):
+            if c := part.coeff(j):  # WindowError past the certified window
+                columns[j - start][(-(k + 1),)] = Fraction(c, part.den)
     acc = Series(start, [MLaurent(1, col) for col in columns])
     kernel = acc.scale(MLaurent.const(1, Fraction(sign, 2)))
     if kernel.eff_start() != -1:

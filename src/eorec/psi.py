@@ -155,8 +155,8 @@ class PsiTable:
                                "under neither sign")
 
     def form(self, n: int) -> Series:
-        """psihat_n, extending the table through index n; callers read it
-        through ``shifted``, and the benchmark's tracer times both."""
+        """psihat_n(z) in the shifted coordinate, an exact series in lowest
+        terms, extending the table through index n."""
         while len(self._forms) <= n:
             m = len(self._forms)
             stepped = shift_step(self._forms[m - 1], self.f, self.sign)
@@ -169,10 +169,9 @@ class PsiTable:
             self._forms.append(stepped)
         return self._forms[n]
 
-    def shifted(self, n: int) -> Series:
-        """psihat_n(z) in the shifted coordinate, an exact series in lowest
-        terms."""
-        return self.form(n)
+    # the name callers read psihat_n through; the benchmark's tracer times
+    # both names
+    shifted = form
 
 
 _TABLES: dict[int, PsiTable] = {}

@@ -39,11 +39,12 @@ Tables and contraction run over the integers.  The basis forms and the
 involution s are integer series over their denominators, so psihat_a at q
 and psihat_b(s) s' at q-bar are integer series too; each kernel column K_j,
 the one rational ingredient of a table, is converted to one such series
-once per frame.  A product of two legs is then an integer convolution and a
-residue an integer dot product; each table, keyed by basis indices, is kept
-as numerators over its least common denominator.  The contraction reads
-each lower tensor the same way and sums Python ints over one running common
-denominator, and each entry of W(g,h) is formed as one ``Fraction``.
+once per frame.  A product of two legs is then one integer product cut
+after z^0 (``Series.mul``) and a residue an integer dot product; each
+table, keyed by basis indices, is kept as numerators over its least common
+denominator.  The contraction reads each lower tensor the same way and sums
+Python ints over one running common denominator, and each entry of W(g,h)
+is formed as one ``Fraction``.
 
 The tables hold psihat itself at every basis leg, while Psi_n = -psihat_n
 dy.  The orientation signs of a term (one per fixed slot carried over from
@@ -154,24 +155,6 @@ def _merge(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], i
     return tail, weight
 
 
-def _principal(a: Series, b: Series) -> Series:
-    """a * b known through z^0, the last exponent a kernel residue reads, for
-    integer series over their denominators."""
-    sa, sb = a.eff_start(), b.eff_start()
-    if sa is None or sb is None:
-        return Series(0, [], exact=True)
-    n = 1 - sa - sb  # the exponents sa+sb .. 0
-    xs = [a.coeff(sa + i) for i in range(n)]
-    ys = [b.coeff(sb + j) for j in range(n)]
-    out = [0] * n
-    for i, x in enumerate(xs):
-        if x:
-            for j, y in enumerate(ys[:n - i]):
-                if y:
-                    out[i + j] += x * y
-    return Series(sa + sb, out, den=a.den * b.den)
-
-
 class _Sum:
     """Integer numerators over one running common denominator."""
 
@@ -204,14 +187,13 @@ class _Frame:
     """
 
     def __init__(self, curve: FramedCurve, psi: PsiTable, window: int, sigma_kernel: int):
-        self.curve = curve
         self.psi = psi
         self.s = s = conjugate_series(curve, window)
         self.kernel = recursion_kernel(omega_diff_series(curve, s), s, sigma_kernel)
         self.b_self = bergman_self_pairing(s)
         self._s_prime = s.derive()
-        # powers of s and of 1/s for the substitution psihat_b(s)
-        self._s_pows = integer_powers(s)
+        # powers of 1/s for the substitution psihat_b(s): every basis
+        # exponent is -2 or below
         self._inv_s_pows = integer_powers(s.invert())
         self._at_qbar: dict[int, Series] = {}
         self._kernel_basis: dict[int, tuple[int, dict]] = {}
@@ -225,7 +207,7 @@ class _Frame:
         out = self._at_qbar.get(n)
         if out is None:
             out = self._at_qbar[n] = substitute(
-                self.psi.shifted(n), self._s_pows, self._inv_s_pows) * self._s_prime
+                self.psi.shifted(n), None, self._inv_s_pows) * self._s_prime
         return out
 
     # -- residue tables ---------------------------------------------------
@@ -265,7 +247,7 @@ class _Frame:
         out = self._r.get((a, b))
         if out is None:
             out = self._r[(a, b)] = lowest_terms(*self.residue(
-                _principal(self.psi.shifted(a), self.psihat_at_qbar(b))))
+                self.psi.shifted(a).mul(self.psihat_at_qbar(b), 0)))
         return out
 
     def e_table(self, b: int) -> tuple[int, dict[tuple[int, int], int]]:

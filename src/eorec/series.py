@@ -9,7 +9,9 @@ zero (the series is a finite Laurent polynomial).
 Every operation computes the tightest window it can certify and refuses to
 report anything outside it; asking for an uncertified coefficient raises
 :class:`~eorec.errors.WindowError` so callers can widen their truncation
-instead of silently reading garbage.
+instead of silently reading garbage.  A product that is read only up to
+some exponent is formed by ``mul``, which cuts the window there and so
+never computes the coefficients past it.
 
 The coefficient ring is duck-typed, as long as it supports ``+ - *``
 among its elements.  The engine uses ``int`` and
@@ -163,34 +165,44 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
+        return self.mul(other, INF)
+
+    def mul(self, other: "Series", stop: float) -> "Series":
+        """The product, known through exponent ``stop`` at most.
+
+        The window is that of ``self * other`` cut after ``stop``; an exact
+        product cut short of its last term is no longer exact.  When the
+        product's valuation lies past ``stop`` it is known to be zero
+        through ``stop``, and that is returned even where the uncut product
+        has an empty window.
+        """
         if self.is_known_zero() or other.is_known_zero():
             return Series(0, [], exact=True)
+        # effective valuations are sound lower bounds past certified zeros
+        sa, sb = self.eff_start(), other.eff_start()
         exact = self.exact and other.exact
         if exact:
             start = self.start + other.start
             end = self._stored_end() + other._stored_end()
         else:
-            # effective valuations are sound lower bounds past certified zeros
-            sa = self.eff_start()
-            sb = other.eff_start()
             start = sa + sb
-            end = int(min(self.window_end + sb, other.window_end + sa))
-            if end < start:
-                raise WindowError("product has an empty certified window")
-        out = [0] * (end - start + 1)
-        base_a, base_b = self.start, other.start
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            ka = base_a + i + base_b
-            for j, b in enumerate(other.coeffs):
-                k = ka + j
-                if k > end:
-                    break
-                if not b:
-                    continue
-                if k >= start:
-                    out[k - start] = out[k - start] + a * b
+            end = min(self.window_end + sb, other.window_end + sa)
+        if stop < start:
+            return Series(stop + 1, [])
+        if stop < end:
+            end, exact = stop, False
+        if end < start:
+            raise WindowError("product has an empty certified window")
+        size = end - start + 1
+        out = [0] * size
+        ys = other.coeffs[sb - other.start:]
+        for i, x in enumerate(self.coeffs[sa - self.start:], sa + sb - start):
+            if i >= size:
+                break
+            if x:
+                for j, y in enumerate(ys[:size - i], i):
+                    if y:
+                        out[j] += x * y
         return Series(start, out, exact=exact, den=self.den * other.den)
 
     def invert(self, order: int | None = None) -> "Series":
@@ -305,8 +317,9 @@ def integer_power(pows: list, k: int) -> Series:
 def substitute(poly: Series, pows: list, inv_pows: list | None = None) -> Series:
     """sum_e c_e x^e for the Laurent polynomial ``poly`` with coefficients
     c_e, from the lists [1, x, x^2, ...] and [1, 1/x, 1/x^2, ...] of integer
-    series (``integer_powers``), extended on demand.  The terms are summed
-    over the least common multiple of their denominators."""
+    series (``integer_powers``), extended on demand; a list may be None
+    when ``poly`` has no exponent of its sign.  The terms are summed over
+    the least common multiple of their denominators."""
     terms = [(c, integer_power(pows, e) if e >= 0 else integer_power(inv_pows, -e))
              for e, c in poly.coeff_dict().items()]
     den = math.lcm(*(t.den for _, t in terms))

@@ -2,7 +2,8 @@
 pass the benchmark's output gate: the golden hashes of
 ``perfbench/golden.json`` and the eorec-free rechecks of
 ``perfbench/gate.py``.  verify-warm runs on the cache that the energy-cold
-job filled and must leave every cache file as it found it."""
+job filled and must leave every cache file as it found it.  The same holds
+with the genus cap raised, since no workload reaches it."""
 
 import sys
 from pathlib import Path
@@ -20,8 +21,7 @@ def _files(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
-def test_workloads_pass_the_benchmark_gate(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("EOREC_CACHE_DIR", raising=False)
+def _run_workloads(tmp_path, capsys):
     golden = gate.golden_hashes()
     cache = tmp_path / "cache"
     snapshot = None
@@ -37,3 +37,20 @@ def test_workloads_pass_the_benchmark_gate(tmp_path, monkeypatch, capsys):
         assert gate.check(wl.command, stdout, golden[name], wl.framings, **wl.check) == [], name
     assert snapshot and any(name.startswith("corr_") for name in snapshot)
     assert _files(cache) == snapshot
+
+
+def test_workloads_pass_the_benchmark_gate(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("EOREC_CACHE_DIR", raising=False)
+    _run_workloads(tmp_path, capsys)
+
+
+def test_raising_the_genus_cap_keeps_the_golden_outputs(tmp_path, monkeypatch, capsys):
+    """The workloads run well inside the genus cap, so raising the cap, at
+    every module that binds it, must not change what they print."""
+    monkeypatch.delenv("EOREC_CACHE_DIR", raising=False)
+    bound = [mod for name, mod in list(sys.modules.items())
+             if name.startswith("eorec") and hasattr(mod, "HARD_G_CAP")]
+    assert bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "HARD_G_CAP", 11)
+    _run_workloads(tmp_path, capsys)

@@ -164,7 +164,8 @@ def _random_laurent(rng):
 
 
 # window soundness: every reported product coefficient equals the one from
-# full-precision recomputation
+# full-precision recomputation, for the product and for the product cut
+# after a given exponent
 laurent_dicts = st.dictionaries(
     st.integers(min_value=-5, max_value=6),
     st.fractions(min_value=-3, max_value=3, max_denominator=8),
@@ -173,9 +174,10 @@ laurent_dicts = st.dictionaries(
 
 
 @given(laurent_dicts, laurent_dicts, st.integers(min_value=0, max_value=6),
-       st.integers(min_value=0, max_value=6))
-@settings(max_examples=120, deadline=None)
-def test_mul_window_soundness(da, db, cut_a, cut_b):
+       st.integers(min_value=0, max_value=6),
+       st.one_of(st.none(), st.integers(min_value=-12, max_value=14)))
+@settings(max_examples=200, deadline=None)
+def test_mul_window_soundness(da, db, cut_a, cut_b, stop):
     a_full = Series.from_dict({k: Q(v) for k, v in da.items()})
     b_full = Series.from_dict({k: Q(v) for k, v in db.items()})
     # the windows of a_full and b_full without their top cut_a, cut_b terms
@@ -187,9 +189,31 @@ def test_mul_window_soundness(da, db, cut_a, cut_b):
     try:
         prod = a * b
     except WindowError:
+        prod = None
+    else:
+        for k in range(prod.start, prod._stored_end() + 1):
+            assert prod.coeff(k) == exact.get(k, 0)
+    if stop is None:
         return
-    for k in range(prod.start, prod._stored_end() + 1):
-        assert prod.coeff(k) == exact.get(k, 0)
+    valuation = a.eff_start() + b.eff_start()
+    try:
+        cut = a.mul(b, stop)
+    except WindowError:
+        # only where the product raises too and does not vanish through stop
+        assert prod is None and valuation <= stop
+        return
+    # known through stop, or through the product's window end if that comes
+    # first, and equal to the full product there
+    last = stop if prod is None else min(stop, prod.window_end)
+    assert cut.window_end == last
+    for k in range(min(valuation, stop) - 2, last + 1):
+        assert cut.coeff(k) == exact.get(k, 0)
+    with pytest.raises(WindowError):
+        cut.coeff(last + 1)
+    if stop < valuation:
+        # the product vanishes through stop: known zero there, also where
+        # the uncut product has an empty window
+        assert cut.eff_start() == stop + 1 and not cut.coeffs
 
 
 # arithmetic over denominators: an integer series over its denominator gives
