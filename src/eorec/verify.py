@@ -195,16 +195,17 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
             expected=_poly_str(want), actual=_poly_str(got),
             passed=got.coeff_dict() == want.coeff_dict()))
 
-    # involution probes: s has valuation 1, so substituting s, known through
-    # z^20, into x and into its own coefficients through z^20 gives x(s(z))
-    # and s(s(z)) through z^20, from the powers s^k cut there.  s(z) = z
+    # involution probes: s has valuation 1 and is known through z^20, so s^k,
+    # k >= 2, is known through z^21, where the powers are cut.  x has no
+    # linear term, so x(s(z)) is known through z^21, whose coefficient is
+    # the one that fixes s_20; s(s(z)) is known through z^20.  s(z) = z
     # passes both, hence also s'(0) = -1.
     for store in stores:
         window = 20
         s = conjugate_series(store.curve, window)
         s_pows = integer_powers(s)
         while len(s_pows) <= window:
-            s_pows.append(s_pows[-1].mul(s, window))
+            s_pows.append(s_pows[-1].mul(s, window + 1))
         X = store.curve.x_shifted()
         ok = (s.coeff(1) == -s.den
               and not any((substitute(X, s_pows) - X).coeffs)

@@ -62,7 +62,8 @@ def test_substitute_matches_fraction_powers_on_random_laurent_polynomials(f):
 
 def test_the_involution_probes_are_certified_through_z20(stores, monkeypatch):
     """Both substitutions of verify's involution probe know every
-    coefficient through z^20, at every framing."""
+    coefficient through z^20, at every framing, and x(s(z)) also through
+    z^21, the coefficient that fixes s_20."""
     results = []
 
     def recorded(poly, pows, inv_pows=None):
@@ -75,6 +76,7 @@ def test_the_involution_probes_are_certified_through_z20(stores, monkeypatch):
     assert all(c.passed for c in report.checks if c.name == "involution")
     assert len(results) == 2 * len(stores)
     assert all(t.window_end >= 20 for t in results)
+    assert all(t.window_end >= 21 for t in results[::2])
 
 
 @pytest.mark.parametrize("f", [1, 2, 3])

@@ -165,7 +165,7 @@ def _random_laurent(rng):
 
 # window soundness: every reported product coefficient equals the one from
 # full-precision recomputation, for the product and for the product cut
-# after a given exponent
+# after a given exponent, of windowed factors or of exact ones
 laurent_dicts = st.dictionaries(
     st.integers(min_value=-5, max_value=6),
     st.fractions(min_value=-3, max_value=3, max_denominator=8),
@@ -175,11 +175,28 @@ laurent_dicts = st.dictionaries(
 
 @given(laurent_dicts, laurent_dicts, st.integers(min_value=0, max_value=6),
        st.integers(min_value=0, max_value=6),
-       st.one_of(st.none(), st.integers(min_value=-12, max_value=14)))
-@settings(max_examples=200, deadline=None)
-def test_mul_window_soundness(da, db, cut_a, cut_b, stop):
+       st.one_of(st.none(), st.integers(min_value=-12, max_value=14)),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_mul_window_soundness(da, db, cut_a, cut_b, stop, exact_factors):
     a_full = Series.from_dict({k: Q(v) for k, v in da.items()})
     b_full = Series.from_dict({k: Q(v) for k, v in db.items()})
+    if exact_factors:
+        full = (a_full * b_full).coeff_dict()
+        if stop is None or not full:
+            return
+        # the exact product cut after stop: exact only when stop reaches
+        # its last term, known through stop otherwise
+        cut = a_full.mul(b_full, stop)
+        for k in range(min(full) - 2, stop + 1):
+            assert cut.coeff(k) == full.get(k, 0)
+        if stop < max(full):
+            assert not cut.exact and cut.window_end == stop
+            with pytest.raises(WindowError):
+                cut.coeff(stop + 1)
+        else:
+            assert cut.exact and cut.coeff_dict() == full
+        return
     # the windows of a_full and b_full without their top cut_a, cut_b terms
     a = Series(a_full.start, a_full.coeffs[:max(0, len(a_full.coeffs) - cut_a)])
     b = Series(b_full.start, b_full.coeffs[:max(0, len(b_full.coeffs) - cut_b)])

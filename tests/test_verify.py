@@ -50,12 +50,22 @@ def _identity(curve, window):
     return Series(1, [1] + [0] * (window - 1))
 
 
-def _nudged(curve, window):
-    """The real involution with its z^5 coefficient moved by 1."""
+def _moved(curve, window, k):
+    """The real involution with its z^k coefficient moved by 1."""
     s = conjugate_series(curve, window)
     coeffs = list(s.coeffs)
-    coeffs[5 - s.start] += s.den
+    coeffs[k - s.start] += s.den
     return Series(s.start, coeffs, den=s.den)
+
+
+def _nudged(curve, window):
+    return _moved(curve, window, 5)
+
+
+def _nudged_last(curve, window):
+    """Only [z^(window+1)] of x(s(z)) sees the last coefficient, which
+    enters s(s(z)) at z^window twice with opposite signs."""
+    return _moved(curve, window, window)
 
 
 def test_involution_passes(store_f1):
@@ -64,7 +74,7 @@ def test_involution_passes(store_f1):
     assert rec.passed and rec.actual == "holds"
 
 
-@pytest.mark.parametrize("fake", [_identity, _nudged])
+@pytest.mark.parametrize("fake", [_identity, _nudged, _nudged_last])
 def test_involution_fails_on_a_wrong_series(store_f1, monkeypatch, fake):
     monkeypatch.setattr(verify, "conjugate_series", fake)
     report = verify.run_verification([store_f1], g_max=0)
