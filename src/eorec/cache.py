@@ -16,7 +16,6 @@ ignored.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -32,7 +31,7 @@ def _warn(message: str) -> None:
     """Report a rejected file as a warning on the ``eorec`` logger.
 
     ``logging`` is imported on the first rejection, because importing it at
-    start-up costs about 10 ms that a run on a clean cache never uses.  The
+    start-up costs about 5 ms that a run on a clean cache never uses.  The
     logger carries Python's last-resort handler (the bare message on the
     current stderr) as its own: any handler on the root logger, such as
     pytest's log capture, would otherwise silence it.  Records still
@@ -51,6 +50,10 @@ def _canonical(payload: dict) -> str:
 
 
 def _checksum(payload: dict) -> str:
+    """The SHA-256 of the canonical payload; ``hashlib`` (OpenSSL) is
+    imported here, so a run without a cache never loads it."""
+    import hashlib
+
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 

@@ -19,9 +19,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .bernoulli import bernoulli
 from .curve import FramedCurve
@@ -116,8 +116,7 @@ def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None)
     return Fraction(rat, rden)
 
 
-@dataclass(frozen=True)
-class HodgeTable:
+class HodgeTable(NamedTuple):
     """Brackets <tau_n L(1) L(-f-1) L(f)> extracted from a one-point tensor."""
 
     g: int
@@ -198,8 +197,7 @@ def lambda_triple(g: int) -> Fraction:
             * abs(bernoulli(2 * g)) / (2 * g))
 
 
-@dataclass(frozen=True)
-class Dilaton:
+class Dilaton(NamedTuple):
     """The dilaton relation on the index-1 bracket of one framing.
 
     ``ratio`` = bracket[1] / (f(f+1)) is framing independent and, for
@@ -252,8 +250,7 @@ def free_energy_shortcut(store: CorrStore, g: int) -> Fraction:
     return Fraction(1, 2 * g - 2) * table.value(1) * rho1
 
 
-@dataclass(frozen=True)
-class EnergyRow:
+class EnergyRow(NamedTuple):
     g: int
     f: int
     direct: Fraction | None

@@ -63,9 +63,9 @@ sign of the basis (inside :mod:`eorec.psi`).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from .curve import (FramedCurve, bergman_self_pairing, conjugate_series,
                     omega_diff_series, recursion_kernel)
@@ -77,21 +77,19 @@ from .series import Series, integer_dict, integer_powers, lowest_terms, substitu
 QZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Conventions:
+class Conventions(NamedTuple("Conventions", [("sigma_kernel", int), ("sigma_psirec", int)])):
     """Calibrated orientation signs (recorded in every serialized output)."""
 
-    sigma_kernel: int
-    sigma_psirec: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, sigma_kernel: int, sigma_psirec: int):
         if not all(type(sign) is int and sign in (1, -1)
-                   for sign in (self.sigma_kernel, self.sigma_psirec)):
+                   for sign in (sigma_kernel, sigma_psirec)):
             raise ValueError("convention signs must be +1 or -1")
+        return super().__new__(cls, sigma_kernel, sigma_psirec)
 
 
-@dataclass(frozen=True)
-class CorrDiff:
+class CorrDiff(NamedTuple):
     """Correlator tensor: sorted multi-index -> rational coefficient."""
 
     g: int

@@ -14,7 +14,6 @@ discrepancy report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -28,14 +27,13 @@ from .reference import reference_correlators, two_point_genus_one_readings
 from .scalars import format_rational
 from .series import Series, integer_powers, lowest_terms, substitute
 
-@dataclass
 class CheckRecord:
-    name: str
-    params: dict
-    expected: str
-    actual: str
-    passed: bool
-    note: str | None = None
+    __slots__ = ("name", "params", "expected", "actual", "passed", "note")
+
+    def __init__(self, name: str, params: dict, expected: str, actual: str, passed: bool,
+                 note: str | None = None):
+        self.name, self.params, self.expected = name, params, expected
+        self.actual, self.passed, self.note = actual, passed, note
 
     def to_payload(self) -> dict:
         out = {"name": self.name, "params": self.params, "expected": self.expected,
@@ -45,11 +43,13 @@ class CheckRecord:
         return out
 
 
-@dataclass
 class VerifyReport:
-    conventions: Conventions
-    epsilon: int | None
-    checks: list[CheckRecord] = field(default_factory=list)
+    __slots__ = ("conventions", "epsilon", "checks")
+
+    def __init__(self, conventions: Conventions, epsilon: int | None,
+                 checks: list[CheckRecord] | None = None):
+        self.conventions, self.epsilon = conventions, epsilon
+        self.checks = [] if checks is None else checks
 
     @property
     def passed(self) -> bool:

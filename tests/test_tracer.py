@@ -1,9 +1,10 @@
-"""The benchmark's per-layer tracer still finds what it patches in ``src/``.
+"""The benchmark's tracer and set-up probe still find what they patch in ``src/``.
 
 ``perfbench/tracer.py`` wraps eorec functions and methods by name from
-outside the package, so renaming one of them breaks the benchmark's
-per-layer metrics without failing any engine test.  This runs one traced
-benchmark job the way ``perfbench/run.py`` does, in a fresh process.
+outside the package, and ``perfbench/child.py`` ends set-up when
+``eorec.cli.build_stores`` returns, so renaming or rebinding one of them
+breaks the benchmark without failing any engine test.  These run benchmark
+jobs the way ``perfbench/run.py`` does, each in a fresh process.
 """
 
 import json
@@ -15,19 +16,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _traced(tmp_path, *job):
+def _child(tmp_path, *args) -> dict:
+    """The report of one ``child.py`` job with the given arguments."""
     env = dict(os.environ)
     env.pop("EOREC_CACHE_DIR", None)  # no cache: every layer does real work
     env["PYTHONPATH"] = str(ROOT / "src")
     env["PYTHONDONTWRITEBYTECODE"] = "1"  # leave perfbench/ as checked in
     report = tmp_path / "report.json"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"),
-         "--report", str(report), "--spans", str(tmp_path / "spans.jsonl"),
-         "--", *job],
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "--report", str(report),
+         *args],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(report.read_text())["trace"]
+    return json.loads(report.read_text())
+
+
+def _traced(tmp_path, *job):
+    return _child(tmp_path, "--spans", str(tmp_path / "spans.jsonl"), "--", *job)["trace"]
+
+
+def test_setup_probe_sees_build_stores_return(tmp_path):
+    """``child.py`` marks the end of set-up by patching ``eorec.cli.build_stores``,
+    which works only while ``main`` calls it through that module global."""
+    report = _child(tmp_path, "--setup-only", "--", "correlator", "--f", "1", "--g", "0",
+                    "--h", "4")
+    assert report["exit_code"] == 0
+    assert "setup_done" in report
 
 
 def test_traced_job_counts_every_patched_layer(tmp_path):
