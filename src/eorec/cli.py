@@ -136,7 +136,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         conv = _resolve_conventions(args, cache)
-        stores = build_stores(args.f, conventions=conv, cache=cache)
+        # verify and sign overrides contract every entry: a wrong sign breaks
+        # string and dilaton, which the fill would otherwise carry upwards
+        audit = (args.command == "verify" or args.override_sign_kernel is not None
+                 or args.override_sign_psirec is not None)
+        stores = build_stores(args.f, conventions=conv, cache=cache, audit=audit)
     except EorecError as exc:
         print(f"eorec: {exc}", file=sys.stderr)
         return 2

@@ -19,8 +19,8 @@ is expanded in the basis once per frame.  These expansions, and the one of
 every Bergman leg, must terminate with zero remainder, which turns the
 closure theorem for this basis into a runtime assertion.  Lower tensors
 stay sorted keys and the contraction accumulates on (free index | sorted
-tail), so the fixed slots are symmetric by construction; the assembled
-tensor is checked for free-slot symmetry (every distinct free index of a
+tail), so the fixed slots are symmetric by construction; every contracted
+entry is checked for free-slot symmetry (every distinct free index of a
 key gives the same value) and the dimension bound.
 
 The residue is invariant under the local involution z -> s(z), which swaps
@@ -54,6 +54,27 @@ contraction adds the terms as they are and negates the sum once per target.
 
 The dimension bound also sizes every frame in advance (``window_policy``),
 so a ``WindowError`` or ``PeelError`` during assembly is a bug and propagates.
+
+For h >= 2, except W(0,3), a default store contracts only the core of
+W(g,h): the entries whose indices are all >= 2.  The Hodge classes pull
+back along the map that forgets a point, so string gives each entry that
+holds a 0, and dilaton each other entry that holds a 1, from W(g,h-1),
+already the partner of the Bergman-leg term (``_fill``).  The contraction
+skips every bracket and by-leg tail that holds a 0 or a 1, the R rows
+with n < 2 and the E[b] entries with n < 2 or m < 2; the W03 term, whose
+p-legs carry only index 0, belongs to W(0,3) alone.  The indices sum to at
+most 3g-3+h, so the core is empty when h > 3g-3 (all of genus 0 and 1):
+such a tensor is the fill alone and builds no frame, but it requests every
+lower tensor the contraction reads, so a store, and a cache, holds the
+same tensors either way.  On a default store the free-slot, missing-index
+and dimension checks cover only the core.
+
+An audit store contracts every entry and fills nothing.  The command line
+gives audit stores to ``verify`` and to every run with a sign override: a
+wrong sign breaks string and dilaton, so a filled tensor would carry the
+error into the cores above it (where it fails the free-slot check) instead
+of showing it.  A warm cache written by default stores is read by
+``verify`` without re-auditing.
 
 Two orientation conventions are calibrated rather than assumed: the kernel
 sign (against the known (0,3) and (1,1) tensors) and the shift-recursion
@@ -134,12 +155,14 @@ def _legs(key: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
             if i == 0 or key[i - 1] != v]
 
 
-def _by_leg(coeffs: dict) -> dict[int, list]:
-    """Tensor entries grouped by the index of one leg: v -> [(sorted rest, c)]."""
+def _by_leg(coeffs: dict, lo: int) -> dict[int, list]:
+    """Tensor entries grouped by the index of one leg: v -> [(sorted rest, c)],
+    keeping only the rests whose indices are all >= lo."""
     out: dict[int, list] = {}
     for key, c in coeffs.items():
         for v, rest in _legs(key):
-            out.setdefault(v, []).append((rest, c))
+            if not rest or rest[0] >= lo:
+                out.setdefault(v, []).append((rest, c))
     return out
 
 
@@ -151,6 +174,45 @@ def _merge(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], i
     for v in set(t1):
         weight *= comb(tail.count(v), t1.count(v))
     return tail, weight
+
+
+def _splits(g: int, h: int):
+    """The quadratic terms W(g-l, r+1) W(l, h-r) of W(g,h), r fixed slots
+    going left, as (left, right) pairs.
+
+    The mirror (l, r) -> (g-l, h-1-r) swaps the two factors and gives an
+    equal term, so only left <= right is yielded and an off-diagonal split
+    counts twice.  (0, 1) and then (0, 2) sort first: a vanishing one-point
+    factor drops before its partner (possibly the target itself) is
+    evaluated, and a Bergman leg always sits at q."""
+    for l in range(g + 1):
+        for r in range(h):
+            left, right = (g - l, r + 1), (l, h - r)
+            if left <= right and left != (0, 1):
+                yield left, right
+
+
+def _fill(g: int, h: int, f: int, lower: dict) -> dict:
+    """The entries of W(g,h) that hold an index 0 or 1, from the tensor of
+    W(g,h-1), by the string and dilaton relations:
+
+        W(g,h)[(0,)+m] = -f(f+1) sum_j W(g,h-1)[m - e_j]   (m_j >= 1),
+        W(g,h)[(1,)+m] = -f(f+1) (2g-3+h) W(g,h-1)[m]      (m free of 0).
+
+    String raises one index v of a lower key to v+1; the raised key arises
+    from as many positions j as it holds copies of v+1, which is the weight
+    of ``_merge``.
+    """
+    den, nums = integer_dict(lower)
+    out: dict = defaultdict(int)
+    for key, c in nums.items():
+        for v, rest in _legs(key):
+            tail, weight = _merge((v + 1,), rest)
+            out[(0,) + tail] += weight * c
+        if key[0]:
+            out[(1,) + key] += (2 * g - 3 + h) * c
+    scale = -f * (f + 1)
+    return {key: Fraction(scale * c, den) for key, c in out.items() if c}
 
 
 class _Sum:
@@ -292,12 +354,18 @@ class _Frame:
 
 
 class CorrStore:
-    """Append-only memo of correlator tensors under fixed conventions."""
+    """Append-only memo of correlator tensors under fixed conventions.
 
-    def __init__(self, f: int, conventions: Conventions | None = None, cache=None):
+    A default store contracts only the core of W(g,h), h >= 2, and fills the
+    rest by string and dilaton; an ``audit`` store contracts every entry.
+    """
+
+    def __init__(self, f: int, conventions: Conventions | None = None, cache=None,
+                 audit: bool = False):
         self.curve = FramedCurve(f)
         self.f = f
         self.cache = cache
+        self.audit = audit
         if conventions is None:
             conventions = calibrate(f)
         self.conventions = conventions
@@ -358,7 +426,22 @@ class CorrStore:
         Lower tensors and tables enter as integer numerators, the sum runs
         over Python ints on one running denominator, and each entry of the
         result is formed as one ``Fraction``.
+
+        Outside audit mode, for h >= 2 except W(0,3), only the core is
+        contracted (indices below ``lo`` are skipped) and ``_fill`` gives
+        the rest; see the module docstring.
         """
+        core = not self.audit and h >= 2 and (g, h) != (0, 3)
+        if core and h > 3 * g - 3:
+            if g >= 1:
+                self.correlator(g - 1, h + 1)
+            for left, right in _splits(g, h):
+                if left != (0, 2):
+                    self.correlator(*left)
+                self.correlator(*right)
+            return CorrDiff(g=g, h=h, f=self.f,
+                            coeffs=_fill(g, h, self.f, self.correlator(g, h - 1).coeffs))
+        lo = 2 if core else 0
         frame = self.frame(window)
         acc = _Sum()
         num = acc.num
@@ -373,35 +456,33 @@ class CorrStore:
             for key, c in coeffs.items():
                 for a, rest in _legs(key):
                     for b, tail in _legs(rest):
-                        bracket.num[(min(a, b), max(a, b), tail)] += c
+                        if not tail or tail[0] >= lo:
+                            bracket.num[(min(a, b), max(a, b), tail)] += c
 
-        # quadratic terms W(g-l, r+1) W(l, h-r): r fixed slots go left.  The
-        # mirror (l, r) -> (g-l, h-1-r) swaps the two factors and gives an
-        # equal term, so only left <= right is visited and an off-diagonal
-        # split counts twice.  (0, 1) and then (0, 2) sort first: a vanishing
-        # one-point factor drops before its partner (possibly the target
-        # itself) is evaluated, and a Bergman leg always sits at q.
-        for l in range(g + 1):
-            for r in range(h):
-                left, right = (g - l, r + 1), (l, h - r)
-                if left > right or left == (0, 1):
-                    continue
-                if right == (0, 2):
-                    den, table = frame.w03_table()
-                    scale = acc.factor(den)
-                    for (n, m1, m2), c in table.items():
-                        tail, weight = _merge((m1,), (m2,))
-                        num[(n,) + tail] += weight * scale * c
-                elif left == (0, 2):
-                    self._bergman_leg_term(frame, acc, right, 2)
-                else:
-                    self._pair_term(bracket, left, right, 1 if left == right else 2)
+        # quadratic terms; only W(0,3) has a W03 term, whose p-legs carry
+        # index 0 alone
+        for left, right in _splits(g, h):
+            if right == (0, 2):
+                den, table = frame.w03_table()
+                scale = acc.factor(den)
+                for (n, m1, m2), c in table.items():
+                    tail, weight = _merge((m1,), (m2,))
+                    num[(n,) + tail] += weight * scale * c
+            elif left == (0, 2):
+                self._bergman_leg_term(frame, acc, right, lo, 2)
+            else:
+                self._pair_term(bracket, left, right, lo, 1 if left == right else 2)
 
         # the one residue step: R[a,b] against each bracket entry
+        rows: dict = {}  # (a, b) -> (den, [(n, R[a,b][n]) for n >= lo])
         for (a, b, tail), c in bracket.num.items():
-            tden, table = frame.r_table(a, b)
+            got = rows.get((a, b))
+            if got is None:
+                tden, table = frame.r_table(a, b)
+                got = rows[(a, b)] = tden, [(n, r) for n, r in table.items() if n >= lo]
+            tden, row = got
             c *= acc.factor(bracket.den * tden)
-            for n, r in table.items():
+            for n, r in row:
                 num[(n,) + tail] += c * r
 
         canonical: dict = {}
@@ -425,20 +506,25 @@ class CorrStore:
             if sum(key) > bound:
                 raise AssertionError(
                     f"index {key} violates the dimension bound {bound} in W({g},{h})")
-        return CorrDiff(g=g, h=h, f=self.f,
-                        coeffs={key: Fraction(c, -acc.den) for key, c in canonical.items()})
+        coeffs = {key: Fraction(c, -acc.den) for key, c in canonical.items()}
+        if core:
+            coeffs.update(_fill(g, h, self.f, self.correlator(g, h - 1).coeffs))
+        return CorrDiff(g=g, h=h, f=self.f, coeffs=coeffs)
 
-    def _bergman_leg_term(self, frame: _Frame, acc: _Sum,
-                          right: tuple[int, int], mult: int) -> None:
-        """mult times B(q, p_j) against W(right) at q-bar, via E[b]."""
+    def _bergman_leg_term(self, frame: _Frame, acc: _Sum, right: tuple[int, int],
+                          lo: int, mult: int) -> None:
+        """mult times B(q, p_j) against W(right) at q-bar, via E[b], on the
+        entries whose indices are all >= lo."""
         num = acc.num
         den, coeffs = integer_dict(self.correlator(*right).coeffs)
         memo: dict = {}  # (m, rest) -> _merge((m,), rest), shared by every leg index b
-        for b, tails in _by_leg(coeffs).items():
+        for b, tails in _by_leg(coeffs, lo).items():
             eden, table = frame.e_table(b)
             scale = mult * acc.factor(den * eden)
             merged: dict[int, list] = {}  # m -> [(tail, weight * c)], once per m
             for (n, m), e in table.items():
+                if n < lo or m < lo:
+                    continue
                 terms = merged.get(m)
                 if terms is None:
                     terms = merged[m] = []
@@ -453,16 +539,16 @@ class CorrStore:
                     num[(n,) + tail] += c * e
 
     def _pair_term(self, bracket: _Sum, left: tuple[int, int],
-                   right: tuple[int, int], mult: int) -> None:
+                   right: tuple[int, int], lo: int, mult: int) -> None:
         """Add mult times two lower tensors, with their legs at q and q-bar,
-        to the bracket."""
+        to the bracket, on the tails whose indices are all >= lo."""
         num = bracket.num
         dq, coeffs_q = integer_dict(self.correlator(*left).coeffs)
         dqb, coeffs_qbar = integer_dict(self.correlator(*right).coeffs)
         scale = mult * bracket.factor(dq * dqb)
-        at_qbar = _by_leg(coeffs_qbar)
+        at_qbar = _by_leg(coeffs_qbar, lo)
         merged: dict = {}  # (tq, tqb) -> _merge(tq, tqb), once per tail pair
-        for a, tails_q in _by_leg(coeffs_q).items():
+        for a, tails_q in _by_leg(coeffs_q, lo).items():
             for b, tails_qbar in at_qbar.items():
                 pair = (min(a, b), max(a, b))
                 for tq, cq in tails_q:

@@ -101,12 +101,13 @@ def _poly_str(p: Series) -> str:
 
 
 def build_stores(framings: list[int], conventions: Conventions | None = None,
-                 cache=None) -> list[CorrStore]:
+                 cache=None, audit: bool = False) -> list[CorrStore]:
     """Stores for each framing under one shared set of conventions; without
-    conventions the first framing calibrates them."""
+    conventions the first framing calibrates them.  ``audit`` stores
+    contract every entry instead of filling by string and dilaton."""
     stores = []
     for f in framings:
-        store = CorrStore(f, conventions=conventions, cache=cache)
+        store = CorrStore(f, conventions=conventions, cache=cache, audit=audit)
         conventions = store.conventions
         stores.append(store)
     return stores

@@ -4,6 +4,7 @@ residue tables against their ``Fraction`` construction and the free-slot
 symmetry check."""
 
 import hashlib
+import inspect
 import json
 from collections import Counter
 from fractions import Fraction
@@ -156,8 +157,8 @@ def test_targets_cover_the_pinned_range():
 
 
 @pytest.mark.parametrize("g,h", TARGETS)
-def test_pinned_digests(stores, g, h):
-    for store in stores:
+def test_pinned_digests(stores, audit_stores, g, h):
+    for store in stores + audit_stores:
         assert _digest(store.correlator(g, h).coeffs) == PINNED[(store.f, g, h)]
 
 
@@ -169,10 +170,22 @@ def test_deep_table_covers_its_range():
 
 
 @pytest.mark.parametrize("f,g,h", sorted(PINNED_DEEP))
-def test_pinned_deep_digests(stores, f, g, h):
-    store = stores[f - 1]
-    assert store.f == f
-    assert _digest(store.correlator(g, h).coeffs) == PINNED_DEEP[(f, g, h)]
+def test_pinned_deep_digests(stores, audit_stores, f, g, h):
+    for store in (stores[f - 1], audit_stores[f - 1]):
+        assert store.f == f
+        assert _digest(store.correlator(g, h).coeffs) == PINNED_DEEP[(f, g, h)]
+
+
+def test_both_modes_store_the_same_tensors():
+    """An empty core builds no frame but still requests every lower tensor
+    the contraction reads, so a store (and a cache directory) holds the
+    same tensors in both modes after every pinned target, each run on
+    fresh stores."""
+    for f, g, h in sorted(set(PINNED) | set(PINNED_DEEP)):
+        default, audit = CorrStore(f, CONV), CorrStore(f, CONV, audit=True)
+        default.correlator(g, h)
+        audit.correlator(g, h)
+        assert set(default.table) == set(audit.table), (f, g, h)
 
 
 @pytest.mark.parametrize("g,h", TARGETS)
@@ -190,10 +203,11 @@ def test_top_degree_is_witten_kontsevich(stores, g, h):
 @pytest.mark.parametrize("g,h", [t for t in TARGETS if window_policy(*t) > 4])
 def test_policy_window_is_tight(stores, g, h):
     """One term less than the dimension bound asks for and a kernel
-    coefficient the tables read is no longer certified."""
+    coefficient the full contraction reads is no longer certified.  The
+    core alone may read fewer, so the probe is an audit store."""
     for store in stores:
         store.correlator(g, h)
-        probe = CorrStore(store.f, store.conventions)
+        probe = CorrStore(store.f, store.conventions, audit=True)
         probe.table = dict(store.table)  # lower tensors only; no frame
         with pytest.raises(WindowError):
             probe._compute_at(g, h, window_policy(g, h) - 1)
@@ -311,8 +325,53 @@ def test_free_slot_check_catches_broken_contraction(monkeypatch, mutation, g, h)
     """The fixed slots are symmetric by construction, so a wrong split
     weight or a lost mirror split shows only as a free index whose value
     differs from another free index of the same key."""
-    CorrStore(1, CONV).correlator(g, h)  # the unbroken contraction passes
+    CorrStore(1, CONV, audit=True).correlator(g, h)  # the unbroken contraction passes
     for patch in MUTATIONS[mutation]:
         monkeypatch.setattr(*patch)
     with pytest.raises(AssertionError, match="free slot breaks the symmetry"):
-        CorrStore(1, CONV).correlator(g, h)
+        CorrStore(1, CONV, audit=True).correlator(g, h)
+
+
+def _fill_mutant(old, new):
+    """``recursion._fill`` with one piece of its source replaced."""
+    source = inspect.getsource(recursion._fill)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(recursion))
+    exec(source.replace(old, new), namespace)
+    return namespace["_fill"]
+
+
+#: name -> (source piece of ``_fill``, its broken replacement)
+FILL_MUTATIONS = {
+    "string-shift-2": ("(v + 1,)", "(v + 2,)"),
+    "string-count-dropped": ("weight * c", "c"),
+    "dilaton-2g-2+h": ("2 * g - 3 + h", "2 * g - 2 + h"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(FILL_MUTATIONS))
+def test_broken_fill_differs_from_its_audit_twin(monkeypatch, audit_stores, mutation):
+    """A default store trusts the fill without a free-slot check, so a
+    broken string or dilaton step must show against the pinned digests
+    and against the full contraction of an audit store.  Targets run from
+    the lowest up and stop at the first that differs: above it, the core
+    may read the broken tensor and fail its own checks."""
+    monkeypatch.setattr(recursion, "_fill", _fill_mutant(*FILL_MUTATIONS[mutation]))
+    for f, g, h in sorted(PINNED, key=lambda t: (2 * t[1] - 2 + t[2], t)):
+        got = CorrStore(f, CONV).correlator(g, h).coeffs
+        if (got != audit_stores[f - 1].correlator(g, h).coeffs
+                and _digest(got) != PINNED[(f, g, h)]):
+            return
+    pytest.fail(f"{mutation} left every pinned target intact")
+
+
+def test_empty_core_builds_no_frame():
+    """W(0,6) and every tensor below it but W(0,3) have an empty core, so a
+    default store builds only the frame of W(0,3); an audit store builds
+    the one frame that W(0,6) asks for."""
+    default = CorrStore(1, CONV)
+    default.correlator(0, 6)
+    assert set(default._frames) == {window_policy(0, 3)} == {4}
+    audit = CorrStore(1, CONV, audit=True)
+    audit.correlator(0, 6)
+    assert set(audit._frames) == {window_policy(0, 6)} == {7}

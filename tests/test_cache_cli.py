@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from eorec import cli
 from eorec.cache import CorrCache, _canonical, _checksum, corrdiff_payload
 from eorec.cli import main
 from eorec.recursion import Conventions, CorrDiff, CorrStore
@@ -447,3 +449,68 @@ class TestCli:
         out = capsys.readouterr().out
         assert "sigma_kernel=-1" in out
         assert "[0]: 1/8" in out
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestAuditStores:
+    """``verify`` and sign overrides run on audit stores, which contract
+    every entry; every other command fills by string and dilaton."""
+
+    @pytest.mark.parametrize("argv,audit", [
+        ("verify --g-max 0", True),
+        ("free-energy --override-sign-kernel 1", True),
+        ("correlator --g 0 --h 3 --override-sign-psirec -1", True),
+        ("hodge --g 1 --override-sign-kernel -1 --override-sign-psirec 1", True),
+        ("free-energy", False),
+        ("correlator --g 0 --h 3", False),
+        ("hodge --g 1", False),
+    ])
+    def test_main_picks_the_store_mode(self, monkeypatch, argv, audit):
+        """``cli.main`` reads ``build_stores`` from the module globals at call
+        time, where the benchmark's child process patches it."""
+        seen = []
+
+        def spy(framings, **kwargs):
+            seen.append(kwargs["audit"])
+            raise _Stop
+
+        monkeypatch.setattr(cli, "build_stores", spy)
+        with pytest.raises(_Stop):
+            main(argv.split() + ["--f", "1"])
+        assert seen == [audit]
+
+    def test_both_modes_write_the_same_cache(self, capsys, tmp_path, monkeypatch):
+        argv = ["free-energy", "--f", "1,2,3", "--g-max", "4", "--cache-dir"]
+        assert main(argv + [str(tmp_path / "default")]) == 0
+        out = capsys.readouterr().out
+        build = cli.build_stores
+        monkeypatch.setattr(cli, "build_stores",
+                            lambda *a, **kw: build(*a, **{**kw, "audit": True}))
+        assert main(argv + [str(tmp_path / "audit")]) == 0
+        assert capsys.readouterr().out == out
+
+        def files(name):
+            return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+        assert len(files("default")) == 40
+        assert files("default") == files("audit")
+
+    def test_free_energy_survives_a_wrong_kernel_sign(self, capsys):
+        """A flipped kernel breaks string and dilaton; on a fill store W(2,2)
+        failed its free-slot check.  The stdout digest is that of the full
+        contraction: the energies agree up to the sign epsilon = 1."""
+        assert main(["free-energy", "--f", "1,2", "--override-sign-kernel", "1"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["conventions"]["epsilon"] == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "80703adf0ab4625994c4bd52cedc3b06df474fc8865e557d1b39f750b3836ad0")
+
+    def test_verify_reports_a_wrong_kernel_sign(self, capsys):
+        assert main(["verify", "--f", "2", "--override-sign-kernel", "1"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["summary"] == {
+            "total": 32, "passed": 29, "failed": 3}
+        assert captured.err == ""

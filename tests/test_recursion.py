@@ -127,12 +127,14 @@ class TestStructure:
                           for idx, c in w.coeffs.items())
                 assert res == 0
 
-    def test_symmetry_spot_checks(self, store_f1):
-        # the tensor peel verifies full slot symmetry on every computation;
-        # recompute these two targets fresh so the check runs here
+    def test_symmetry_spot_checks(self, audit_stores):
+        # the contraction checks free-slot symmetry on every entry it
+        # computes; recompute these two targets fresh on an audit store, as
+        # a default store fills both by string and dilaton alone
+        store = audit_stores[0]
         for g, h in ((0, 4), (1, 2)):
-            w = store_f1.compute(g, h)
-            assert w.coeffs == store_f1.correlator(g, h).coeffs
+            w = store.compute(g, h)
+            assert w.coeffs == store.correlator(g, h).coeffs
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_dilaton_links_one_and_two_point_tensors(self, stores, g):
@@ -148,8 +150,9 @@ class TestStructure:
                 assert lhs == scale * w1.get((n,), Q(0))
 
     @pytest.mark.parametrize("key", [(1, 1), (0, 3), (2, 1), (1, 2)])
-    def test_truncation_stability(self, stores, key):
-        for store in stores:
+    def test_truncation_stability(self, audit_stores, key):
+        # on audit stores: a default store fills W(1,2) without a frame
+        for store in audit_stores:
             base = store.correlator(*key)
             wide = store.compute(*key, window=window_policy(*key) + 4)
             assert base.coeffs == wide.coeffs
@@ -157,7 +160,8 @@ class TestStructure:
 
 class TestAuditOverrides:
     def test_flipped_kernel_negates_odd_depth(self):
-        store = CorrStore(1, Conventions(sigma_kernel=1, sigma_psirec=1))
+        # an audit store: string would fill W(0,4) from the flipped W(0,3)
+        store = CorrStore(1, Conventions(sigma_kernel=1, sigma_psirec=1), audit=True)
         ref = reference_correlators(1)
         # one recursion step: flips with the kernel sign
         got = store.correlator(0, 3).coeffs
