@@ -4,14 +4,14 @@ One JSON file per (f, g, h, kernel sign, shift-recursion sign), holding the
 tensor with rationals serialized as decimal ``p/q`` strings, a format
 version and a content checksum.  A version or checksum mismatch, a field
 that does not hold the type the format writes (an integer that is not a
-boolean, sorted non-negative indices, a canonical ``p/q`` string), or a
-file that is not a UTF-8 JSON object with a checksum, triggers
-recomputation; stale files are never silently reused, and every rejection
-is a warning on the ``eorec`` logger.  The calibration record
-(``conventions.json``) holds the two signs calibrated on first use of a
-cache directory, and is written only then.  The energy sign is not part of
-it: a record that still carries an ``epsilon`` key loads with the key
-ignored.
+boolean, sorted non-negative indices, terms in strictly increasing key
+order, a canonical nonzero ``p/q`` string), or a file that is not a UTF-8
+JSON object with a checksum, triggers recomputation; stale files are never
+silently reused, and every rejection is a warning on the ``eorec`` logger.
+The calibration record (``conventions.json``) holds the two signs
+calibrated on first use of a cache directory, and is written only then.
+The energy sign is not part of it: a record that still carries an
+``epsilon`` key loads with the key ignored.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 
 from .recursion import Conventions, CorrDiff
 from .scalars import format_rational, parse_rational
+from .series import integer_dict
 
 FORMAT_VERSION = 1
 ENV_CACHE_DIR = "EOREC_CACHE_DIR"
@@ -64,8 +65,8 @@ def _read_record(path: Path, unreadable: str, stale: str, build):
     None when there is no file, and None with a warning when the file is not
     UTF-8 JSON holding an object with a checksum (``unreadable``), or when
     its format version or checksum does not match or ``build`` finds a field
-    missing or malformed (a ``KeyError``, ``TypeError`` or ``ValueError``:
-    ``stale``).
+    missing or malformed (a ``KeyError``, ``TypeError``, ``ValueError`` or,
+    for a zero denominator, ``ZeroDivisionError``: ``stale``).
     """
     if not path.exists():
         return None
@@ -80,7 +81,7 @@ def _read_record(path: Path, unreadable: str, stale: str, build):
     if blob.get("format_version") == FORMAT_VERSION and stored == _checksum(blob):
         try:
             return build(blob)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
             pass
     _warn(stale)
     return None
@@ -123,21 +124,28 @@ def _ints(*values) -> bool:
 
 def corrdiff_from_payload(payload: dict) -> CorrDiff:
     """The tensor of a record; a ``ValueError`` unless f, g and h are
-    integers and each term holds h sorted non-negative integer indices and
-    a coefficient string as ``format_rational`` writes it."""
+    integers and each term holds h sorted non-negative integer indices,
+    after the previous term's in key order, and a nonzero coefficient
+    string as ``format_rational`` writes it."""
     f, g, h = payload["f"], payload["g"], payload["h"]
     if not _ints(f, g, h):
         raise ValueError("f, g and h must be integers")
     coeffs = {}
+    last = None
     for t in payload["terms"]:
         idx, c = t["n"], t["c"]
         if not (isinstance(idx, list) and len(idx) == h and _ints(*idx)
                 and idx == sorted(idx) and min(idx, default=0) >= 0):
             raise ValueError(f"malformed index {idx!r}")
-        if not isinstance(c, str) or format_rational(value := parse_rational(c)) != c:
+        if last is not None and idx <= last:
+            raise ValueError(f"index {idx!r} out of key order")
+        if (not isinstance(c, str) or format_rational(value := parse_rational(c)) != c
+                or not value):
             raise ValueError(f"malformed coefficient {c!r}")
         coeffs[tuple(idx)] = value
-    return CorrDiff(g=g, h=h, f=f, coeffs=coeffs)
+        last = idx
+    # reduced nonzero fractions: their lcm is already the least denominator
+    return CorrDiff(g, h, f, *integer_dict(coeffs))
 
 
 class CorrCache:

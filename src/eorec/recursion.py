@@ -42,9 +42,10 @@ the one rational ingredient of a table, is converted to one such series
 once per frame.  A product of two legs is then one integer product cut
 after z^0 (``Series.mul``) and a residue an integer dot product; each
 table, keyed by basis indices, is kept as numerators over its least common
-denominator.  The contraction reads each lower tensor the same way and sums
-Python ints over one running common denominator, and each entry of W(g,h)
-is formed as one ``Fraction``.
+denominator.  Every stored tensor is held the same way (``CorrDiff``), so
+the contraction reads lower tensors as they are and sums Python ints over
+one running common denominator, which the fill shares; only the rational
+view ``CorrDiff.coeffs`` forms a ``Fraction``.
 
 The tables hold psihat itself at every basis leg, while Psi_n = -psihat_n
 dy.  The orientation signs of a term (one per fixed slot carried over from
@@ -95,8 +96,6 @@ from .psi import PsiTable, peel, psi_table
 from .reference import reference_correlators
 from .series import Series, integer_dict, integer_powers, lowest_terms, substitute
 
-QZERO = Fraction(0)
-
 
 class Conventions(NamedTuple("Conventions", [("sigma_kernel", int), ("sigma_psirec", int)])):
     """Calibrated orientation signs (recorded in every serialized output)."""
@@ -111,15 +110,21 @@ class Conventions(NamedTuple("Conventions", [("sigma_kernel", int), ("sigma_psir
 
 
 class CorrDiff(NamedTuple):
-    """Correlator tensor: sorted multi-index -> rational coefficient."""
+    """Correlator tensor: sorted multi-index -> nonzero integer numerator over
+    ``den``, in lowest terms; ``coeffs`` is its ``Fraction`` view."""
 
     g: int
     h: int
     f: int
-    coeffs: dict
+    den: int
+    nums: dict
+
+    @property
+    def coeffs(self) -> dict:
+        return {key: Fraction(c, self.den) for key, c in self.nums.items()}
 
     def coeff(self, idx: tuple[int, ...]) -> Fraction:
-        return self.coeffs.get(tuple(sorted(idx)), QZERO)
+        return Fraction(self.nums.get(tuple(sorted(idx)), 0), self.den)
 
 
 # the desk-scale genus cap: the largest genus the command line serves
@@ -155,11 +160,11 @@ def _legs(key: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
             if i == 0 or key[i - 1] != v]
 
 
-def _by_leg(coeffs: dict, lo: int) -> dict[int, list]:
+def _by_leg(nums: dict, lo: int) -> dict[int, list]:
     """Tensor entries grouped by the index of one leg: v -> [(sorted rest, c)],
     keeping only the rests whose indices are all >= lo."""
     out: dict[int, list] = {}
-    for key, c in coeffs.items():
+    for key, c in nums.items():
         for v, rest in _legs(key):
             if not rest or rest[0] >= lo:
                 out.setdefault(v, []).append((rest, c))
@@ -192,36 +197,13 @@ def _splits(g: int, h: int):
                 yield left, right
 
 
-def _fill(g: int, h: int, f: int, lower: dict) -> dict:
-    """The entries of W(g,h) that hold an index 0 or 1, from the tensor of
-    W(g,h-1), by the string and dilaton relations:
-
-        W(g,h)[(0,)+m] = -f(f+1) sum_j W(g,h-1)[m - e_j]   (m_j >= 1),
-        W(g,h)[(1,)+m] = -f(f+1) (2g-3+h) W(g,h-1)[m]      (m free of 0).
-
-    String raises one index v of a lower key to v+1; the raised key arises
-    from as many positions j as it holds copies of v+1, which is the weight
-    of ``_merge``.
-    """
-    den, nums = integer_dict(lower)
-    out: dict = defaultdict(int)
-    for key, c in nums.items():
-        for v, rest in _legs(key):
-            tail, weight = _merge((v + 1,), rest)
-            out[(0,) + tail] += weight * c
-        if key[0]:
-            out[(1,) + key] += (2 * g - 3 + h) * c
-    scale = -f * (f + 1)
-    return {key: Fraction(scale * c, den) for key, c in out.items() if c}
-
-
 class _Sum:
     """Integer numerators over one running common denominator."""
 
     __slots__ = ("den", "num")
 
-    def __init__(self):
-        self.den = 1
+    def __init__(self, den: int = 1):
+        self.den = den
         self.num: dict = defaultdict(int)
 
     def factor(self, den: int) -> int:
@@ -234,6 +216,27 @@ class _Sum:
                 self.num[key] *= grow
             self.den *= grow
         return self.den // den
+
+
+def _fill(g: int, h: int, f: int, lower: CorrDiff, out: _Sum) -> None:
+    """Add to ``out`` the entries of W(g,h) that hold an index 0 or 1, from
+    the tensor of W(g,h-1), by the string and dilaton relations:
+
+        W(g,h)[(0,)+m] = -f(f+1) sum_j W(g,h-1)[m - e_j]   (m_j >= 1),
+        W(g,h)[(1,)+m] = -f(f+1) (2g-3+h) W(g,h-1)[m]      (m free of 0).
+
+    String raises one index v of a lower key to v+1; the raised key arises
+    from as many positions j as it holds copies of v+1, which is the weight
+    of ``_merge``.
+    """
+    scale = -f * (f + 1) * out.factor(lower.den)
+    for key, c in lower.nums.items():
+        c *= scale
+        for v, rest in _legs(key):
+            tail, weight = _merge((v + 1,), rest)
+            out.num[(0,) + tail] += weight * c
+        if key[0]:
+            out.num[(1,) + key] += (2 * g - 3 + h) * c
 
 
 class _Frame:
@@ -423,13 +426,12 @@ class CorrStore:
         (a <= b, sorted tail), and one loop over its entries applies R[a,b]
         to each; the D, W03 and Bergman-leg terms are added directly.  The
         sum is negated once (see the module docstring for the signs).
-        Lower tensors and tables enter as integer numerators, the sum runs
-        over Python ints on one running denominator, and each entry of the
-        result is formed as one ``Fraction``.
+        Tensors and tables enter as integer numerators; the sum runs over
+        Python ints on one running denominator and ends in lowest terms.
 
         Outside audit mode, for h >= 2 except W(0,3), only the core is
-        contracted (indices below ``lo`` are skipped) and ``_fill`` gives
-        the rest; see the module docstring.
+        contracted (indices below ``lo`` are skipped) and ``_fill`` adds
+        the rest to the negated core; see the module docstring.
         """
         core = not self.audit and h >= 2 and (g, h) != (0, 3)
         if core and h > 3 * g - 3:
@@ -439,8 +441,9 @@ class CorrStore:
                 if left != (0, 2):
                     self.correlator(*left)
                 self.correlator(*right)
-            return CorrDiff(g=g, h=h, f=self.f,
-                            coeffs=_fill(g, h, self.f, self.correlator(g, h - 1).coeffs))
+            out = _Sum()
+            _fill(g, h, self.f, self.correlator(g, h - 1), out)
+            return CorrDiff(g, h, self.f, *lowest_terms(out.den, out.num))
         lo = 2 if core else 0
         frame = self.frame(window)
         acc = _Sum()
@@ -452,8 +455,9 @@ class CorrStore:
             acc.den, table = frame.d_table()
             num.update(((n,), c) for n, c in table.items())
         elif g >= 1:
-            bracket.den, coeffs = integer_dict(self.correlator(g - 1, h + 1).coeffs)
-            for key, c in coeffs.items():
+            lower = self.correlator(g - 1, h + 1)
+            bracket.den = lower.den
+            for key, c in lower.nums.items():
                 for a, rest in _legs(key):
                     for b, tail in _legs(rest):
                         if not tail or tail[0] >= lo:
@@ -485,20 +489,15 @@ class CorrStore:
             for n, r in row:
                 num[(n,) + tail] += c * r
 
-        canonical: dict = {}
-        seen: dict = {}
+        out = _Sum(acc.den)  # the core, negated
+        seen: dict = defaultdict(int)
         for idx, c in num.items():
-            if not c:
-                continue
-            key = tuple(sorted(idx))
-            if key in canonical:
-                if canonical[key] != c:
+            if c:
+                key = tuple(sorted(idx))
+                if out.num.setdefault(key, -c) != -c:
                     raise AssertionError(
                         f"free slot breaks the symmetry at {idx} in W({g},{h})")
                 seen[key] += 1
-            else:
-                canonical[key] = c
-                seen[key] = 1
         bound = 3 * g - 3 + h
         for key, count in seen.items():
             if count != len(set(key)):
@@ -506,21 +505,20 @@ class CorrStore:
             if sum(key) > bound:
                 raise AssertionError(
                     f"index {key} violates the dimension bound {bound} in W({g},{h})")
-        coeffs = {key: Fraction(c, -acc.den) for key, c in canonical.items()}
         if core:
-            coeffs.update(_fill(g, h, self.f, self.correlator(g, h - 1).coeffs))
-        return CorrDiff(g=g, h=h, f=self.f, coeffs=coeffs)
+            _fill(g, h, self.f, self.correlator(g, h - 1), out)
+        return CorrDiff(g, h, self.f, *lowest_terms(out.den, out.num))
 
     def _bergman_leg_term(self, frame: _Frame, acc: _Sum, right: tuple[int, int],
                           lo: int, mult: int) -> None:
         """mult times B(q, p_j) against W(right) at q-bar, via E[b], on the
         entries whose indices are all >= lo."""
         num = acc.num
-        den, coeffs = integer_dict(self.correlator(*right).coeffs)
+        lower = self.correlator(*right)
         memo: dict = {}  # (m, rest) -> _merge((m,), rest), shared by every leg index b
-        for b, tails in _by_leg(coeffs, lo).items():
+        for b, tails in _by_leg(lower.nums, lo).items():
             eden, table = frame.e_table(b)
-            scale = mult * acc.factor(den * eden)
+            scale = mult * acc.factor(lower.den * eden)
             merged: dict[int, list] = {}  # m -> [(tail, weight * c)], once per m
             for (n, m), e in table.items():
                 if n < lo or m < lo:
@@ -543,12 +541,11 @@ class CorrStore:
         """Add mult times two lower tensors, with their legs at q and q-bar,
         to the bracket, on the tails whose indices are all >= lo."""
         num = bracket.num
-        dq, coeffs_q = integer_dict(self.correlator(*left).coeffs)
-        dqb, coeffs_qbar = integer_dict(self.correlator(*right).coeffs)
-        scale = mult * bracket.factor(dq * dqb)
-        at_qbar = _by_leg(coeffs_qbar, lo)
+        wq, wqb = self.correlator(*left), self.correlator(*right)
+        scale = mult * bracket.factor(wq.den * wqb.den)
+        at_qbar = _by_leg(wqb.nums, lo)
         merged: dict = {}  # (tq, tqb) -> _merge(tq, tqb), once per tail pair
-        for a, tails_q in _by_leg(coeffs_q, lo).items():
+        for a, tails_q in _by_leg(wq.nums, lo).items():
             for b, tails_qbar in at_qbar.items():
                 pair = (min(a, b), max(a, b))
                 for tq, cq in tails_q:

@@ -28,9 +28,10 @@ reciprocal and the primitive run on the numerators, so the local frame at
 the ramification point is built over the integers from curve data kept in
 the same form.  Every Laurent polynomial or series in one variable is held
 this way, the pole basis and the residue integrands included; only data
-keyed by basis index is a (den, {index: numerator}) pair (``integer_dict``,
-``lowest_terms``).  A series with ``den = 1`` does no denominator work at
-all, whatever its ring.
+keyed by basis index, tables and tensors, is a (den, {index: numerator})
+pair (``lowest_terms``); ``integer_dict`` makes one of the rational values
+of a kernel column or a cached tensor.  A series with ``den = 1`` does no
+denominator work at all, whatever its ring.
 """
 
 from __future__ import annotations

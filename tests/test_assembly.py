@@ -1,19 +1,21 @@
 """The tensor assembly: pinned outputs, an independent top-degree oracle,
 the a priori window, the frame policy of ``CorrStore.compute``, the integer
-residue tables against their ``Fraction`` construction and the free-slot
-symmetry check."""
+residue tables against their ``Fraction`` construction, the free-slot
+symmetry check and the canonical integer form of every stored tensor."""
 
 import hashlib
 import inspect
 import json
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from eorec import (Conventions, CorrStore, PeelError, WindowError,
                    format_rational, window_policy)
 from eorec import recursion
+from eorec.cache import CorrCache
 
 from oracles import FractionTables
 from wk import wk
@@ -174,6 +176,21 @@ def test_pinned_deep_digests(stores, audit_stores, f, g, h):
     for store in (stores[f - 1], audit_stores[f - 1]):
         assert store.f == f
         assert _digest(store.correlator(g, h).coeffs) == PINNED_DEEP[(f, g, h)]
+
+
+@pytest.mark.parametrize("f,g,h", sorted(set(PINNED) | set(PINNED_DEEP)))
+def test_pinned_tensors_are_canonical(stores, audit_stores, tmp_path, f, g, h):
+    """A stored tensor is nonzero numerators over their least common
+    denominator: one form, so both modes store the same tuple and the cache
+    gives it back unchanged."""
+    default, audit = stores[f - 1], audit_stores[f - 1]
+    w = default.correlator(g, h)
+    assert w == audit.correlator(g, h)
+    assert w.den > 0 and 0 not in w.nums.values()
+    assert gcd(w.den, *w.nums.values()) == 1
+    cache = CorrCache(tmp_path)
+    cache.store(w, default.conventions)
+    assert cache.load(f, g, h, default.conventions) == w
 
 
 def test_both_modes_store_the_same_tensors():

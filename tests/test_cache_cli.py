@@ -2,7 +2,6 @@ import hashlib
 import json
 import logging
 import os
-from fractions import Fraction
 
 import pytest
 
@@ -11,28 +10,26 @@ from eorec.cache import CorrCache, _canonical, _checksum, corrdiff_payload
 from eorec.cli import main
 from eorec.recursion import Conventions, CorrDiff, CorrStore
 
-Q = Fraction
 CONV = Conventions(sigma_kernel=-1, sigma_psirec=1)
 
 
 class TestCache:
     def test_roundtrip(self, tmp_path):
         cache = CorrCache(tmp_path)
-        w = CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 8), (1,): Q(-1, 12)})
+        w = CorrDiff(g=1, h=1, f=1, den=24, nums={(0,): 3, (1,): -2})
         cache.store(w, CONV)
         back = cache.load(1, 1, 1, CONV)
-        assert back is not None
-        assert back.coeffs == w.coeffs and (back.g, back.h, back.f) == (1, 1, 1)
+        assert back == w
 
     def test_miss_on_other_conventions(self, tmp_path):
         cache = CorrCache(tmp_path)
-        w = CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 8)})
+        w = CorrDiff(g=1, h=1, f=1, den=8, nums={(0,): 1})
         cache.store(w, CONV)
         assert cache.load(1, 1, 1, Conventions(sigma_kernel=1, sigma_psirec=1)) is None
 
     def test_corruption_triggers_recompute(self, tmp_path, capsys):
         cache = CorrCache(tmp_path)
-        w = CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 8)})
+        w = CorrDiff(g=1, h=1, f=1, den=8, nums={(0,): 1})
         cache.store(w, CONV)
         path = next(tmp_path.glob("corr_*.json"))
         blob = json.loads(path.read_text())
@@ -44,7 +41,7 @@ class TestCache:
     @staticmethod
     def _stored(tmp_path):
         cache = CorrCache(tmp_path)
-        cache.store(CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 8)}), CONV)
+        cache.store(CorrDiff(g=1, h=1, f=1, den=8, nums={(0,): 1}), CONV)
         return cache, next(tmp_path.glob("corr_*.json"))
 
     @staticmethod
@@ -58,6 +55,26 @@ class TestCache:
         assert self._warnings(caplog) == [(
             "eorec", logging.WARNING,
             f"eorec: unreadable cache file {path.name}, recomputing")]
+
+    @pytest.mark.parametrize("terms", [
+        [{"n": [0], "c": "1/0"}],
+        [{"n": [0], "c": "0"}, {"n": [1], "c": "-1/12"}],
+        [{"n": [0], "c": "1/8"}, {"n": [0], "c": "1/7"}],
+        [{"n": [1], "c": "-1/12"}, {"n": [0], "c": "1/8"}],
+    ], ids=["zero-denominator", "zero-coefficient", "repeated-index", "unsorted-terms"])
+    def test_noncanonical_terms_are_stale(self, tmp_path, caplog, terms):
+        """Terms that ``terms_payload`` never writes are rejected even under
+        a valid checksum: a warm run must not print what a cold one cannot."""
+        cache, path = self._stored(tmp_path)
+        blob = json.loads(path.read_text())
+        del blob["checksum"]
+        blob["terms"] = terms
+        blob["checksum"] = _checksum(blob)
+        path.write_text(_canonical(blob) + "\n")
+        assert cache.load(1, 1, 1, CONV) is None
+        assert self._warnings(caplog) == [(
+            "eorec", logging.WARNING,
+            f"eorec: stale or corrupt cache file {path.name}, recomputing")]
 
     def test_stale_file_is_logged(self, tmp_path, caplog):
         cache, path = self._stored(tmp_path)
@@ -133,13 +150,13 @@ class TestCache:
         assert caplog.records == []
 
     def test_rationals_serialized_as_strings(self, tmp_path):
-        w = CorrDiff(g=0, h=3, f=2, coeffs={(0, 0, 0): Q(-36)})
+        w = CorrDiff(g=0, h=3, f=2, den=1, nums={(0, 0, 0): -36})
         payload = corrdiff_payload(w, CONV)
         assert payload["terms"] == [{"n": [0, 0, 0], "c": "-36"}]
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         cache = CorrCache(tmp_path)
-        old = CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 8)})
+        old = CorrDiff(g=1, h=1, f=1, den=8, nums={(0,): 1})
         cache.store(old, CONV)
         cache.store_conventions(CONV)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -148,7 +165,7 @@ class TestCache:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", interrupted)
-        new = CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 7)})
+        new = CorrDiff(g=1, h=1, f=1, den=7, nums={(0,): 1})
         with pytest.raises(OSError, match="disk full"):
             cache.store(new, CONV)
         with pytest.raises(OSError, match="disk full"):

@@ -18,6 +18,7 @@ from math import factorial
 import pytest
 
 from eorec import CorrDiff, hodge_extract
+from eorec.series import integer_dict
 
 
 def _sinc(c: int, g: int) -> list:
@@ -75,5 +76,5 @@ def test_one_perturbed_entry_breaks_the_formula(stores, g):
     key = max(w.coeffs)
     coeffs = dict(w.coeffs)
     coeffs[key] += Fraction(1, 7)
-    bad = CorrDiff(g=w.g, h=w.h, f=w.f, coeffs=coeffs)
+    bad = CorrDiff(w.g, w.h, w.f, *integer_dict(coeffs))
     assert [d for d, *_ in formula_failures(bad)] == list(range(1, 3 * g + 1))

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from eorec import CorrDiff
+from eorec.series import integer_dict
 
 #: every W(g,h) with 2g-2+h <= 4, so each pinned W(g,h+1) up to 2g-2+h = 5
 #: is checked, and W(3,1) below W(3,2)
@@ -74,5 +75,5 @@ def test_one_perturbed_entry_breaks_a_relation(audit_stores, g, h):
     key = min(k for k in upper.coeffs if k[0] == 0)
     coeffs = dict(upper.coeffs)
     coeffs[key] += 1
-    bad = CorrDiff(g=upper.g, h=upper.h, f=upper.f, coeffs=coeffs)
+    bad = CorrDiff(upper.g, upper.h, upper.f, *integer_dict(coeffs))
     assert {k for k, *_ in relation_failures(store.correlator(g, h), bad)} == {key}

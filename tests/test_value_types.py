@@ -26,11 +26,12 @@ def test_conventions_compare_by_value():
 
 @pytest.mark.parametrize("value, field", [
     (CONV, "sigma_kernel"),
-    (CorrDiff(g=1, h=1, f=1, coeffs={(0,): Q(1, 8)}), "coeffs"),
+    (CorrDiff(g=1, h=1, f=1, den=8, nums={(0,): 1}), "coeffs"),
     (HodgeTable(g=1, f=1, bracket={}), "bracket"),
     (Dilaton(ratio=Q(1), target=None), "ratio"),
     (EnergyRow(g=2, f=1, direct=None, shortcut=None, reference=Q(1), sign=None,
                paths_equal=False, magnitude_ok=False), "g"),
+    (CorrDiff(g=1, h=1, f=1, den=8, nums={(0,): 1}), "nums"),
 ])
 def test_frozen_fields_are_read_only(value, field):
     before = getattr(value, field)
