@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 import os
+from math import gcd, lcm
 from pathlib import Path
 
 from .recursion import Conventions, CorrDiff
-from .scalars import format_rational, parse_rational
-from .series import integer_dict
+from .scalars import parse_rational
 
 FORMAT_VERSION = 1
 ENV_CACHE_DIR = "EOREC_CACHE_DIR"
@@ -51,11 +51,16 @@ def _canonical(payload: dict) -> str:
 
 
 def _checksum(payload: dict) -> str:
-    """The SHA-256 of the canonical payload; ``hashlib`` (OpenSSL) is
-    imported here, so a run without a cache never loads it."""
+    """The SHA-256 of the canonical payload."""
+    return _digest(_canonical(payload))
+
+
+def _digest(text: str) -> str:
+    """The SHA-256 of ``text``; ``hashlib`` (OpenSSL) is imported here, so a
+    run without a cache never loads it."""
     import hashlib
 
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _read_record(path: Path, unreadable: str, stale: str, build):
@@ -100,8 +105,15 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def terms_payload(w: CorrDiff) -> list[dict]:
-    """The entries of a tensor in key order, each rendered exactly."""
-    return [{"n": list(idx), "c": format_rational(c)} for idx, c in sorted(w.coeffs.items())]
+    """The entries of a tensor in key order, each rendered exactly as
+    ``format_rational`` renders its value: its numerator over ``den``
+    reduced by one ``gcd``."""
+    den = w.den
+    out = []
+    for idx, c in sorted(w.nums.items()):
+        g = gcd(c, den)
+        out.append({"n": list(idx), "c": f"{c // g}/{den // g}" if den != g else str(c // g)})
+    return out
 
 
 def corrdiff_payload(w: CorrDiff, conventions: Conventions) -> dict:
@@ -126,26 +138,28 @@ def corrdiff_from_payload(payload: dict) -> CorrDiff:
     """The tensor of a record; a ``ValueError`` unless f, g and h are
     integers and each term holds h sorted non-negative integer indices,
     after the previous term's in key order, and a nonzero coefficient
-    string as ``format_rational`` writes it."""
+    string as ``terms_payload`` writes it (``parse_rational``)."""
     f, g, h = payload["f"], payload["g"], payload["h"]
     if not _ints(f, g, h):
         raise ValueError("f, g and h must be integers")
-    coeffs = {}
+    terms = {}
     last = None
     for t in payload["terms"]:
-        idx, c = t["n"], t["c"]
+        idx = t["n"]
         if not (isinstance(idx, list) and len(idx) == h and _ints(*idx)
                 and idx == sorted(idx) and min(idx, default=0) >= 0):
             raise ValueError(f"malformed index {idx!r}")
         if last is not None and idx <= last:
             raise ValueError(f"index {idx!r} out of key order")
-        if (not isinstance(c, str) or format_rational(value := parse_rational(c)) != c
-                or not value):
+        c = t["c"]
+        p, q = parse_rational(c) if isinstance(c, str) else (0, 1)
+        if not p:
             raise ValueError(f"malformed coefficient {c!r}")
-        coeffs[tuple(idx)] = value
+        terms[tuple(idx)] = p, q
         last = idx
     # reduced nonzero fractions: their lcm is already the least denominator
-    return CorrDiff(g, h, f, *integer_dict(coeffs))
+    den = lcm(*(q for _, q in terms.values()))
+    return CorrDiff(g, h, f, den, {key: p * (den // q) for key, (p, q) in terms.items()})
 
 
 class CorrCache:
@@ -175,11 +189,12 @@ class CorrCache:
                             build)
 
     def store(self, w: CorrDiff, conv: Conventions) -> None:
-        payload = corrdiff_payload(w, conv)
-        payload["checksum"] = _checksum(
-            {k: v for k, v in payload.items() if k != "checksum"})
+        """Write the record of ``w`` with one serialisation: "checksum" sorts
+        before every other key, so the canonical record is the checksum
+        followed by the rest of the canonical payload it hashes."""
+        body = _canonical(corrdiff_payload(w, conv))
         path = self._path(w.f, w.g, w.h, conv)
-        _write_atomic(path, _canonical(payload) + "\n")
+        _write_atomic(path, f'{{"checksum":"{_digest(body)}",{body[1:]}\n')
 
     # -- calibration record -------------------------------------------
 

@@ -11,9 +11,10 @@ shifted coordinate z = y - y*:
   omega = log y dx/x, and the Bergman self-pairing B(q, q_bar), each
   built from s;
 * the recursion kernel K(w; z), a z-series whose coefficients are Laurent
-  polynomials in the free-slot coordinate w = y_p - y*, read off the
-  integer products (s^k - z^k)/D, each cut after the highest exponent the
-  kernel keeps, with one ``Fraction`` per entry.
+  polynomials in the free-slot coordinate w = y_p - y*, read by slice off
+  the integer products (s^k - z^k)/D, each cut after the highest exponent
+  the kernel keeps, with z^k subtracted in place from the numerators of
+  s^k and one ``Fraction`` per entry.
 
 x(y* + z), s, D and B(q, q_bar) are integer series over a denominator
 (:class:`~eorec.series.Series`), so every reciprocal, product and
@@ -157,9 +158,11 @@ def recursion_kernel(D: Series, s: Series, sign: int) -> Series:
     coefficient of w^-(k+1) in K_j is sign/2 [z^j] (s^k - z^k)/D.  Each is
     summed over the integers, from the integer series s
     (``conjugate_series``) and D (``omega_diff_series``), and formed as one
-    ``Fraction``.  The powers s^k and the products (s^k - z^k)/D are cut
-    after the highest exponent read (``Series.mul``); the windows of s and
-    D bound the window of the result.
+    ``Fraction``.  s^k - z^k is s^k with ``den`` subtracted from its
+    numerator at z^k; the powers s^k and the products (s^k - z^k)/D are cut
+    after the highest exponent read (``Series.mul``), and each product is
+    read by slice.  The windows of s and D bound the window of the
+    result.
     """
     inv_d = D.invert()  # 1/D starts at z^lo
     lo = inv_d.start
@@ -170,9 +173,12 @@ def recursion_kernel(D: Series, s: Series, sign: int) -> Series:
     power = Series.constant(1)
     for k in range(1, top + 1):
         power = power.mul(s, top)
-        part = (power - Series.monomial(1, k)).mul(inv_d, end)
-        for j in range(part.start, end + 1):
-            if c := part.coeff(j):  # WindowError past the certified window
+        diff = list(power.coeffs)
+        diff[k - power.start] -= power.den  # s^k - z^k
+        part = Series(power.start, diff, den=power.den).mul(inv_d, end)
+        part.coeff(end)  # WindowError unless certified through z^end, where it is cut
+        for j, c in enumerate(part.coeffs, part.start):
+            if c:
                 columns[j - start][(-(k + 1),)] = Fraction(c, part.den)
     acc = Series(start, [MLaurent(1, col) for col in columns])
     kernel = acc.scale(MLaurent.const(1, Fraction(sign, 2)))

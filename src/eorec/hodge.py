@@ -32,7 +32,6 @@ from .scalars import format_rational
 from .series import Series
 
 QZERO = Fraction(0)
-QONE = Fraction(1)
 
 
 def theta_series(curve: FramedCurve, window: int) -> tuple[Series, Series]:
@@ -130,9 +129,9 @@ class HodgeTable(NamedTuple):
 def hodge_extract(w: CorrDiff) -> HodgeTable:
     if w.h != 1:
         raise ValueError("Hodge extraction needs a one-point tensor")
-    sign = QONE if (w.g + 1) % 2 == 0 else -QONE
+    sign = 1 if (w.g + 1) % 2 == 0 else -1
     return HodgeTable(g=w.g, f=w.f,
-                      bracket={idx[0]: sign * c for idx, c in w.coeffs.items()})
+                      bracket={idx[0]: Fraction(sign * c, w.den) for idx, c in w.nums.items()})
 
 
 def lambda_top_coefficient(g: int) -> Series:
@@ -235,10 +234,10 @@ def free_energy_direct(store: CorrStore, g: int) -> Fraction:
         raise ValueError("needs genus >= 2")
     w = store.correlator(g, 1)
     total = QZERO
-    for idx, c in w.coeffs.items():
+    for idx, c in w.nums.items():
         total += c * residue_theta_psi(store.curve, idx[0], table=store.psi)
     sign = 1 if g % 2 == 0 else -1
-    return Fraction(sign, 2 - 2 * g) * total
+    return Fraction(sign, (2 - 2 * g) * w.den) * total
 
 
 def free_energy_shortcut(store: CorrStore, g: int) -> Fraction:

@@ -37,15 +37,19 @@ q, so the D, W03 and E[b] terms go straight into the result.
 
 Tables and contraction run over the integers.  The basis forms and the
 involution s are integer series over their denominators, so psihat_a at q
-and psihat_b(s) s' at q-bar are integer series too; each kernel column K_j,
-the one rational ingredient of a table, is converted to one such series
-once per frame.  A product of two legs is then one integer product cut
-after z^0 (``Series.mul``) and a residue an integer dot product; each
-table, keyed by basis indices, is kept as numerators over its least common
-denominator.  Every stored tensor is held the same way (``CorrDiff``), so
-the contraction reads lower tensors as they are and sums Python ints over
-one running common denominator, which the fill shares; only the rational
-view ``CorrDiff.coeffs`` forms a ``Fraction``.
+and psihat_b(s) s' at q-bar are integer series too.  The kernel columns
+K_j, the one rational ingredient of a table, are peeled into the basis
+once per frame, on its first residue, and kept as (index, numerator) pairs
+over one frame denominator.  A product of two legs is then one integer
+product cut after z^0 (``Series.mul``), and a residue Res K z^k F a plain
+integer dot product of F's numerators with the columns, with no lcm and no
+rescaling per call; E[b] reads its Bergman-leg terms as residues of one
+q-bar leg against z^k.  Each table, keyed by basis indices, is kept as
+numerators over its least common denominator.  Every stored tensor is
+held the same way (``CorrDiff``), so the contraction reads lower tensors
+as they are and sums Python ints over one running common denominator,
+which the fill shares; only the rational view ``CorrDiff.coeffs`` forms a
+``Fraction``.
 
 The tables hold psihat itself at every basis leg, while Psi_n = -psihat_n
 dy.  The orientation signs of a term (one per fixed slot carried over from
@@ -244,9 +248,9 @@ class _Frame:
     the residue tables of the recursion.
 
     Every series that enters a table is an integer series over its
-    denominator, each kernel column is converted to one once per frame, and
-    every table is held as integer numerators over one denominator, a pair
-    (d, numerators) keyed by basis indices.
+    denominator, the kernel columns are peeled once per frame and held over
+    one frame denominator, and every table is held as integer numerators
+    over one denominator, a pair (d, numerators) keyed by basis indices.
     """
 
     def __init__(self, curve: FramedCurve, psi: PsiTable, window: int, sigma_kernel: int):
@@ -259,7 +263,8 @@ class _Frame:
         # exponent is -2 or below
         self._inv_s_pows = integer_powers(s.invert())
         self._at_qbar: dict[int, Series] = {}
-        self._kernel_basis: dict[int, tuple[int, dict]] = {}
+        self._columns: list[list[tuple[int, int]]] | None = None
+        self._kden = 1
         self._r: dict[tuple[int, int], tuple[int, dict]] = {}
         self._e: dict[int, tuple[int, dict]] = {}
         self._d: tuple[int, dict] | None = None
@@ -278,27 +283,34 @@ class _Frame:
     def kernel_basis(self, j: int) -> tuple[int, dict[int, int]]:
         """K_j(w), the z^j coefficient of the kernel, expanded in the basis
         over one denominator."""
-        out = self._kernel_basis.get(j)
-        if out is None:
-            coeff = self.kernel.coeff(j)  # WindowError past the certified window
-            den, nums = integer_dict({key[0]: c for key, c in coeff.terms.items()})
-            out = self._kernel_basis[j] = peel(Series.from_dict(nums, den=den), self.psi)
-        return out
+        coeff = self.kernel.coeff(j)  # WindowError past the certified window
+        den, nums = integer_dict({key[0]: c for key, c in coeff.terms.items()})
+        return peel(Series.from_dict(nums, den=den), self.psi)
 
-    def residue(self, F: Series) -> tuple[int, dict[int, int]]:
-        """Res_z K(w;z) F(z) in the basis of w, from the numerators of F's
-        z^e coefficients, e <= 0: a dot product with the kernel columns.
-        The result is not in lowest terms."""
-        F.coeff(0)  # raises WindowError unless F is known through z^0
-        cols = [(c, self.kernel_basis(-1 - e))
-                for e, c in enumerate(F.coeffs[:max(0, 1 - F.start)], F.start) if c]
-        kden = lcm(*(d for _, (d, _) in cols))
+    def residue(self, F: Series, k: int = 0) -> tuple[int, dict[int, int]]:
+        """Res_z K(w;z) z^k F(z) in the basis of w, from the numerators of
+        F's z^e coefficients, e <= -k: a dot product with the kernel
+        columns K_(-1-e-k).  The result is not in lowest terms.
+
+        The first call peels every certified column, K_j for j = -1 up to
+        the kernel's window end, into (n, numerator) pairs over the lcm of
+        the columns, held by the frame at index j + 1."""
+        F.coeff(-k)  # raises WindowError unless z^k F is known through z^0
+        if self._columns is None:
+            peeled = [self.kernel_basis(j) for j in range(-1, self.kernel.window_end + 1)]
+            self._kden = kden = lcm(*(d for d, _ in peeled))
+            self._columns = [[(n, c * (kden // d)) for n, c in col.items()]
+                             for d, col in peeled]
+        cols = self._columns
+        top = -k - F.start  # the column K_(top-1) of F's first coefficient, at index top
         out: dict[int, int] = defaultdict(int)
-        for c, (d, col) in cols:
-            c *= kden // d
-            for n, k in col.items():
-                out[n] += c * k
-        return F.den * kden, out
+        for i, c in enumerate(F.coeffs[:max(0, top + 1)]):
+            if c:
+                if top - i >= len(cols):
+                    self.kernel.coeff(top - i - 1)  # raises WindowError
+                for n, x in cols[top - i]:
+                    out[n] += c * x
+        return F.den * self._kden, out
 
     def r_table(self, a: int, b: int) -> tuple[int, dict[int, int]]:
         """R[a,b]: the q-leg of index a against the q-bar leg of index b.
@@ -323,12 +335,11 @@ class _Frame:
         out = self._e.get(b)
         if out is None:
             at_qbar = self.psihat_at_qbar(b)
-            legs = [self.residue(at_qbar.shift(k)) for k in range(2 * b + 3)]
-            lden = lcm(*(d for d, _ in legs))
             by_free: dict[int, dict] = {}
-            for k, (d, res) in enumerate(legs):
+            for k in range(2 * b + 3):
+                lden, res = self.residue(at_qbar, k)  # one denominator for every k
                 for n, c in res.items():
-                    by_free.setdefault(n, {})[-(k + 2)] = (k + 1) * c * (lden // d)
+                    by_free.setdefault(n, {})[-(k + 2)] = (k + 1) * c
             peeled = {n: peel(Series.from_dict(poly, den=lden), self.psi)
                       for n, poly in by_free.items()}
             eden = lcm(*(d for d, _ in peeled.values()))

@@ -22,16 +22,19 @@ reads as, what pads a window and what an empty sum starts from.
 
 Over the integers a series also carries a denominator ``den`` (1 by
 default): it stands for its integer coefficients divided by ``den``, held
-in lowest terms with ``den > 0``.  Sums put both sides over the least
-common multiple of their denominators, products multiply them, and the
-reciprocal and the primitive run on the numerators, so the local frame at
-the ramification point is built over the integers from curve data kept in
-the same form.  Every Laurent polynomial or series in one variable is held
-this way, the pole basis and the residue integrands included; only data
-keyed by basis index, tables and tensors, is a (den, {index: numerator})
-pair (``lowest_terms``); ``integer_dict`` makes one of the rational values
-of a kernel column or a cached tensor.  A series with ``den = 1`` does no
-denominator work at all, whatever its ring.
+in lowest terms with ``den > 0``.  A sum of any number of series (``+``,
+``-`` and ``substitute``) is one pass: every operand goes over the least
+common multiple of the denominators and is read by slice into one
+coefficient list, with the window rule written once.  Products multiply
+the denominators, and the reciprocal and the primitive run on the
+numerators, so the local frame at the ramification point is built over
+the integers from curve data kept in the same form.  Every Laurent
+polynomial or series in one variable is held this way, the pole basis and
+the residue integrands included; only data keyed by basis index, tables
+and tensors, is a (den, {index: numerator}) pair (``lowest_terms``);
+``integer_dict`` makes one of the rational values of a kernel column.  A
+series with ``den = 1`` does no denominator work at all, whatever its
+ring.
 """
 
 from __future__ import annotations
@@ -128,29 +131,12 @@ class Series:
     def __add__(self, other: "Series") -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
-        if self.is_known_zero():
-            return other
-        if other.is_known_zero():
-            return self
-        start = min(self.start, other.start)
-        exact = self.exact and other.exact
-        if exact:
-            end = max(self._stored_end(), other._stored_end())
-        else:
-            end = int(min(self.window_end, other.window_end))
-            if end < start:
-                raise WindowError("sum has an empty certified window")
-        den = self.den
-        if other.den == den:
-            coeffs = [self.coeff(k) + other.coeff(k) for k in range(start, end + 1)]
-        else:
-            den = math.lcm(den, other.den)
-            a, b = den // self.den, den // other.den
-            coeffs = [self.coeff(k) * a + other.coeff(k) * b for k in range(start, end + 1)]
-        return Series(start, coeffs, exact=exact, den=den)
+        return _linear_sum(((1, self), (1, other)))
 
     def __sub__(self, other: "Series") -> "Series":
-        return self + (-other)
+        if not isinstance(other, Series):
+            return NotImplemented
+        return _linear_sum(((1, self), (-1, other)))
 
     def __neg__(self) -> "Series":
         return Series(self.start, [-c for c in self.coeffs], exact=self.exact, den=self.den)
@@ -319,12 +305,44 @@ def substitute(poly: Series, pows: list, inv_pows: list | None = None) -> Series
     """sum_e c_e x^e for the Laurent polynomial ``poly`` with coefficients
     c_e, from the lists [1, x, x^2, ...] and [1, 1/x, 1/x^2, ...] of integer
     series (``integer_powers``), extended on demand; a list may be None
-    when ``poly`` has no exponent of its sign.  The terms are summed over
-    the least common multiple of their denominators."""
-    terms = [(c, integer_power(pows, e) if e >= 0 else integer_power(inv_pows, -e))
-             for e, c in poly.coeff_dict().items()]
-    den = math.lcm(*(t.den for _, t in terms))
-    acc = Series(0, [], exact=True)
+    when ``poly`` has no exponent of its sign.  The powers are summed in
+    one pass, as one sum of as many operands as ``poly`` has terms."""
+    return _linear_sum(((c, integer_power(pows, e) if e >= 0 else integer_power(inv_pows, -e))
+                        for e, c in poly.coeff_dict().items()), poly.den)
+
+
+def _linear_sum(terms, den: int = 1) -> Series:
+    """sum_i c_i t_i / den over the pairs (c_i, t_i) of an integer and a
+    series, in one pass: every t_i goes over the least common multiple L
+    of their denominators and is read by slice into one coefficient list,
+    which becomes one series over den L.
+
+    A known-zero operand is dropped.  A sum of exact operands is exact, up
+    to the largest stored end; otherwise it is known through the smallest
+    ``window_end``.  An operand that starts past that end adds nothing.
+    When two or more operands are left, an empty window raises
+    ``WindowError``; a single operand keeps its own window, so t + 0 = t.
+    """
+    terms = [(c, t) for c, t in terms if not t.is_known_zero()]
+    if not terms:
+        return Series(0, [], exact=True)
+    start = min(t.start for _, t in terms)
+    exact = all(t.exact for _, t in terms)
+    if exact:
+        end = max(t._stored_end() for _, t in terms)
+    else:
+        end = int(min(t.window_end for _, t in terms))
+        if end < start and len(terms) > 1:
+            raise WindowError("sum has an empty certified window")
+    lcd = math.lcm(*(t.den for _, t in terms))
+    out = [0] * (end - start + 1)
     for c, t in terms:
-        acc = acc + Series(t.start, t.coeffs, t.exact).scale(c * (den // t.den))
-    return Series(acc.start, acc.coeffs, acc.exact, den=poly.den * den)
+        c *= lcd // t.den
+        xs = t.coeffs[:max(0, end + 1 - t.start)]
+        i = t.start - start
+        j = i + len(xs)
+        if c == 1:
+            out[i:j] = [a + x for a, x in zip(out[i:j], xs)]
+        else:
+            out[i:j] = [a + x * c for a, x in zip(out[i:j], xs)]
+    return Series(start, out, exact=exact, den=den * lcd)

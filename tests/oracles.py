@@ -1,20 +1,21 @@
 """Exact reference routines that only the tests use: the reciprocal and
-the primitive of a series in ``Fraction`` arithmetic, the conversions
-between rational data and integer numerators over one denominator, the
-Taylor shift of a polynomial and polynomial interpolation, x about the
-ramification point as a product of ``Fraction`` series, the
-integration-by-parts residue identity, the outcome of a series operation
-(its window or its error), log(1 + u) summed as a power series, the primitive theta built by series arithmetic, the
-involution solved by recomputing powers, the basis operator chain, the
-one-form difference and the kernel built in ``Fraction`` arithmetic, the
-residue tables of a frame built in ``Fraction`` arithmetic, the basis
-shift recursion and peeling in ``Fraction`` arithmetic, and the top
-lambda-word coefficient from products of ``Fraction`` series.  Polynomials
-are exact ``Series``."""
+the primitive of a series in ``Fraction`` arithmetic, a sum of series
+summed by exponent with its window, the conversions between rational data
+and integer numerators over one denominator, the Taylor shift of a
+polynomial and polynomial interpolation, x about the ramification point as
+a product of ``Fraction`` series, the integration-by-parts residue
+identity, the outcome of a series operation (its window or its error),
+log(1 + u) summed as a power series, the primitive theta built by series
+arithmetic, the involution solved by recomputing powers, the basis
+operator chain, the one-form difference and the kernel built in
+``Fraction`` arithmetic, the residue tables of a frame built in
+``Fraction`` arithmetic, the basis shift recursion and peeling in
+``Fraction`` arithmetic, and the top lambda-word coefficient from products
+of ``Fraction`` series.  Polynomials are exact ``Series``."""
 
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import inf, lcm
 from typing import Iterator, Sequence
 
 from eorec import FramedCurve, MLaurent, Series
@@ -94,6 +95,31 @@ def series_outcome(fn):
     except (WindowError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
     return out.start, out.window_end, out.exact, list(out.coeffs)
+
+
+def window_sum(terms) -> tuple[int | None, dict, float]:
+    """sum_i c_i t_i for pairs of a rational c_i and an integer series t_i
+    over its denominator, summed by exponent in ``Fraction`` arithmetic, as
+    (start, {exponent: nonzero value}, window end); a sum known to be zero
+    has no start, (None, {}, inf).
+
+    A known-zero operand is dropped.  The start is the smallest start left;
+    the sum is known through the smallest window end, or everywhere
+    (``inf``) when every operand is exact.  An empty window raises
+    ``WindowError`` when two or more operands are left; a single operand
+    keeps its own."""
+    live = [(c, t) for c, t in terms if not (t.exact and not t.coeffs)]
+    start = min((t.start for _, t in live), default=None)
+    end = min((t.window_end for _, t in live), default=inf)
+    if len(live) > 1 and end < start:
+        raise WindowError("sum has an empty certified window")
+    out: dict = {}
+    for c, t in live:
+        for i, x in enumerate(t.coeffs):
+            if t.start + i <= end:
+                out[t.start + i] = out.get(t.start + i, QZERO) + c * Fraction(x, t.den)
+    values = {e: v for e, v in out.items() if v}
+    return (None if end == inf and not values else start), values, end
 
 
 def as_fractions(t: Series) -> Series:

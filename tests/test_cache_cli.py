@@ -154,6 +154,22 @@ class TestCache:
         payload = corrdiff_payload(w, CONV)
         assert payload["terms"] == [{"n": [0, 0, 0], "c": "-36"}]
 
+    def test_every_record_is_the_two_pass_serialisation(self, capsys, tmp_path):
+        """``store`` serialises a record once and splices the checksum in
+        front; every file of a deep run equals the record serialised with
+        its checksum as one more key."""
+        assert main(["free-energy", "--f", "1,2,3", "--g-max", "6",
+                     "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 79
+        for path in files:
+            text = path.read_text(encoding="utf-8")
+            payload = json.loads(text)
+            del payload["checksum"]
+            assert text == _canonical({**payload, "checksum": _checksum(payload)}) + "\n", \
+                path.name
+
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         cache = CorrCache(tmp_path)
         old = CorrDiff(g=1, h=1, f=1, den=8, nums={(0,): 1})
@@ -252,6 +268,14 @@ MALFORMED = {
     "n-too-long": (_set("terms", 0, "n", [0, 0]), CORR, STALE_CORR),
     "c-float": (_set("terms", 0, "c", 0.1), CORR, STALE_CORR),
     "c-not-lowest-terms": (_set("terms", 0, "c", "2/16"), CORR, STALE_CORR),
+    # strings that ``Fraction`` reads but the cache never writes
+    "c-plus-sign": (_set("terms", 0, "c", "+1/8"), CORR, STALE_CORR),
+    "c-leading-space": (_set("terms", 0, "c", " 1/8"), CORR, STALE_CORR),
+    "c-zero-padded-denominator": (_set("terms", 0, "c", "1/08"), CORR, STALE_CORR),
+    "c-underscore": (_set("terms", 0, "c", "1_0/3"), CORR, STALE_CORR),
+    "c-negative-denominator": (_set("terms", 0, "c", "1/-8"), CORR, STALE_CORR),
+    "c-zero-padded-integer": (_set("terms", 0, "c", "08"), CORR, STALE_CORR),
+    "c-zero-over-five": (_set("terms", 0, "c", "0/5"), CORR, STALE_CORR),
     "sigma_psirec-true": (_set("sigma_psirec", True), "conventions.json", STALE_CONV),
 }
 

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from eorec import (Conventions, CorrStore, PsiTable, psi_table, reference_correlators,
-                   two_point_genus_one_readings, window_policy)
-from eorec.recursion import calibrate
-from eorec.errors import NotRepresentableError
+from eorec import (Conventions, CorrStore, FramedCurve, PsiTable, Series, psi_table,
+                   reference_correlators, two_point_genus_one_readings, window_policy)
+from eorec.recursion import _Frame, calibrate
+from eorec.errors import NotRepresentableError, WindowError
 
 Q = Fraction
 
@@ -176,3 +176,32 @@ class TestAuditOverrides:
         store = CorrStore(1, Conventions(sigma_kernel=-1, sigma_psirec=-1))
         ref = reference_correlators(1)
         assert store.correlator(1, 1).coeffs != ref[(1, 1)]
+
+
+def _residue_outcome(residue):
+    """The residue's (denominator, numerators), or ``WindowError``."""
+    try:
+        den, nums = residue()
+    except WindowError:
+        return WindowError
+    return den, dict(nums)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+def test_residue_against_a_power_of_z_equals_the_shifted_residue(f):
+    """residue(F, k), Res K z^k F, equals residue(z^k F) on every E[b] leg of
+    a window-21 frame, b <= 8 and k = 0..2b+2; the WindowError of a leg
+    past the window (b = 9, 10) or cut short of z^-k agrees as well."""
+    frame = _Frame(FramedCurve(f), psi_table(f), 21, -1)
+    errors = 0
+    for b in range(11):
+        leg = frame.psihat_at_qbar(b)
+        cut = Series(leg.start, leg.coeffs[:2 * b + 1 - b // 2])
+        for F in (leg, cut):
+            for k in range(2 * b + 3):
+                got = _residue_outcome(lambda: frame.residue(F, k))
+                assert got == _residue_outcome(lambda: frame.residue(F.shift(k))), (b, k)
+                if F is leg and b <= 8:
+                    assert got is not WindowError, (b, k)
+                errors += got is WindowError
+    assert errors

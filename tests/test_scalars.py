@@ -33,7 +33,16 @@ def test_division_by_zero():
 
 def test_format_parse_roundtrip():
     for x in (Fraction(1, 8), Fraction(-1, 12), Fraction(-36), Fraction(0)):
-        assert parse_rational(format_rational(x)) == x
+        assert Fraction(*parse_rational(format_rational(x))) == x
     assert format_rational(Fraction(-36)) == "-36"
     assert format_rational(Fraction(1, 8)) == "1/8"
 
+
+
+@pytest.mark.parametrize("text", ["+1/8", " 1/8", "1/8 ", "1/08", "08", "1_0/3", "1/-8",
+                                  "-0", "0/5", "2/16", "3/1", "1/", "/8", "1/2/3", "1.5"])
+def test_parse_rejects_what_format_never_writes(text):
+    """Each string is one that ``Fraction`` reads but ``format_rational``
+    never writes, or one neither reads."""
+    with pytest.raises(ValueError):
+        parse_rational(text)

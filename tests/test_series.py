@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from eorec import Series
 from eorec.errors import WindowError
+from eorec.series import substitute
 
 from oracles import (antiderive, as_fractions, ibp_residue_check, integer_series, invert,
-                     series_log1p, series_outcome)
+                     series_log1p, series_outcome, window_sum)
 
 Q = Fraction
 
@@ -277,3 +278,55 @@ def test_sum_over_coprime_denominators_uses_their_lcm():
     total = a + b
     assert (total.den, total.coeffs) == (12, (5, 3))
     assert (a - a).is_known_zero() and (a - a).den == 1
+
+
+def _sum_outcome(fn):
+    """fn()'s series as (start, {exponent: nonzero value}, window end), with
+    no start for a known zero, or the type and message of its
+    ``WindowError``."""
+    try:
+        out = fn()
+    except WindowError as exc:
+        return WindowError, str(exc)
+    values = {k: Q(c, out.den) for k, c in out.coeff_dict().items()}
+    return (None if out.is_known_zero() else out.start), values, out.window_end
+
+
+def _oracle_outcome(terms):
+    try:
+        return window_sum(terms)
+    except WindowError as exc:
+        return WindowError, str(exc)
+
+
+@given(integer_series_over_dens, integer_series_over_dens)
+@settings(max_examples=300, deadline=None)
+def test_sum_and_difference_match_the_window_sum_oracle(a, b):
+    assert _sum_outcome(lambda: a + b) == _oracle_outcome([(1, a), (1, b)])
+    assert _sum_outcome(lambda: a - b) == _oracle_outcome([(1, a), (-1, b)])
+
+
+@given(st.dictionaries(st.integers(min_value=-3, max_value=3),
+                       st.integers(min_value=-9, max_value=9).filter(bool), max_size=5),
+       st.integers(min_value=1, max_value=12),
+       st.lists(integer_series_over_dens, min_size=4, max_size=4),
+       st.lists(integer_series_over_dens, min_size=4, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_substitute_matches_the_window_sum_oracle(poly, den, pows, inv_pows):
+    """``substitute`` reads pows[e] and inv_pows[-e] as the powers of its
+    variable, so arbitrary series stand in for them here."""
+    p = Series.from_dict(poly, den=den)
+    terms = [(Q(c, p.den), pows[e] if e >= 0 else inv_pows[-e])
+             for e, c in p.coeff_dict().items()]
+    assert _sum_outcome(lambda: substitute(p, pows, inv_pows)) == _oracle_outcome(terms)
+
+
+def test_an_operand_past_the_window_end_adds_nothing():
+    a = Series(0, [1, 2, 3], den=2)            # known on [0, 2]
+    b = Series(5, [7, 1], den=3)               # starts past a's window end
+    c = Series(4, [1], exact=True)
+    poly = Series.from_dict({0: 1, 1: 2, 2: -1})
+    for got, terms, sign in ((a + b, [(1, a), (1, b)], 1), (b - a, [(1, b), (-1, a)], -1),
+                             (substitute(poly, [a, b, c]), [(1, a), (2, b), (-1, c)], 1)):
+        assert _sum_outcome(lambda: got) == window_sum(terms) == \
+            (0, {0: Q(sign, 2), 1: Q(sign), 2: Q(3 * sign, 2)}, 2)
