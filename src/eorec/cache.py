@@ -8,7 +8,8 @@ boolean, sorted non-negative indices, terms in strictly increasing key
 order, a canonical nonzero ``p/q`` string), or a file that is not a UTF-8
 JSON object with a checksum, triggers recomputation; stale files are never
 silently reused, and every rejection is a warning on the ``eorec`` logger.
-The calibration record (``conventions.json``) holds the two signs
+So is a record that cannot be written; the run goes on without it.  The
+calibration record (``conventions.json``) holds the two signs
 calibrated on first use of a cache directory, and is written only then.
 The energy sign is not part of it: a record that still carries an
 ``epsilon`` key loads with the key ignored.
@@ -92,16 +93,28 @@ def _read_record(path: Path, unreadable: str, stale: str, build):
     return None
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step: a reader or an interrupted
-    run sees either the previous file or the new one, never a partial one."""
+def _write_record(path: Path, payload: dict) -> None:
+    """Replace ``path`` with the record of ``payload`` and its checksum.
+
+    The record is serialised once: "checksum" sorts before every other key,
+    so the canonical record is the checksum followed by the rest of the
+    canonical payload it hashes.  It is written to a temporary file and
+    renamed over ``path`` in one step, so a reader or an interrupted run sees
+    either the previous file or the new one, never a partial one.  A write
+    that fails with an ``OSError`` keeps the previous file, leaves no
+    temporary file and is a warning on the ``eorec`` logger naming the file
+    and the error; the run goes on without the record.
+    """
+    body = _canonical(payload)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_text(f'{{"checksum":"{_digest(body)}",{body[1:]}\n', encoding="utf-8")
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as exc:
+        _warn(f"eorec: cannot write cache file {path.name} ({exc.strerror or exc}), "
+              f"continuing uncached")
+    finally:
+        tmp.unlink(missing_ok=True)  # gone after the rename
 
 
 def terms_payload(w: CorrDiff) -> list[dict]:
@@ -189,12 +202,7 @@ class CorrCache:
                             build)
 
     def store(self, w: CorrDiff, conv: Conventions) -> None:
-        """Write the record of ``w`` with one serialisation: "checksum" sorts
-        before every other key, so the canonical record is the checksum
-        followed by the rest of the canonical payload it hashes."""
-        body = _canonical(corrdiff_payload(w, conv))
-        path = self._path(w.f, w.g, w.h, conv)
-        _write_atomic(path, f'{{"checksum":"{_digest(body)}",{body[1:]}\n')
+        _write_record(self._path(w.f, w.g, w.h, conv), corrdiff_payload(w, conv))
 
     # -- calibration record -------------------------------------------
 
@@ -211,13 +219,11 @@ class CorrCache:
                             "eorec: stale calibration record, recalibrating", build)
 
     def store_conventions(self, conv: Conventions) -> None:
-        payload = {
+        _write_record(self._conv_path(), {
             "format_version": FORMAT_VERSION,
             "sigma_kernel": conv.sigma_kernel,
             "sigma_psirec": conv.sigma_psirec,
-        }
-        payload["checksum"] = _checksum(payload)
-        _write_atomic(self._conv_path(), _canonical(payload) + "\n")
+        })
 
 
 def default_cache_dir() -> str | None:

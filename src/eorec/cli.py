@@ -23,7 +23,8 @@ from .errors import EorecError
 from .hodge import dilaton, energies_by_genus, energy_table, hodge_extract
 from .recursion import HARD_G_CAP, Conventions, calibrate, unrepresentable
 from .scalars import format_rational
-from .verify import build_stores, run_verification
+from .verify import (build_stores, conventions_line, conventions_payload,
+                     run_verification)
 
 
 def _parse_framings(text: str) -> list[int]:
@@ -95,11 +96,6 @@ def _resolve_conventions(args, cache: CorrCache | None) -> Conventions:
                        sigma_psirec=conv.sigma_psirec if po is None else po)
 
 
-def _conv_payload(conv: Conventions, epsilon: int | None = None) -> dict:
-    return {"sigma_kernel": conv.sigma_kernel, "sigma_psirec": conv.sigma_psirec,
-            "epsilon": epsilon}
-
-
 def _emit(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ": ")) + "\n")
 
@@ -157,11 +153,10 @@ def _cmd_correlator(args, stores) -> int:
         w = store.correlator(args.g, args.h)
         results.append({"f": store.f, "g": w.g, "h": w.h, "terms": terms_payload(w)})
     if args.output_format == "json":
-        _emit({"command": "correlator", "conventions": _conv_payload(conv),
+        _emit({"command": "correlator", "conventions": conventions_payload(conv),
                "results": results})
     else:
-        print(f"conventions: sigma_kernel={conv.sigma_kernel}, "
-              f"sigma_psirec={conv.sigma_psirec}")
+        print(conventions_line(conv))
         for r in results:
             print(f"W(g={r['g']}, h={r['h']}) at f={r['f']}:")
             for t in r["terms"]:
@@ -186,7 +181,7 @@ def _cmd_hodge(args, stores) -> int:
             row["dilaton_sign"] = d.sign
         rows.append(row)
     payload = {"command": "hodge", "g": args.g,
-               "conventions": _conv_payload(conv),
+               "conventions": conventions_payload(conv),
                "rows": rows, "framing_independent": len(ratios) == 1}
     if args.output_format == "json":
         _emit(payload)
@@ -224,15 +219,14 @@ def _cmd_free_energy(args, stores) -> int:
     framing_ok = all(len(v) == 1 for v in energies_by_genus(rows).values())
     all_ok = all_ok and framing_ok and epsilon is not None
     payload = {"command": "free-energy",
-               "conventions": _conv_payload(conv, epsilon),
+               "conventions": conventions_payload(conv, epsilon),
                "rows": payload_rows,
                "framing_independent": framing_ok,
                "pass": all_ok}
     if args.output_format == "json":
         _emit(payload)
     else:
-        print(f"conventions: sigma_kernel={conv.sigma_kernel}, "
-              f"sigma_psirec={conv.sigma_psirec}, epsilon={epsilon}")
+        print(conventions_line(conv, epsilon))
         for r in payload_rows:
             status = "ok" if r["pass"] else "FAIL"
             print(f"  g={r['g']} f={r['f']}: direct={r['direct']} "

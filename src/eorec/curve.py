@@ -14,7 +14,7 @@ shifted coordinate z = y - y*:
   polynomials in the free-slot coordinate w = y_p - y*, read by slice off
   the integer products (s^k - z^k)/D, each cut after the highest exponent
   the kernel keeps, with z^k subtracted in place from the numerators of
-  s^k and one ``Fraction`` per entry.
+  s^k, one ``Fraction`` per entry and one product by sign/2.
 
 x(y* + z), s, D and B(q, q_bar) are integer series over a denominator
 (:class:`~eorec.series.Series`), so every reciprocal, product and
@@ -152,17 +152,19 @@ def bergman_self_pairing(s: Series) -> Series:
 def recursion_kernel(D: Series, s: Series, sign: int) -> Series:
     """K(w; z) = sign * (1/2) [1/(w - s(z)) - 1/(w - z)] / D(z).
 
-    Returned as a z-series with coefficients that are Laurent polynomials
-    in the single variable w (poles only at w = 0); the lowest z-exponent
-    is -1.  Since 1/(w - s) - 1/(w - z) = sum_k w^-(k+1) (s^k - z^k), the
-    coefficient of w^-(k+1) in K_j is sign/2 [z^j] (s^k - z^k)/D.  Each is
-    summed over the integers, from the integer series s
-    (``conjugate_series``) and D (``omega_diff_series``), and formed as one
-    ``Fraction``.  s^k - z^k is s^k with ``den`` subtracted from its
-    numerator at z^k; the powers s^k and the products (s^k - z^k)/D are cut
-    after the highest exponent read (``Series.mul``), and each product is
-    read by slice.  The windows of s and D bound the window of the
-    result.
+    Returned as a z-series whose coefficients are one-variable Laurent
+    polynomials in w (``MLaurent``, poles only at w = 0); the lowest
+    z-exponent is -1.  Since 1/(w - s) - 1/(w - z) = sum_k w^-(k+1)
+    (s^k - z^k), the coefficient of w^-(k+1) in K_j is
+    sign/2 [z^j] (s^k - z^k)/D.  Each [z^j] (s^k - z^k)/D is summed over the
+    integers, from the integer series s (``conjugate_series``) and D
+    (``omega_diff_series``), formed as one ``Fraction`` and keyed -(k+1) in
+    column j; the column series is then scaled by sign/2 once, one
+    ``Fraction`` product per entry.  s^k - z^k is s^k with ``den``
+    subtracted from its numerator at z^k; the powers s^k and the products
+    (s^k - z^k)/D are cut after the highest exponent read (``Series.mul``),
+    and each product is read by slice.  The windows of s and D bound the
+    window of the result.
     """
     inv_d = D.invert()  # 1/D starts at z^lo
     lo = inv_d.start
@@ -179,9 +181,8 @@ def recursion_kernel(D: Series, s: Series, sign: int) -> Series:
         part.coeff(end)  # WindowError unless certified through z^end, where it is cut
         for j, c in enumerate(part.coeffs, part.start):
             if c:
-                columns[j - start][(-(k + 1),)] = Fraction(c, part.den)
-    acc = Series(start, [MLaurent(1, col) for col in columns])
-    kernel = acc.scale(MLaurent.const(1, Fraction(sign, 2)))
+                columns[j - start][-(k + 1)] = Fraction(c, part.den)
+    kernel = Series(start, [MLaurent(col) for col in columns]).scale(Fraction(sign, 2))
     if kernel.eff_start() != -1:
         raise WindowError("kernel does not exhibit its simple pole; window too small")
     return kernel

@@ -103,8 +103,12 @@ def residue_theta_psi(curve: FramedCurve, n: int, table: PsiTable | None = None)
     if table is None:
         table = psi_table(curve.f)
     psi = table.shifted(n)
-    theta = _theta(curve, 2 * n + 1)
-    rat, log = (-sum(c * part.coeff(-1 - e) for e, c in enumerate(psi.coeffs, psi.start) if c)
+    top = -1 - psi.start  # the exponent of theta against psi's first coefficient
+    theta = _theta(curve, top)
+    for part in theta:
+        part.coeff(top)  # WindowError unless certified through z^top
+    # theta starts at z^0, so its coefficients from z^top down are one slice
+    rat, log = (-sum(c * x for c, x in zip(psi.coeffs, part.coeffs[top::-1]) if c)
                 for part in theta)
     rden, lden = (psi.den * part.den for part in theta)
     if log:

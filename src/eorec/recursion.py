@@ -48,8 +48,8 @@ q-bar leg against z^k.  Each table, keyed by basis indices, is kept as
 numerators over its least common denominator.  Every stored tensor is
 held the same way (``CorrDiff``), so the contraction reads lower tensors
 as they are and sums Python ints over one running common denominator,
-which the fill shares; only the rational view ``CorrDiff.coeffs`` forms a
-``Fraction``.
+which the fill shares and which every R row a target reads joins at once;
+only the rational view ``CorrDiff.coeffs`` forms a ``Fraction``.
 
 The tables hold psihat itself at every basis leg, while Psi_n = -psihat_n
 dy.  The orientation signs of a term (one per fixed slot carried over from
@@ -284,7 +284,7 @@ class _Frame:
         """K_j(w), the z^j coefficient of the kernel, expanded in the basis
         over one denominator."""
         coeff = self.kernel.coeff(j)  # WindowError past the certified window
-        den, nums = integer_dict({key[0]: c for key, c in coeff.terms.items()})
+        den, nums = integer_dict(coeff.terms)
         return peel(Series.from_dict(nums, den=den), self.psi)
 
     def residue(self, F: Series, k: int = 0) -> tuple[int, dict[int, int]]:
@@ -435,10 +435,12 @@ class CorrStore:
         becomes a multiset split of the tail, weighted by ``_merge``.  The
         first term and the pair splits are gathered into the bracket on
         (a <= b, sorted tail), and one loop over its entries applies R[a,b]
-        to each; the D, W03 and Bergman-leg terms are added directly.  The
-        sum is negated once (see the module docstring for the signs).
-        Tensors and tables enter as integer numerators; the sum runs over
-        Python ints on one running denominator and ends in lowest terms.
+        to each, from rows put on the running denominator once, over the lcm
+        of their denominators; the D, W03 and Bergman-leg terms are added
+        directly.  The sum is negated once (see the module docstring for the
+        signs).  Tensors and tables enter as integer numerators; the sum
+        runs over Python ints on one running denominator and ends in lowest
+        terms.
 
         Outside audit mode, for h >= 2 except W(0,3), only the core is
         contracted (indices below ``lo`` are skipped) and ``_fill`` adds
@@ -488,17 +490,18 @@ class CorrStore:
             else:
                 self._pair_term(bracket, left, right, lo, 1 if left == right else 2)
 
-        # the one residue step: R[a,b] against each bracket entry
-        rows: dict = {}  # (a, b) -> (den, [(n, R[a,b][n]) for n >= lo])
-        for (a, b, tail), c in bracket.num.items():
-            got = rows.get((a, b))
-            if got is None:
-                tden, table = frame.r_table(a, b)
-                got = rows[(a, b)] = tden, [(n, r) for n, r in table.items() if n >= lo]
-            tden, row = got
-            c *= acc.factor(bracket.den * tden)
-            for n, r in row:
-                num[(n,) + tail] += c * r
+        # the one residue step: R[a,b] against each bracket entry, with every
+        # row needed put on the running denominator at once
+        tables = {pair: frame.r_table(*pair) for pair in {key[:2] for key in bracket.num}}
+        if tables:
+            rden = lcm(*(tden for tden, _ in tables.values()))
+            scale = acc.factor(bracket.den * rden)
+            rows = {pair: [(n, r * scale * (rden // tden))
+                           for n, r in table.items() if n >= lo]
+                    for pair, (tden, table) in tables.items()}
+            for (a, b, tail), c in bracket.num.items():
+                for n, r in rows[(a, b)]:
+                    num[(n,) + tail] += c * r
 
         out = _Sum(acc.den)  # the core, negated
         seen: dict = defaultdict(int)

@@ -14,11 +14,12 @@ some exponent is formed by ``mul``, which cuts the window there and so
 never computes the coefficients past it.
 
 The coefficient ring is duck-typed, as long as it supports ``+ - *``
-among its elements.  The engine uses ``int`` and
-:class:`~eorec.laurent.MLaurent`, for the kernel's coefficients in the
-free-slot coordinate; ``Fraction`` works as well.  The literal ``0`` is the
-zero of every such ring: it is what a coefficient outside the stored range
-reads as, what pads a window and what an empty sum starts from.
+among its elements.  The engine uses ``int``; ``Fraction`` works as well.
+The kernel's coefficients in the free-slot coordinate,
+:class:`~eorec.laurent.MLaurent`, go through ``scale`` by a rational
+only.  The literal ``0`` is the zero of every such ring: it is what a
+coefficient outside the stored range reads as, what pads a window and what
+an empty sum starts from.
 
 Over the integers a series also carries a denominator ``den`` (1 by
 default): it stands for its integer coefficients divided by ``den``, held

@@ -17,15 +17,33 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .cache import terms_payload
 from .curve import conjugate_series
 from .errors import LogBranchError
 from .hodge import (dilaton, energies_by_genus, energy_table, hodge_extract,
                     lambda_top_coefficient, reserve_theta, residue_theta_psi)
 from .psi import peel
-from .recursion import CorrStore, Conventions, window_policy
+from .recursion import CorrDiff, CorrStore, Conventions, window_policy
 from .reference import reference_correlators, two_point_genus_one_readings
 from .scalars import format_rational
-from .series import Series, integer_powers, lowest_terms, substitute
+from .series import Series, integer_dict, integer_powers, lowest_terms, substitute
+
+_NO_SIGN = object()
+
+
+def conventions_payload(conv: Conventions, epsilon: int | None = None) -> dict:
+    """The conventions block of every JSON output: the two calibrated signs
+    and the energy sign, null where a command does not compute it."""
+    return {"sigma_kernel": conv.sigma_kernel, "sigma_psirec": conv.sigma_psirec,
+            "epsilon": epsilon}
+
+
+def conventions_line(conv: Conventions, epsilon=_NO_SIGN) -> str:
+    """The conventions line of the text outputs, with the energy sign only
+    when one is given (None where it is incoherent)."""
+    line = f"conventions: sigma_kernel={conv.sigma_kernel}, sigma_psirec={conv.sigma_psirec}"
+    return line if epsilon is _NO_SIGN else f"{line}, epsilon={epsilon}"
+
 
 class CheckRecord:
     __slots__ = ("name", "params", "expected", "actual", "passed", "note")
@@ -62,20 +80,13 @@ class VerifyReport:
 
     def to_payload(self) -> dict:
         return {
-            "conventions": {
-                "sigma_kernel": self.conventions.sigma_kernel,
-                "sigma_psirec": self.conventions.sigma_psirec,
-                "epsilon": self.epsilon,
-            },
+            "conventions": conventions_payload(self.conventions, self.epsilon),
             "checks": [c.to_payload() for c in self.checks],
             "summary": self.summary(),
         }
 
     def to_text(self) -> str:
-        lines = [
-            f"conventions: sigma_kernel={self.conventions.sigma_kernel}, "
-            f"sigma_psirec={self.conventions.sigma_psirec}, epsilon={self.epsilon}"
-        ]
+        lines = [conventions_line(self.conventions, self.epsilon)]
         for c in self.checks:
             mark = "PASS" if c.passed else "FAIL"
             params = ", ".join(f"{k}={v}" for k, v in c.params.items())
@@ -92,6 +103,18 @@ def _tensor_str(coeffs: dict) -> str:
     items = ", ".join(f"{list(k)}:{format_rational(v)}"
                       for k, v in sorted(coeffs.items()))
     return "{" + items + "}"
+
+
+def _corr_str(w: CorrDiff) -> str:
+    """``_tensor_str`` of a stored tensor, from its numerators as the cache
+    writes them."""
+    return "{" + ", ".join(f"{t['n']}:{t['c']}" for t in terms_payload(w)) + "}"
+
+
+def _holds(w: CorrDiff, coeffs: dict) -> bool:
+    """Whether the stored tensor ``w`` holds exactly the rationals
+    ``coeffs``, compared as numerators over their least denominator."""
+    return (w.den, w.nums) == lowest_terms(*integer_dict(coeffs))
 
 
 def _poly_str(p: Series) -> str:
@@ -122,23 +145,23 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
     for store in stores:
         ref = reference_correlators(store.f)
         for (g, h), want in sorted(ref.items()):
-            got = store.correlator(g, h).coeffs
+            got = store.correlator(g, h)
             add(CheckRecord(
                 name="known-correlator",
                 params={"f": store.f, "g": g, "h": h},
-                expected=_tensor_str(want), actual=_tensor_str(got),
-                passed=got == want))
+                expected=_tensor_str(want), actual=_corr_str(got),
+                passed=_holds(got, want)))
 
     # reading of the two-point genus-one display
     for store in stores:
         readings = two_point_genus_one_readings(store.f)
-        got = store.correlator(1, 2).coeffs
-        match = next((name for name, t in readings.items() if t == got), None)
+        got = store.correlator(1, 2)
+        match = next((name for name, t in readings.items() if _holds(got, t)), None)
         add(CheckRecord(
             name="two-point-genus-one-reading",
             params={"f": store.f},
             expected="one documented reading",
-            actual=match or _tensor_str(got),
+            actual=match or _corr_str(got),
             passed=match is not None,
             note="readings considered: " + ", ".join(sorted(readings))))
 
@@ -242,9 +265,8 @@ def run_verification(stores: list[CorrStore], g_max: int = 3) -> VerifyReport:
             add(CheckRecord(
                 name="truncation-stability",
                 params={"f": store.f, "g": g, "h": h},
-                expected=_tensor_str(base.coeffs),
-                actual=_tensor_str(widened.coeffs),
-                passed=base.coeffs == widened.coeffs))
+                expected=_corr_str(base), actual=_corr_str(widened),
+                passed=(base.den, base.nums) == (widened.den, widened.nums)))
 
     # free energies
     g_values = list(range(2, g_max + 1))

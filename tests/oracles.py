@@ -7,18 +7,19 @@ a product of ``Fraction`` series, the integration-by-parts residue
 identity, the outcome of a series operation (its window or its error),
 log(1 + u) summed as a power series, the primitive theta built by series
 arithmetic, the involution solved by recomputing powers, the basis
-operator chain, the one-form difference and the kernel built in
-``Fraction`` arithmetic, the residue tables of a frame built in
-``Fraction`` arithmetic, the basis shift recursion and peeling in
-``Fraction`` arithmetic, and the top lambda-word coefficient from products
-of ``Fraction`` series.  Polynomials are exact ``Series``."""
+operator chain, the one-form difference built in ``Fraction``
+arithmetic, the kernel as plain dicts of ``Fraction`` sums, the residue
+tables of a frame built in ``Fraction`` arithmetic, the basis shift
+recursion and peeling in ``Fraction`` arithmetic, and the top lambda-word
+coefficient from products of ``Fraction`` series.  Polynomials are exact
+``Series``."""
 
 from fractions import Fraction
 from itertools import count
 from math import inf, lcm
 from typing import Iterator, Sequence
 
-from eorec import FramedCurve, MLaurent, Series
+from eorec import FramedCurve, Series
 from eorec.errors import PeelError, WindowError
 from eorec.hodge import _rewrite_word
 from eorec.psi import peel
@@ -340,18 +341,36 @@ def omega_diff_by_log1p(curve: FramedCurve, window: int, s: Series) -> Series:
     return log_ratio * X.derive() * invert(X, order=window)
 
 
-def kernel_by_laurent_products(window: int, sign: int, s: Series, D: Series) -> Series:
-    """K(w; z) = (sign/2) sum_k w^-(k+1) (s^k - z^k) / D as a product of
-    series with ``MLaurent`` coefficients."""
+def kernel_by_double_sum(window: int, sign: int, s: Series, D: Series) -> tuple[dict, int]:
+    """K(w; z) = (sign/2) sum_k w^-(k+1) (s^k - z^k) / D as plain dicts:
+    {j: {-(k+1): sign/2 [z^j] (s^k - z^k)/D}} over the z-exponents j of its
+    window, and the window's end.
+
+    The powers s^k - z^k, k = 1..window, are ``Fraction`` series, and
+    [z^j] (s^k - z^k)/D is the sum over i of [z^i] (s^k - z^k) times
+    [z^(j-i)] 1/D: a double sum over k and i per exponent j.  The window
+    follows the rules of a sum and a product: it ends at the least window
+    end of the products (s^k - z^k)/D, each the least of either factor's
+    window end plus the other's valuation."""
     z = Series(1, [QONE], exact=True)
-    acc = Series(0, [], exact=True)
+    inv_d = invert(D)
+    lo = inv_d.eff_start()
+    diffs = []
     s_pow, z_pow = s, z
-    for k in range(1, window + 1):
-        w_mono = MLaurent(1, {(-(k + 1),): QONE})
-        acc = acc + (s_pow - z_pow).scale(w_mono)
-        if k < window:
-            s_pow, z_pow = s_pow * s, z_pow * z
-    return (acc * invert(D)).scale(MLaurent.const(1, Fraction(sign, 2)))
+    for _ in range(window):
+        diffs.append(s_pow - z_pow)
+        s_pow, z_pow = s_pow * s, z_pow * z
+    start = min(d.eff_start() for d in diffs) + lo
+    end = min(min(d.window_end + lo, inv_d.window_end + d.eff_start()) for d in diffs)
+    half = Fraction(sign, 2)
+    columns: dict = {j: {} for j in range(start, end + 1)}
+    for k, d in enumerate(diffs, 1):
+        for j, column in columns.items():
+            c = sum((d.coeff(i) * inv_d.coeff(j - i)
+                     for i in range(d.eff_start(), j - lo + 1)), QZERO)
+            if c:
+                column[-(k + 1)] = half * c
+    return columns, end
 
 
 def _mul_trunc(a: list, b: list, order: int) -> list:
@@ -419,9 +438,8 @@ class FractionTables:
     def column(self, j: int) -> dict:
         out = self.columns.get(j)
         if out is None:
-            coeff = self.frame.kernel.coeff(j)
-            out = self.columns[j] = peel_fractions(
-                {key[0]: x for key, x in coeff.terms.items()}, self.psi)
+            out = self.columns[j] = peel_fractions(self.frame.kernel.coeff(j).terms,
+                                                   self.psi)
         return out
 
     def r(self, a: int, b: int) -> dict:

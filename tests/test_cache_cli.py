@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import logging
@@ -170,7 +171,7 @@ class TestCache:
             assert text == _canonical({**payload, "checksum": _checksum(payload)}) + "\n", \
                 path.name
 
-    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, caplog):
         cache = CorrCache(tmp_path)
         old = CorrDiff(g=1, h=1, f=1, den=8, nums={(0,): 1})
         cache.store(old, CONV)
@@ -182,11 +183,13 @@ class TestCache:
 
         monkeypatch.setattr(os, "replace", interrupted)
         new = CorrDiff(g=1, h=1, f=1, den=7, nums={(0,): 1})
-        with pytest.raises(OSError, match="disk full"):
-            cache.store(new, CONV)
-        with pytest.raises(OSError, match="disk full"):
-            cache.store_conventions(Conventions(sigma_kernel=1, sigma_psirec=1))
+        cache.store(new, CONV)
+        cache.store_conventions(Conventions(sigma_kernel=1, sigma_psirec=1))
         monkeypatch.undo()
+        assert self._warnings(caplog) == [
+            ("eorec", logging.WARNING,
+             f"eorec: cannot write cache file {name} (disk full), continuing uncached")
+            for name in (cache._path(1, 1, 1, CONV).name, "conventions.json")]
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         assert cache.load(1, 1, 1, CONV).coeffs == old.coeffs
         assert cache.load_conventions() == CONV
@@ -434,6 +437,33 @@ class TestCli:
         assert capsys.readouterr().out == clean
         assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
             ("eorec", logging.WARNING, warning)]
+
+    @pytest.mark.parametrize("name, unreadable", [
+        ("conventions.json", "eorec: unreadable calibration record, recalibrating"),
+        ("corr_f1_g2_h1_k-1_p1.json",
+         "eorec: unreadable cache file corr_f1_g2_h1_k-1_p1.json, recomputing")],
+        ids=["conventions", "tensor"])
+    def test_failed_write_is_a_warning(self, capsys, caplog, tmp_path, name, unreadable):
+        """A directory at a record's path fails the read and the write: the
+        run prints the uncached output and exit code, with one warning for
+        each, no traceback and no temporary file left."""
+        argv = ["free-energy", "--f", "1", "--g-max", "2"]
+        assert main(argv) == 0
+        uncached = capsys.readouterr()
+        cache_dir = tmp_path / "D"
+        (cache_dir / name).mkdir(parents=True)
+        caplog.clear()
+        assert main(argv + ["--cache-dir", str(cache_dir)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == uncached.out
+        assert "Traceback" not in captured.err
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("eorec", logging.WARNING, unreadable),
+            ("eorec", logging.WARNING, f"eorec: cannot write cache file {name} "
+                                       f"({os.strerror(errno.EISDIR)}), continuing uncached")]
+        assert (cache_dir / name).is_dir()
+        assert not list(cache_dir.glob(".*.tmp"))
+        assert (cache_dir / "corr_f1_g1_h1_k-1_p1.json").is_file()
 
     def test_window_margin_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -222,8 +222,8 @@ _FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
 
 def test_frames_and_theta_pairing_do_no_fraction_arithmetic(monkeypatch):
     """A frame at window 21 for f = 1..3 calls ``Fraction`` + - * / only in
-    the kernel's closing sigma/2 scale, twice per kernel entry (a product
-    and a sum), and pairing theta for n = 0..8 not at all.  For f = 1..4, a
+    the kernel's closing sigma/2 scale, exactly once per kernel entry (a
+    product), and pairing theta for n = 0..8 not at all.  For f = 1..4, a
     fresh basis table, a frame at window 21 and its R[a,b] (a <= b <= 4),
     E[b] (b <= 4), D and W03 tables create no ``Fraction`` outside the
     kernel."""
@@ -245,7 +245,7 @@ def test_frames_and_theta_pairing_do_no_fraction_arithmetic(monkeypatch):
     for store in stores:
         for n in range(9):
             residue_theta_psi(store.curve, n, table=store.psi)
-    assert entries and frame_calls <= 2 * entries
+    assert entries and frame_calls == entries
     assert not calls
     monkeypatch.undo()
 
