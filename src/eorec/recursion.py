@@ -65,9 +65,9 @@ W(g,h): the entries whose indices are all >= 2.  The Hodge classes pull
 back along the map that forgets a point, so string gives each entry that
 holds a 0, and dilaton each other entry that holds a 1, from W(g,h-1),
 already the partner of the Bergman-leg term (``_fill``).  The contraction
-skips every bracket and by-leg tail that holds a 0 or a 1, the R rows
-with n < 2 and the E[b] entries with n < 2 or m < 2; the W03 term, whose
-p-legs carry only index 0, belongs to W(0,3) alone.  The indices sum to at
+skips every bracket entry and grouped tail that holds a 0 or a 1, the R
+rows with n < 2 and the E[b] entries with n < 2 or m < 2; the W03 term,
+whose p-legs carry only index 0, belongs to W(0,3) alone.  The indices sum to at
 most 3g-3+h, so the core is empty when h > 3g-3 (all of genus 0 and 1):
 such a tensor is the fill alone and builds no frame, but it requests every
 lower tensor the contraction reads, so a store, and a cache, holds the
@@ -164,14 +164,14 @@ def _legs(key: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
             if i == 0 or key[i - 1] != v]
 
 
-def _by_leg(nums: dict, lo: int) -> dict[int, list]:
-    """Tensor entries grouped by the index of one leg: v -> [(sorted rest, c)],
-    keeping only the rests whose indices are all >= lo."""
-    out: dict[int, list] = {}
+def _by_tail(nums: dict, lo: int) -> dict[tuple[int, ...], list]:
+    """Tensor entries grouped by what is left after one leg: sorted rest ->
+    [(v, c)], keeping only the rests whose indices are all >= lo."""
+    out: dict[tuple[int, ...], list] = {}
     for key, c in nums.items():
         for v, rest in _legs(key):
             if not rest or rest[0] >= lo:
-                out.setdefault(v, []).append((rest, c))
+                out.setdefault(rest, []).append((v, c))
     return out
 
 
@@ -432,7 +432,10 @@ class CorrStore:
 
         Lower tensors stay sorted keys and the sum accumulates on (free
         index n | sorted tail): a choice of fixed slots for a lower tensor
-        becomes a multiset split of the tail, weighted by ``_merge``.  The
+        becomes a multiset split of the tail, weighted by ``_merge``.  Every
+        lower tensor is read grouped by tail (``_by_tail``), so a split is
+        merged once per pair of tails, before the loop over their legs, and
+        the first term takes the second leg of each distinct rest once.  The
         first term and the pair splits are gathered into the bracket on
         (a <= b, sorted tail), and one loop over its entries applies R[a,b]
         to each, from rows put on the running denominator once, over the lcm
@@ -470,11 +473,11 @@ class CorrStore:
         elif g >= 1:
             lower = self.correlator(g - 1, h + 1)
             bracket.den = lower.den
-            for key, c in lower.nums.items():
-                for a, rest in _legs(key):
-                    for b, tail in _legs(rest):
-                        if not tail or tail[0] >= lo:
-                            bracket.num[(min(a, b), max(a, b), tail)] += c
+            for rest, legs in _by_tail(lower.nums, 0).items():
+                for b, tail in _legs(rest):
+                    if not tail or tail[0] >= lo:
+                        for a, c in legs:
+                            bracket.num[(a, b, tail) if a <= b else (b, a, tail)] += c
 
         # quadratic terms; only W(0,3) has a W03 term, whose p-legs carry
         # index 0 alone
@@ -526,50 +529,40 @@ class CorrStore:
     def _bergman_leg_term(self, frame: _Frame, acc: _Sum, right: tuple[int, int],
                           lo: int, mult: int) -> None:
         """mult times B(q, p_j) against W(right) at q-bar, via E[b], on the
-        entries whose indices are all >= lo."""
+        entries whose indices are all >= lo.  W(right) is read grouped by
+        tail, so each (m, rest) is merged once, whatever legs b share it."""
         num = acc.num
         lower = self.correlator(*right)
-        memo: dict = {}  # (m, rest) -> _merge((m,), rest), shared by every leg index b
-        for b, tails in _by_leg(lower.nums, lo).items():
-            eden, table = frame.e_table(b)
-            scale = mult * acc.factor(lower.den * eden)
-            merged: dict[int, list] = {}  # m -> [(tail, weight * c)], once per m
-            for (n, m), e in table.items():
-                if n < lo or m < lo:
-                    continue
-                terms = merged.get(m)
-                if terms is None:
-                    terms = merged[m] = []
-                    for rest, c in tails:
-                        got = memo.get((m, rest))
-                        if got is None:
-                            got = memo[(m, rest)] = _merge((m,), rest)
-                        tail, weight = got
-                        terms.append((tail, weight * c))
-                e *= scale
-                for tail, c in terms:
-                    num[(n,) + tail] += c * e
+        for rest, legs in _by_tail(lower.nums, lo).items():
+            merged: dict = {}  # m -> _merge((m,), rest), shared by every leg index b
+            for b, c in legs:
+                eden, table = frame.e_table(b)
+                c *= mult * acc.factor(lower.den * eden)
+                for (n, m), e in table.items():
+                    if n >= lo and m >= lo:
+                        if m not in merged:
+                            merged[m] = _merge((m,), rest)
+                        tail, weight = merged[m]
+                        num[(n,) + tail] += weight * c * e
 
     def _pair_term(self, bracket: _Sum, left: tuple[int, int],
                    right: tuple[int, int], lo: int, mult: int) -> None:
         """Add mult times two lower tensors, with their legs at q and q-bar,
-        to the bracket, on the tails whose indices are all >= lo."""
+        to the bracket, on the tails whose indices are all >= lo.  Both are
+        read grouped by tail, so each pair of tails is merged once and then
+        shared by every pair of legs (a, b)."""
         num = bracket.num
         wq, wqb = self.correlator(*left), self.correlator(*right)
         scale = mult * bracket.factor(wq.den * wqb.den)
-        at_qbar = _by_leg(wqb.nums, lo)
-        merged: dict = {}  # (tq, tqb) -> _merge(tq, tqb), once per tail pair
-        for a, tails_q in _by_leg(wq.nums, lo).items():
-            for b, tails_qbar in at_qbar.items():
-                pair = (min(a, b), max(a, b))
-                for tq, cq in tails_q:
-                    cq *= scale
-                    for tqb, cqb in tails_qbar:
-                        got = merged.get((tq, tqb))
-                        if got is None:
-                            got = merged[(tq, tqb)] = _merge(tq, tqb)
-                        tail, weight = got
-                        num[pair + (tail,)] += weight * cq * cqb
+        at_qbar = _by_tail(wqb.nums, lo).items()
+        for tq, legs_q in _by_tail(wq.nums, lo).items():
+            for tqb, legs_qbar in at_qbar:
+                tail, weight = _merge(tq, tqb)
+                weight *= scale
+                for a, cq in legs_q:
+                    cq *= weight
+                    for b, cqb in legs_qbar:
+                        num[(a, b, tail) if a <= b else (b, a, tail)] += cq * cqb
 
 
 def calibrate(f: int) -> Conventions:

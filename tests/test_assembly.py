@@ -351,6 +351,30 @@ def test_r_table_is_built_once_per_unordered_pair(stores):
     assert all(a <= b for a, b in frame._r)
 
 
+@pytest.mark.parametrize("lo", [0, 2])
+def test_by_tail_holds_each_leg_once(lo):
+    """Putting each leg back into its tail gives a key of the tensor with
+    its value; every key appears once per distinct index whose removal
+    leaves a tail with no index below lo, and no other tail is kept."""
+    nums = {(0, 2, 2): 5, (2, 2, 3): 7, (1, 3): -2, (2, 3, 3): 1, (4,): 11}
+    got = Counter()
+    for rest, legs in recursion._by_tail(nums, lo).items():
+        assert all(n >= lo for n in rest), rest
+        for v, c in legs:
+            key = tuple(sorted(rest + (v,)))
+            assert nums[key] == c, (rest, v)
+            got[key, v] += 1
+    want = Counter()
+    for key in nums:
+        for v in set(key):
+            rest = list(key)
+            rest.remove(v)
+            if all(n >= lo for n in rest):
+                want[key, v] += 1
+    assert got == want
+    assert sum(want.values()) == (9 if lo == 0 else 7)
+
+
 def _split_once(term):
     """A quadratic term that counts its split once, so an off-diagonal split
     loses its mirror."""
@@ -363,9 +387,17 @@ def _unit_weight_merge(t1, t2):
     return tuple(sorted(t1 + t2)), 1
 
 
+def _last_leg_dropped(by_tail):
+    """A grouping that loses the last leg of every tail."""
+    def dropped(nums, lo):
+        return {rest: legs[:-1] for rest, legs in by_tail(nums, lo).items()}
+    return dropped
+
+
 #: name -> the (owner, attribute, replacement) patches of one mutation
 MUTATIONS = {
     "merge-weight-1": [(recursion, "_merge", _unit_weight_merge)],
+    "last-leg-dropped": [(recursion, "_by_tail", _last_leg_dropped(recursion._by_tail))],
     "split-once": [(CorrStore, name, _split_once(getattr(CorrStore, name)))
                    for name in ("_pair_term", "_bergman_leg_term")],
 }
@@ -373,7 +405,8 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("mutation,g,h", [
     ("merge-weight-1", 0, 4), ("merge-weight-1", 1, 2),
-    ("split-once", 1, 2), ("split-once", 0, 5)])
+    ("split-once", 1, 2), ("split-once", 0, 5),
+    ("last-leg-dropped", 1, 2), ("last-leg-dropped", 2, 2)])
 def test_free_slot_check_catches_broken_contraction(monkeypatch, mutation, g, h):
     """The fixed slots are symmetric by construction, so a wrong split
     weight or a lost mirror split shows only as a free index whose value

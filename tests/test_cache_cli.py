@@ -3,6 +3,9 @@ import hashlib
 import json
 import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -585,3 +588,36 @@ class TestAuditStores:
         assert json.loads(captured.out)["summary"] == {
             "total": 32, "passed": 29, "failed": 3}
         assert captured.err == ""
+
+
+def test_concurrent_runs_share_one_cache(capsys, tmp_path):
+    """Three processes filling one empty cache at once each print the
+    uncached output and nothing on stderr, and leave no temp file; a warm
+    run then prints the same and loads every file without rewriting it."""
+    argv = ["free-energy", "--f", "1,2,3", "--g-max", "4"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    cache = tmp_path / "cache"
+    env = dict(os.environ)
+    env.pop("EOREC_CACHE_DIR", None)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    command = [sys.executable, "-m", "eorec.cli", *argv, "--cache-dir", str(cache)]
+
+    def start():
+        return subprocess.Popen(command, env=env, cwd=tmp_path, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    procs = [start() for _ in range(3)]
+    runs = [(*proc.communicate(timeout=300), proc.returncode) for proc in procs]
+    assert runs == [(want, "", 0)] * 3
+    assert not [p.name for p in cache.iterdir() if p.name.endswith(".tmp")]
+
+    def files():
+        return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes())
+                for p in cache.iterdir()}
+
+    cold = files()
+    assert len(cold) == 40
+    warm = start()
+    assert (*warm.communicate(timeout=300), warm.returncode) == (want, "", 0)
+    assert files() == cold
