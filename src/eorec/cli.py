@@ -21,7 +21,7 @@ import sys
 from .cache import CorrCache, default_cache_dir, terms_payload
 from .errors import EorecError
 from .hodge import dilaton, energies_by_genus, energy_table, hodge_extract
-from .recursion import HARD_G_CAP, Conventions, calibrate, unrepresentable
+from .recursion import HARD_DEPTH_CAP, HARD_G_CAP, Conventions, calibrate, unrepresentable
 from .scalars import format_rational
 from .verify import (build_stores, conventions_line, conventions_payload,
                      run_verification)
@@ -108,9 +108,9 @@ def _out_of_range(args) -> str | None:
         if not minimum <= args.g_max <= HARD_G_CAP:
             return f"--g-max must be between {minimum} and {HARD_G_CAP}"
     elif args.command == "correlator":
-        if args.g > HARD_G_CAP or 2 * args.g - 2 + args.h > 2 * HARD_G_CAP - 1:
+        if args.g > HARD_G_CAP or 2 * args.g - 2 + args.h > HARD_DEPTH_CAP:
             return (f"correlator indices beyond the desk-scale cap "
-                    f"(g <= {HARD_G_CAP}, 2g-2+h <= {2 * HARD_G_CAP - 1})")
+                    f"(g <= {HARD_G_CAP}, 2g-2+h <= {HARD_DEPTH_CAP})")
         return unrepresentable(args.g, args.h)
     elif not 1 <= args.g <= HARD_G_CAP:  # hodge
         return f"--g must be between 1 and {HARD_G_CAP} for Hodge extraction"

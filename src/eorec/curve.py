@@ -14,7 +14,9 @@ shifted coordinate z = y - y*:
   polynomials in the free-slot coordinate w = y_p - y*, read by slice off
   the integer products (s^k - z^k)/D, each cut after the highest exponent
   the kernel keeps, with z^k subtracted in place from the numerators of
-  s^k, one ``Fraction`` per entry and one product by sign/2.
+  s^k, one ``Fraction`` per entry and one product by 1/2.  The kernel
+  carries no orientation sign: the recursion applies the calibrated sign
+  once per target (:mod:`eorec.recursion`).
 
 x(y* + z), s, D and B(q, q_bar) are integer series over a denominator
 (:class:`~eorec.series.Series`), so every reciprocal, product and
@@ -149,22 +151,24 @@ def bergman_self_pairing(s: Series) -> Series:
     return s.derive() * gap.invert()
 
 
-def recursion_kernel(D: Series, s: Series, sign: int) -> Series:
-    """K(w; z) = sign * (1/2) [1/(w - s(z)) - 1/(w - z)] / D(z).
+def recursion_kernel(D: Series, s: Series) -> Series:
+    """K(w; z) = (1/2) [1/(w - s(z)) - 1/(w - z)] / D(z).
 
     Returned as a z-series whose coefficients are one-variable Laurent
     polynomials in w (``MLaurent``, poles only at w = 0); the lowest
     z-exponent is -1.  Since 1/(w - s) - 1/(w - z) = sum_k w^-(k+1)
     (s^k - z^k), the coefficient of w^-(k+1) in K_j is
-    sign/2 [z^j] (s^k - z^k)/D.  Each [z^j] (s^k - z^k)/D is summed over the
+    1/2 [z^j] (s^k - z^k)/D.  Each [z^j] (s^k - z^k)/D is summed over the
     integers, from the integer series s (``conjugate_series``) and D
     (``omega_diff_series``), formed as one ``Fraction`` and keyed -(k+1) in
-    column j; the column series is then scaled by sign/2 once, one
+    column j; the column series is then scaled by 1/2 once, one
     ``Fraction`` product per entry.  s^k - z^k is s^k with ``den``
     subtracted from its numerator at z^k; the powers s^k and the products
     (s^k - z^k)/D are cut after the highest exponent read (``Series.mul``),
     and each product is read by slice.  The windows of s and D bound the
-    window of the result.
+    window of the result.  The calibrated orientation sign is not part of
+    K: every residue table is linear in K, so the recursion applies it once
+    per target.
     """
     inv_d = D.invert()  # 1/D starts at z^lo
     lo = inv_d.start
@@ -182,7 +186,7 @@ def recursion_kernel(D: Series, s: Series, sign: int) -> Series:
         for j, c in enumerate(part.coeffs, part.start):
             if c:
                 columns[j - start][-(k + 1)] = Fraction(c, part.den)
-    kernel = Series(start, [MLaurent(col) for col in columns]).scale(Fraction(sign, 2))
+    kernel = Series(start, [MLaurent(col) for col in columns]).scale(Fraction(1, 2))
     if kernel.eff_start() != -1:
         raise WindowError("kernel does not exhibit its simple pole; window too small")
     return kernel

@@ -2,7 +2,7 @@
 recursion kernel K(w; z) as a z-series, in the free-slot coordinate w.
 
 ``terms`` maps an exponent of w to a nonzero ``Fraction``.  The kernel
-forms one per column and scales the column series once, by sign/2
+forms one per column and scales the column series once, by 1/2
 (``Series.scale``); nothing else combines them.
 """
 

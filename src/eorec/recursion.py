@@ -6,22 +6,24 @@ basis multi-indices: the coefficient of ``prod_i Psi_{n_i}(y_i)``.
 With the framing, the window and the basis fixed, the residue step is
 linear in the bracket of the recursion, and the fixed slots of a lower
 tensor only come along for the ride.  Every W(g,h) is therefore a sum of
-lower tensor entries times small rational tables, memoised per frame:
+lower tensor entries times small rational tables of a frame:
 
 * ``R[a,b]``: the residue of K(w;z) psihat_a(z) psihat_b(s(z)) s'(z);
 * ``E[b]``: the Bergman leg B(q,p) against psihat_b(q-bar);
 * ``D``: the Bergman self-pairing B(q, q-bar), which gives W(1,1);
 * ``W03``: two Bergman legs, which give W(0,3).
 
-Each residue reads only the z^e coefficients with e <= 0 of its integrand
-against the kernel coefficients K_{-1-e}(w), and every kernel coefficient
-is expanded in the basis once per frame.  These expansions, and the one of
-every Bergman leg, must terminate with zero remainder, which turns the
-closure theorem for this basis into a runtime assertion.  Lower tensors
-stay sorted keys and the contraction accumulates on (free index | sorted
-tail), so the fixed slots are symmetric by construction; every contracted
-entry is checked for free-slot symmetry (every distinct free index of a
-key gives the same value) and the dimension bound.
+R and E are memoised per frame; D and W03 are each read by one target, once
+per frame, and are built when read.  Each residue reads only the z^e
+coefficients with e <= 0 of its integrand against the kernel coefficients
+K_{-1-e}(w), and every kernel coefficient is expanded in the basis when the
+frame is built.  These expansions, and the one of every Bergman leg, must
+terminate with zero remainder, which turns the closure theorem for this
+basis into a runtime assertion.  Lower tensors stay sorted keys and the
+contraction accumulates on (free index | sorted tail), so the fixed slots
+are symmetric by construction; every contracted entry is checked for
+free-slot symmetry (every distinct free index of a key gives the same
+value) and the dimension bound.
 
 The residue is invariant under the local involution z -> s(z), which swaps
 q and q-bar (R[a,b] = R[b,a], and E[b] equals its mirror psihat_b(q)
@@ -39,8 +41,8 @@ Tables and contraction run over the integers.  The basis forms and the
 involution s are integer series over their denominators, so psihat_a at q
 and psihat_b(s) s' at q-bar are integer series too.  The kernel columns
 K_j, the one rational ingredient of a table, are peeled into the basis
-once per frame, on its first residue, and kept as (index, numerator) pairs
-over one frame denominator.  A product of two legs is then one integer
+when the frame is built, and kept as (index, numerator) pairs over one
+frame denominator.  A product of two legs is then one integer
 product cut after z^0 (``Series.mul``), and a residue Res K z^k F a plain
 integer dot product of F's numerators with the columns, with no lcm and no
 rescaling per call; E[b] reads its Bergman-leg terms as residues of one
@@ -54,8 +56,12 @@ only the rational view ``CorrDiff.coeffs`` forms a ``Fraction``.
 The tables hold psihat itself at every basis leg, while Psi_n = -psihat_n
 dy.  The orientation signs of a term (one per fixed slot carried over from
 a lower tensor, one per basis leg at q or q-bar, and (-1)^h for the free
-slot) multiply to -1 whatever h is, for R, E, D and W03 terms alike, so the
-contraction adds the terms as they are and negates the sum once per target.
+slot) multiply to -1 whatever h is, for R, E, D and W03 terms alike.  A
+frame holds the curve's local data alone, with the kernel unsigned, and R,
+E, D and W03 are each linear in K, so the calibrated kernel sign
+sigma_kernel joins them: the contraction adds the terms as they are and
+multiplies the sum once per target by -sigma_kernel.  The fill reads
+tensors that already carry the sign, so it takes none.
 
 The dimension bound also sizes every frame in advance (``window_policy``),
 so a ``WindowError`` or ``PeelError`` during assembly is a bug and propagates.
@@ -82,8 +88,9 @@ of showing it.  A warm cache written by default stores is read by
 ``verify`` without re-auditing.
 
 Two orientation conventions are calibrated rather than assumed: the kernel
-sign (against the known (0,3) and (1,1) tensors) and the shift-recursion
-sign of the basis (inside :mod:`eorec.psi`).
+sign (against the known (0,3) and (1,1) tensors), applied in
+``CorrStore._compute_at``, and the shift-recursion sign of the basis
+(inside :mod:`eorec.psi`).
 """
 
 from __future__ import annotations
@@ -131,8 +138,10 @@ class CorrDiff(NamedTuple):
         return Fraction(self.nums.get(tuple(sorted(idx)), 0), self.den)
 
 
-# the desk-scale genus cap: the largest genus the command line serves
-HARD_G_CAP = 6
+# the desk-scale caps of the command line: the largest genus it serves, and
+# the largest 2g-2+h (recursion steps above the base data) of a correlator
+HARD_G_CAP = 15
+HARD_DEPTH_CAP = 24
 
 
 def unrepresentable(g: int, h: int) -> str | None:
@@ -244,31 +253,36 @@ def _fill(g: int, h: int, f: int, lower: CorrDiff, out: _Sum) -> None:
 
 
 class _Frame:
-    """Prepared local data for one (curve, window); memoizes slot series and
-    the residue tables of the recursion.
+    """The curve's local data for one (curve, basis table, window), with no
+    orientation sign: the involution, the unsigned kernel peeled into the
+    basis, and memos of the slot series and of the R[a,b] and E[b] tables.
 
     Every series that enters a table is an integer series over its
-    denominator, the kernel columns are peeled once per frame and held over
-    one frame denominator, and every table is held as integer numerators
-    over one denominator, a pair (d, numerators) keyed by basis indices.
+    denominator, the kernel columns are held over one frame denominator,
+    and every table is held as integer numerators over one denominator, a
+    pair (d, numerators) keyed by basis indices.
     """
 
-    def __init__(self, curve: FramedCurve, psi: PsiTable, window: int, sigma_kernel: int):
+    def __init__(self, curve: FramedCurve, psi: PsiTable, window: int):
         self.psi = psi
         self.s = s = conjugate_series(curve, window)
-        self.kernel = recursion_kernel(omega_diff_series(curve, s), s, sigma_kernel)
-        self.b_self = bergman_self_pairing(s)
+        self.kernel = kernel = recursion_kernel(omega_diff_series(curve, s), s)
         self._s_prime = s.derive()
         # powers of 1/s for the substitution psihat_b(s): every basis
         # exponent is -2 or below
         self._inv_s_pows = integer_powers(s.invert())
         self._at_qbar: dict[int, Series] = {}
-        self._columns: list[list[tuple[int, int]]] | None = None
-        self._kden = 1
+        # every certified column K_j, j = -1 up to the window end, peeled into
+        # (n, numerator) pairs over the lcm of the columns, at index j + 1
+        peeled = []
+        for j in range(-1, kernel.window_end + 1):
+            den, nums = integer_dict(kernel.coeff(j).terms)
+            peeled.append(peel(Series.from_dict(nums, den=den), psi))
+        self._kden = kden = lcm(*(d for d, _ in peeled))
+        self._columns = [[(n, c * (kden // d)) for n, c in col.items()]
+                         for d, col in peeled]
         self._r: dict[tuple[int, int], tuple[int, dict]] = {}
         self._e: dict[int, tuple[int, dict]] = {}
-        self._d: tuple[int, dict] | None = None
-        self._w03: tuple[int, dict] | None = None
 
     def psihat_at_qbar(self, n: int) -> Series:
         """psihat_n(s(z)) s'(z), the basis scalar with its leg at q-bar."""
@@ -280,27 +294,12 @@ class _Frame:
 
     # -- residue tables ---------------------------------------------------
 
-    def kernel_basis(self, j: int) -> tuple[int, dict[int, int]]:
-        """K_j(w), the z^j coefficient of the kernel, expanded in the basis
-        over one denominator."""
-        coeff = self.kernel.coeff(j)  # WindowError past the certified window
-        den, nums = integer_dict(coeff.terms)
-        return peel(Series.from_dict(nums, den=den), self.psi)
-
     def residue(self, F: Series, k: int = 0) -> tuple[int, dict[int, int]]:
         """Res_z K(w;z) z^k F(z) in the basis of w, from the numerators of
         F's z^e coefficients, e <= -k: a dot product with the kernel
-        columns K_(-1-e-k).  The result is not in lowest terms.
-
-        The first call peels every certified column, K_j for j = -1 up to
-        the kernel's window end, into (n, numerator) pairs over the lcm of
-        the columns, held by the frame at index j + 1."""
+        columns K_(-1-e-k), peeled when the frame was built.  The result is
+        not in lowest terms."""
         F.coeff(-k)  # raises WindowError unless z^k F is known through z^0
-        if self._columns is None:
-            peeled = [self.kernel_basis(j) for j in range(-1, self.kernel.window_end + 1)]
-            self._kden = kden = lcm(*(d for d, _ in peeled))
-            self._columns = [[(n, c * (kden // d)) for n, c in col.items()]
-                             for d, col in peeled]
         cols = self._columns
         top = -k - F.start  # the column K_(top-1) of F's first coefficient, at index top
         out: dict[int, int] = defaultdict(int)
@@ -349,22 +348,20 @@ class _Frame:
         return out
 
     def d_table(self) -> tuple[int, dict[int, int]]:
-        """D: the residue of the Bergman self-pairing B(q, q-bar)."""
-        if self._d is None:
-            # a coefficient past its window raises WindowError
-            self._d = lowest_terms(*self.residue(self.b_self))
-        return self._d
+        """D: the residue of the Bergman self-pairing B(q, q-bar), built on
+        each call (W(1,1) reads it once per frame)."""
+        # a coefficient past its window raises WindowError
+        return lowest_terms(*self.residue(bergman_self_pairing(self.s)))
 
     def w03_table(self) -> tuple[int, dict[tuple[int, int, int], int]]:
         """B(q,p1) B(q-bar,p2): both legs start at z^0, so only the product
-        u1^-2 s'(0) u2^-2 of their leading terms reaches the residue."""
-        if self._w03 is None:
-            dl, leg = peel(Series.monomial(1, -2), self.psi)
-            df, free = self.residue(self._s_prime)
-            self._w03 = lowest_terms(df * dl * dl, {
-                (n, m1, m2): c * x * y for n, c in free.items()
-                for m1, x in leg.items() for m2, y in leg.items()})
-        return self._w03
+        u1^-2 s'(0) u2^-2 of their leading terms reaches the residue.  Built
+        on each call (W(0,3) reads it once per frame)."""
+        dl, leg = peel(Series.monomial(1, -2), self.psi)
+        df, free = self.residue(self._s_prime)
+        return lowest_terms(df * dl * dl, {
+            (n, m1, m2): c * x * y for n, c in free.items()
+            for m1, x in leg.items() for m2, y in leg.items()})
 
 
 class CorrStore:
@@ -393,8 +390,7 @@ class CorrStore:
     def frame(self, window: int) -> _Frame:
         fr = self._frames.get(window)
         if fr is None:
-            fr = self._frames[window] = _Frame(
-                self.curve, self.psi, window, self.conventions.sigma_kernel)
+            fr = self._frames[window] = _Frame(self.curve, self.psi, window)
         return fr
 
     def correlator(self, g: int, h: int) -> CorrDiff:
@@ -440,14 +436,15 @@ class CorrStore:
         (a <= b, sorted tail), and one loop over its entries applies R[a,b]
         to each, from rows put on the running denominator once, over the lcm
         of their denominators; the D, W03 and Bergman-leg terms are added
-        directly.  The sum is negated once (see the module docstring for the
+        directly.  The sum is multiplied once by -sigma_kernel, the one place
+        the kernel sign enters a tensor (see the module docstring for the
         signs).  Tensors and tables enter as integer numerators; the sum
         runs over Python ints on one running denominator and ends in lowest
         terms.
 
         Outside audit mode, for h >= 2 except W(0,3), only the core is
         contracted (indices below ``lo`` are skipped) and ``_fill`` adds
-        the rest to the negated core; see the module docstring.
+        the rest to the signed core; see the module docstring.
         """
         core = not self.audit and h >= 2 and (g, h) != (0, 3)
         if core and h > 3 * g - 3:
@@ -506,12 +503,14 @@ class CorrStore:
                 for n, r in rows[(a, b)]:
                     num[(n,) + tail] += c * r
 
-        out = _Sum(acc.den)  # the core, negated
+        sign = -self.conventions.sigma_kernel
+        out = _Sum(acc.den)  # the core, times sign
         seen: dict = defaultdict(int)
         for idx, c in num.items():
             if c:
+                c *= sign
                 key = tuple(sorted(idx))
-                if out.num.setdefault(key, -c) != -c:
+                if out.num.setdefault(key, c) != c:
                     raise AssertionError(
                         f"free slot breaks the symmetry at {idx} in W({g},{h})")
                 seen[key] += 1

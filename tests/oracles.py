@@ -19,7 +19,7 @@ from itertools import count
 from math import inf, lcm
 from typing import Iterator, Sequence
 
-from eorec import FramedCurve, Series
+from eorec import FramedCurve, Series, bergman_self_pairing
 from eorec.errors import PeelError, WindowError
 from eorec.hodge import _rewrite_word
 from eorec.psi import peel
@@ -472,7 +472,7 @@ class FractionTables:
                 for m, c in peel_fractions(poly, self.psi).items()}
 
     def d(self) -> dict:
-        return self.residue(_principal(as_fractions(self.frame.b_self),
+        return self.residue(_principal(as_fractions(bergman_self_pairing(self.frame.s)),
                                        Series.constant(QONE)))
 
     def w03(self) -> dict:

@@ -135,10 +135,11 @@ PINNED_DEEP = {
 }
 
 
-#: W(7,1) and W(8,1) at f = 1, 2, 3, past the command line's genus cap, and
-#: W(4,6) at f = 1, with 2g-2+h = 12 past the ``correlator`` bound: digests
-#: recorded from the contraction that read lower tensors grouped by leg,
-#: before it grouped them by tail; (f, g, h) -> digest of ``_digest``
+#: W(7,1) and W(8,1) at f = 1, 2, 3, past the command line's genus cap of 6
+#: when they were recorded, and W(4,6) at f = 1, with 2g-2+h = 12 past the
+#: ``correlator`` bound of 11 then: digests recorded from the contraction
+#: that read lower tensors grouped by leg, before it grouped them by tail;
+#: (f, g, h) -> digest of ``_digest``
 PINNED_PAST_CAP = {
     (1, 4, 6): "005e08b92ce335d702dee752ad13da06c62c531526f44bdf4a080f65a59690a8",
     (1, 7, 1): "a6eb1b59ef22189aa2b0cf55396b343970ecc1938d1224ed21151a312f89af68",
@@ -324,8 +325,7 @@ def test_integer_tables_match_fraction_tables(stores, f, window):
     involution symmetry the contraction relies on holds in the oracle:
     R[a,b] = R[b,a], and E[b] equals its mirror orientation."""
     store = stores[f - 1]
-    frame = recursion._Frame(store.curve, store.psi, window,
-                             store.conventions.sigma_kernel)
+    frame = recursion._Frame(store.curve, store.psi, window)
     oracle = FractionTables(frame)
     top = (window - 5) // 2
     for a in range(top + 1):
@@ -344,7 +344,7 @@ def test_integer_tables_match_fraction_tables(stores, f, window):
 def test_r_table_is_built_once_per_unordered_pair(stores):
     """R[a,b] = R[b,a], so both orders of a pair share one table."""
     store = stores[1]
-    frame = recursion._Frame(store.curve, store.psi, 13, store.conventions.sigma_kernel)
+    frame = recursion._Frame(store.curve, store.psi, 13)
     for a in range(5):
         for b in range(a, 5 - a):
             assert frame.r_table(b, a) is frame.r_table(a, b), (a, b)

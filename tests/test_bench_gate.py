@@ -8,7 +8,7 @@ with the genus cap raised, since no workload reaches it."""
 import sys
 from pathlib import Path
 
-from eorec import cli
+from eorec import cli, recursion
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 _writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -45,12 +45,13 @@ def test_workloads_pass_the_benchmark_gate(tmp_path, monkeypatch, capsys):
 
 
 def test_raising_the_genus_cap_keeps_the_golden_outputs(tmp_path, monkeypatch, capsys):
-    """The workloads run well inside the genus cap, so raising the cap, at
-    every module that binds it, must not change what they print."""
+    """The workloads run well inside the caps, so raising each cap by one,
+    at every module that binds it, must not change what they print."""
     monkeypatch.delenv("EOREC_CACHE_DIR", raising=False)
-    bound = [mod for name, mod in list(sys.modules.items())
-             if name.startswith("eorec") and hasattr(mod, "HARD_G_CAP")]
-    assert bound
-    for mod in bound:
-        monkeypatch.setattr(mod, "HARD_G_CAP", 11)
+    for cap in ("HARD_G_CAP", "HARD_DEPTH_CAP"):
+        bound = [mod for name, mod in list(sys.modules.items())
+                 if name.startswith("eorec") and hasattr(mod, cap)]
+        assert bound
+        for mod in bound:
+            monkeypatch.setattr(mod, cap, getattr(recursion, cap) + 1)
     _run_workloads(tmp_path, capsys)

@@ -12,7 +12,7 @@ import pytest
 from eorec import cli
 from eorec.cache import CorrCache, _canonical, _checksum, corrdiff_payload
 from eorec.cli import main
-from eorec.recursion import Conventions, CorrDiff, CorrStore
+from eorec.recursion import HARD_DEPTH_CAP, HARD_G_CAP, Conventions, CorrDiff, CorrStore
 
 CONV = Conventions(sigma_kernel=-1, sigma_psirec=1)
 
@@ -198,19 +198,25 @@ class TestCache:
         assert cache.load_conventions() == CONV
 
 
-#: calls rejected for their indices -> (exit code, message)
+#: the first values past the caps, by the names the ``REJECTED`` calls use:
+#: the first genus past ``HARD_G_CAP``, and the first h of genus 0 whose
+#: 2g-2+h is past ``HARD_DEPTH_CAP``
+PAST = {"past_g_cap": HARD_G_CAP + 1, "past_depth_cap": HARD_DEPTH_CAP + 3}
+
+#: calls rejected for their indices, with ``PAST`` values filled in -> (exit
+#: code, message)
 REJECTED = {
-    "correlator --g 7 --h 1": (2, "beyond the desk-scale cap"),
-    "correlator --g 0 --h 14": (2, "beyond the desk-scale cap"),
+    "correlator --g {past_g_cap} --h 1": (2, "beyond the desk-scale cap"),
+    "correlator --g 0 --h {past_depth_cap}": (2, "beyond the desk-scale cap"),
     "correlator --g 0 --h 1": (2, "W(0,1) is a recursion base case with no tensor form"),
     "correlator --g 0 --h 2": (2, "W(0,2) is a recursion base case with no tensor form"),
     "correlator --g -1 --h 5": (2, "invalid correlator indices (g=-1, h=5)"),
-    "hodge --g 0": (2, "--g must be between 1 and 6"),
-    "hodge --g 7": (2, "--g must be between 1 and 6"),
-    "free-energy --g-max 1": (2, "--g-max must be between 2 and 6"),
-    "free-energy --g-max 7": (2, "--g-max must be between 2 and 6"),
-    "verify --g-max -1": (2, "--g-max must be between 0 and 6"),
-    "verify --g-max 7": (2, "--g-max must be between 0 and 6"),
+    "hodge --g 0": (2, f"--g must be between 1 and {HARD_G_CAP}"),
+    "hodge --g {past_g_cap}": (2, f"--g must be between 1 and {HARD_G_CAP}"),
+    "free-energy --g-max 1": (2, f"--g-max must be between 2 and {HARD_G_CAP}"),
+    "free-energy --g-max {past_g_cap}": (2, f"--g-max must be between 2 and {HARD_G_CAP}"),
+    "verify --g-max -1": (2, f"--g-max must be between 0 and {HARD_G_CAP}"),
+    "verify --g-max {past_g_cap}": (2, f"--g-max must be between 0 and {HARD_G_CAP}"),
 }
 
 #: bytes that make a cache file unreadable: JSON that is not an object, or not UTF-8
@@ -382,22 +388,24 @@ class TestCli:
         assert "known-correlator" in names
 
     def test_g_max_cap(self, capsys):
-        assert main(["verify", "--f", "1", "--g-max", "7"]) == 2
-        assert capsys.readouterr().err == "eorec: --g-max must be between 0 and 6\n"
+        assert main(["verify", "--f", "1", "--g-max", str(HARD_G_CAP + 1)]) == 2
+        assert capsys.readouterr().err == \
+            f"eorec: --g-max must be between 0 and {HARD_G_CAP}\n"
 
-    @pytest.mark.parametrize("g", [0, 7, 9])
+    @pytest.mark.parametrize("g", [0, HARD_G_CAP + 1, HARD_G_CAP + 3],
+                             ids=["0", "cap+1", "cap+3"])
     def test_hodge_genus_cap(self, capsys, g):
         assert main(["hodge", "--f", "1", "--g", str(g)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--g must be between 1 and 6" in captured.err
+        assert f"--g must be between 1 and {HARD_G_CAP}" in captured.err
 
     @pytest.mark.parametrize("argv", list(REJECTED))
     def test_rejected_call_leaves_the_cache_empty(self, capsys, tmp_path, argv):
         """Indices out of range are rejected before calibration, so no
         calibration record is written."""
         code, message = REJECTED[argv]
-        argv = argv.split() + ["--f", "1", "--cache-dir", str(tmp_path)]
+        argv = argv.format(**PAST).split() + ["--f", "1", "--cache-dir", str(tmp_path)]
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -18,10 +18,10 @@ def _omega_diff(curve, window):
     return as_fractions(omega_diff_series(curve, conjugate_series(curve, window)))
 
 
-def _kernel(curve, window, sign=1):
+def _kernel(curve, window):
     """K on the involution of the given window, as a frame builds it."""
     s = conjugate_series(curve, window)
-    return recursion_kernel(omega_diff_series(curve, s), s, sign)
+    return recursion_kernel(omega_diff_series(curve, s), s)
 
 
 class TestCurveData:
@@ -142,13 +142,6 @@ class TestKernel:
         K = _kernel(FramedCurve(f), 8)
         assert K.eff_start() == -1
 
-    def test_sign_flip_negates(self):
-        c = FramedCurve(2)
-        plus = _kernel(c, 8, sign=1)
-        minus = _kernel(c, 8, sign=-1)
-        for k in range(-1, 5):
-            assert plus.coeff(k).terms == {e: -c for e, c in minus.coeff(k).terms.items()}
-
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_coefficients_polar_in_w(self, f):
         K = _kernel(FramedCurve(f), 8)
@@ -214,13 +207,13 @@ def test_one_form_difference_matches_log1p_route(f):
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
 def test_kernel_matches_the_double_sum(f):
-    """Columns summed over the integers and scaled once by sign/2 give the
-    plain-dict double sum of ``Fraction`` series, window included."""
+    """Columns summed over the integers and scaled once by 1/2 give the
+    plain-dict double sum of ``Fraction`` series at sign 1, window included."""
     curve = FramedCurve(f)
     for window in range(4, 31):
         s = conjugate_series(curve, window)
         D = omega_diff_series(curve, s)
-        K = recursion_kernel(D, s, -1)
+        K = recursion_kernel(D, s)
         got = {j: K.coeff(j).terms for j in range(K.start, K.window_end + 1)}
         assert (got, K.window_end) == \
-            kernel_by_double_sum(window, -1, as_fractions(s), as_fractions(D)), window
+            kernel_by_double_sum(window, 1, as_fractions(s), as_fractions(D)), window

@@ -138,8 +138,6 @@ def test_peel_matches_the_oracle_on_every_column_of_a_frame(monkeypatch, f):
     store = CorrStore(f, conventions=rec_module.calibrate(f))
     window = window_policy(4, 1)
     frame = store.frame(window)
-    for j in range(window - 1):
-        frame.kernel_basis(j)
     for b in range(9):
         frame.e_table(b)
     frame.w03_table()
@@ -222,7 +220,7 @@ _FRACTION_OPS = ("__add__", "__radd__", "__sub__", "__rsub__",
 
 def test_frames_and_theta_pairing_do_no_fraction_arithmetic(monkeypatch):
     """A frame at window 21 for f = 1..3 calls ``Fraction`` + - * / only in
-    the kernel's closing sigma/2 scale, exactly once per kernel entry (a
+    the kernel's closing 1/2 scale, exactly once per kernel entry (a
     product), and pairing theta for n = 0..8 not at all.  For f = 1..4, a
     fresh basis table, a frame at window 21 and its R[a,b] (a <= b <= 4),
     E[b] (b <= 4), D and W03 tables create no ``Fraction`` outside the
@@ -238,7 +236,7 @@ def test_frames_and_theta_pairing_do_no_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(Fraction, name, counted)
     entries = 0
     for store in stores:
-        frame = rec_module._Frame(store.curve, store.psi, 21, store.conventions.sigma_kernel)
+        frame = rec_module._Frame(store.curve, store.psi, 21)
         entries += sum(len(coeff.terms) for coeff in frame.kernel.coeffs)
     frame_calls = sum(calls.values())
     calls.clear()
@@ -271,7 +269,7 @@ def test_frames_and_theta_pairing_do_no_fraction_arithmetic(monkeypatch):
     monkeypatch.setattr(rec_module, "recursion_kernel", kernel)
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     for f, curve in curves.items():
-        frame = rec_module._Frame(curve, PsiTable(f), 21, -1)
+        frame = rec_module._Frame(curve, PsiTable(f), 21)
         for b in range(5):
             for a in range(b + 1):
                 frame.r_table(a, b)

@@ -158,6 +158,29 @@ class TestStructure:
             assert base.coeffs == wide.coeffs
 
 
+#: every stable W(g,h) with 2g-2+h <= 6
+SIGN_TARGETS = [(g, h) for g in range(4) for h in range(1, 9)
+                if 1 <= 2 * g - 2 + h <= 6 and (g, h) not in ((0, 1), (0, 2))]
+
+
+def _sign_pair(f: int) -> tuple[CorrStore, CorrStore]:
+    """Audit stores of framing f at kernel sign -1 and +1, one basis sign."""
+    sign = psi_table(f).sign
+    return tuple(CorrStore(f, Conventions(sigma_kernel=k, sigma_psirec=sign), audit=True)
+                 for k in (-1, 1))
+
+
+def _sign_covariance_breaks(minus: CorrStore, plus: CorrStore) -> list:
+    """The targets where W_-(g,h) is not (-1)^h W_+(g,h) in (den, nums)."""
+    bad = []
+    for g, h in SIGN_TARGETS:
+        got, want = minus.correlator(g, h), plus.correlator(g, h)
+        sign = (-1) ** h
+        if (got.den, got.nums) != (want.den, {k: sign * c for k, c in want.nums.items()}):
+            bad.append((g, h))
+    return bad
+
+
 class TestAuditOverrides:
     def test_flipped_kernel_negates_odd_depth(self):
         # an audit store: string would fill W(0,4) from the flipped W(0,3)
@@ -171,6 +194,21 @@ class TestAuditOverrides:
         # three steps: flips
         got21 = store.correlator(2, 1).coeffs
         assert got21 == {k: -v for k, v in ref[(2, 1)].items()}
+
+    def test_kernel_sign_is_covariant_on_audit_stores(self):
+        """Every table is linear in the kernel, and W(g,h) lies 2g-2+h
+        recursion steps above the base data, so flipping the kernel sign
+        multiplies it by (-1)^h, at every framing."""
+        for f in (1, 2, 3):
+            assert _sign_covariance_breaks(*_sign_pair(f)) == []
+
+    def test_kernel_sign_covariance_fails_when_the_sign_never_reaches_the_output(self):
+        """A store that reads sigma_kernel = +1 although it was built for -1
+        models a sign that never reaches the tensors: every odd h breaks."""
+        minus, plus = _sign_pair(1)
+        minus.conventions = plus.conventions
+        assert _sign_covariance_breaks(minus, plus) == [
+            key for key in SIGN_TARGETS if key[1] % 2]
 
     def test_flipped_basis_sign_changes_tensors(self):
         store = CorrStore(1, Conventions(sigma_kernel=-1, sigma_psirec=-1))
@@ -192,7 +230,7 @@ def test_residue_against_a_power_of_z_equals_the_shifted_residue(f):
     """residue(F, k), Res K z^k F, equals residue(z^k F) on every E[b] leg of
     a window-21 frame, b <= 8 and k = 0..2b+2; the WindowError of a leg
     past the window (b = 9, 10) or cut short of z^-k agrees as well."""
-    frame = _Frame(FramedCurve(f), psi_table(f), 21, -1)
+    frame = _Frame(FramedCurve(f), psi_table(f), 21)
     errors = 0
     for b in range(11):
         leg = frame.psihat_at_qbar(b)
