@@ -198,25 +198,23 @@ class TestCache:
         assert cache.load_conventions() == CONV
 
 
-#: the first values past the caps, by the names the ``REJECTED`` calls use:
 #: the first genus past ``HARD_G_CAP``, and the first h of genus 0 whose
 #: 2g-2+h is past ``HARD_DEPTH_CAP``
-PAST = {"past_g_cap": HARD_G_CAP + 1, "past_depth_cap": HARD_DEPTH_CAP + 3}
+PAST_G, PAST_H = HARD_G_CAP + 1, HARD_DEPTH_CAP + 3
 
-#: calls rejected for their indices, with ``PAST`` values filled in -> (exit
-#: code, message)
+#: calls rejected for their indices -> (exit code, message)
 REJECTED = {
-    "correlator --g {past_g_cap} --h 1": (2, "beyond the desk-scale cap"),
-    "correlator --g 0 --h {past_depth_cap}": (2, "beyond the desk-scale cap"),
+    f"correlator --g {PAST_G} --h 1": (2, "beyond the desk-scale cap"),
+    f"correlator --g 0 --h {PAST_H}": (2, "beyond the desk-scale cap"),
     "correlator --g 0 --h 1": (2, "W(0,1) is a recursion base case with no tensor form"),
     "correlator --g 0 --h 2": (2, "W(0,2) is a recursion base case with no tensor form"),
     "correlator --g -1 --h 5": (2, "invalid correlator indices (g=-1, h=5)"),
     "hodge --g 0": (2, f"--g must be between 1 and {HARD_G_CAP}"),
-    "hodge --g {past_g_cap}": (2, f"--g must be between 1 and {HARD_G_CAP}"),
+    f"hodge --g {PAST_G}": (2, f"--g must be between 1 and {HARD_G_CAP}"),
     "free-energy --g-max 1": (2, f"--g-max must be between 2 and {HARD_G_CAP}"),
-    "free-energy --g-max {past_g_cap}": (2, f"--g-max must be between 2 and {HARD_G_CAP}"),
+    f"free-energy --g-max {PAST_G}": (2, f"--g-max must be between 2 and {HARD_G_CAP}"),
     "verify --g-max -1": (2, f"--g-max must be between 0 and {HARD_G_CAP}"),
-    "verify --g-max {past_g_cap}": (2, f"--g-max must be between 0 and {HARD_G_CAP}"),
+    f"verify --g-max {PAST_G}": (2, f"--g-max must be between 0 and {HARD_G_CAP}"),
 }
 
 #: bytes that make a cache file unreadable: JSON that is not an object, or not UTF-8
@@ -405,7 +403,7 @@ class TestCli:
         """Indices out of range are rejected before calibration, so no
         calibration record is written."""
         code, message = REJECTED[argv]
-        argv = argv.format(**PAST).split() + ["--f", "1", "--cache-dir", str(tmp_path)]
+        argv = argv.split() + ["--f", "1", "--cache-dir", str(tmp_path)]
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
