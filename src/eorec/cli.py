@@ -108,10 +108,10 @@ def _out_of_range(args) -> str | None:
         if not minimum <= args.g_max <= HARD_G_CAP:
             return f"--g-max must be between {minimum} and {HARD_G_CAP}"
     elif args.command == "correlator":
-        if args.g > HARD_G_CAP or 2 * args.g - 2 + args.h > HARD_DEPTH_CAP:
-            return (f"correlator indices beyond the desk-scale cap "
-                    f"(g <= {HARD_G_CAP}, 2g-2+h <= {HARD_DEPTH_CAP})")
-        return unrepresentable(args.g, args.h)
+        why = unrepresentable(args.g, args.h)
+        if why or 2 * args.g - 2 + args.h <= HARD_DEPTH_CAP:
+            return why
+        return f"correlator indices beyond the desk-scale cap (2g-2+h <= {HARD_DEPTH_CAP})"
     elif not 1 <= args.g <= HARD_G_CAP:  # hodge
         return f"--g must be between 1 and {HARD_G_CAP} for Hodge extraction"
     return None

@@ -127,21 +127,17 @@ class PsiTable:
     def __init__(self, f: int, forced_sign: int | None = None):
         if f < 1:
             raise ValueError("framing must be >= 1")
+        if forced_sign not in (None, 1, -1):
+            raise ValueError("sign override must be +1 or -1")
         self.f = f
         self._operator = _operator_forms(f)
         self._forms: list[Series] = [next(self._operator)]
         first = next(self._operator)
         calibrated = self._calibrate(first)
-        if forced_sign is None:
-            self.sign = calibrated
-            self.forced = False
-        else:
-            if forced_sign not in (1, -1):
-                raise ValueError("sign override must be +1 or -1")
-            self.sign = forced_sign
-            # a forced sign that agrees with calibration keeps full checking;
-            # the opposite sign builds the alternating audit basis
-            self.forced = forced_sign != calibrated
+        self.sign = calibrated if forced_sign is None else forced_sign
+        # a forced sign that agrees with calibration keeps full checking;
+        # the opposite sign builds the alternating audit basis
+        self.forced = self.sign != calibrated
         if not self.forced:
             self._forms.append(first)
 

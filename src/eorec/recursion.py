@@ -75,10 +75,11 @@ skips every bracket entry and grouped tail that holds a 0 or a 1, the R
 rows with n < 2 and the E[b] entries with n < 2 or m < 2; the W03 term,
 whose p-legs carry only index 0, belongs to W(0,3) alone.  The indices sum to at
 most 3g-3+h, so the core is empty when h > 3g-3 (all of genus 0 and 1):
-such a tensor is the fill alone and builds no frame, but it requests every
-lower tensor the contraction reads, so a store, and a cache, holds the
-same tensors either way.  On a default store the free-slot, missing-index
-and dimension checks cover only the core.
+such a tensor is the fill alone and builds no frame.  Every target, empty
+core or not, first lists the lower tensors it reads (``_compute_at``), so
+a default store, and a cache, holds the same tensors as an audit store by
+construction.  On a default store the free-slot, missing-index and
+dimension checks cover only the core.
 
 An audit store contracts every entry and fills nothing.  The command line
 gives audit stores to ``verify`` and to every run with a sign override: a
@@ -196,18 +197,18 @@ def _merge(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[tuple[int, ...], i
 
 def _splits(g: int, h: int):
     """The quadratic terms W(g-l, r+1) W(l, h-r) of W(g,h), r fixed slots
-    going left, as (left, right) pairs.
+    going left, as (left, right, weight) triples.
 
     The mirror (l, r) -> (g-l, h-1-r) swaps the two factors and gives an
-    equal term, so only left <= right is yielded and an off-diagonal split
-    counts twice.  (0, 1) and then (0, 2) sort first: a vanishing one-point
-    factor drops before its partner (possibly the target itself) is
-    evaluated, and a Bergman leg always sits at q."""
+    equal term, so only left <= right is yielded, with weight 1 on the
+    diagonal and 2 off it.  (0, 1) and then (0, 2) sort first: a vanishing
+    one-point factor drops before its partner (possibly the target itself)
+    is evaluated, and a Bergman leg always sits at q."""
     for l in range(g + 1):
         for r in range(h):
             left, right = (g - l, r + 1), (l, h - r)
             if left <= right and left != (0, 1):
-                yield left, right
+                yield left, right, 1 if left == right else 2
 
 
 class _Sum:
@@ -426,6 +427,13 @@ class CorrStore:
     def _compute_at(self, g: int, h: int, window: int) -> CorrDiff:
         """Contract lower tensors with the frame's residue tables.
 
+        The frame is built first, so the lower tensors reuse it; then every
+        lower tensor the target reads is requested once, in the order the
+        terms read it: W(g-1,h+1) for the first term, and the left and right
+        factor of each split of ``_splits``.  A W(0,2) slot stays empty: at
+        (1,1) the first term is D, a left W(0,2) is a Bergman leg and a right
+        one the W03 term.
+
         Lower tensors stay sorted keys and the sum accumulates on (free
         index n | sorted tail): a choice of fixed slots for a lower tensor
         becomes a multiset split of the tail, weighted by ``_merge``.  Every
@@ -444,64 +452,61 @@ class CorrStore:
 
         Outside audit mode, for h >= 2 except W(0,3), only the core is
         contracted (indices below ``lo`` are skipped) and ``_fill`` adds
-        the rest to the signed core; see the module docstring.
+        the rest to the signed core; an empty core (h > 3g-3) builds no
+        frame and contracts nothing, but requests the same lower tensors.
+        See the module docstring.
         """
         core = not self.audit and h >= 2 and (g, h) != (0, 3)
-        if core and h > 3 * g - 3:
-            if g >= 1:
-                self.correlator(g - 1, h + 1)
-            for left, right in _splits(g, h):
-                if left != (0, 2):
-                    self.correlator(*left)
-                self.correlator(*right)
-            out = _Sum()
-            _fill(g, h, self.f, self.correlator(g, h - 1), out)
-            return CorrDiff(g, h, self.f, *lowest_terms(out.den, out.num))
         lo = 2 if core else 0
-        frame = self.frame(window)
+        frame = None if core and h > 3 * g - 3 else self.frame(window)
+
+        def lower(key: tuple[int, int]) -> CorrDiff | None:
+            return None if key == (0, 2) else self.correlator(*key)
+
+        first = lower((g - 1, h + 1)) if g else None
+        splits = [(lower(left), lower(right), mult) for left, right, mult in _splits(g, h)]
         acc = _Sum()
         num = acc.num
-        bracket = _Sum()
+        if frame is not None:
+            bracket = _Sum()
+            # first term: W(g-1, h+1) with two of its legs at q and q-bar
+            if first is not None:
+                bracket.den = first.den
+                for rest, legs in _by_tail(first.nums, 0).items():
+                    for b, tail in _legs(rest):
+                        if not tail or tail[0] >= lo:
+                            for a, c in legs:
+                                bracket.num[(a, b, tail) if a <= b else (b, a, tail)] += c
+            elif g:  # W(1,1), where the first term is D
+                acc.den, table = frame.d_table()
+                num.update(((n,), c) for n, c in table.items())
 
-        # first term: W(g-1, h+1) with two of its legs at q and q-bar
-        if g == 1 and h == 1:
-            acc.den, table = frame.d_table()
-            num.update(((n,), c) for n, c in table.items())
-        elif g >= 1:
-            lower = self.correlator(g - 1, h + 1)
-            bracket.den = lower.den
-            for rest, legs in _by_tail(lower.nums, 0).items():
-                for b, tail in _legs(rest):
-                    if not tail or tail[0] >= lo:
-                        for a, c in legs:
-                            bracket.num[(a, b, tail) if a <= b else (b, a, tail)] += c
+            # quadratic terms; only W(0,3) has a W03 term, whose p-legs carry
+            # index 0 alone
+            for wq, wqb, mult in splits:
+                if wqb is None:
+                    den, table = frame.w03_table()
+                    scale = acc.factor(den)
+                    for (n, m1, m2), c in table.items():
+                        tail, weight = _merge((m1,), (m2,))
+                        num[(n,) + tail] += weight * scale * c
+                elif wq is None:
+                    self._bergman_leg_term(frame, acc, wqb, lo, mult)
+                else:
+                    self._pair_term(bracket, wq, wqb, lo, mult)
 
-        # quadratic terms; only W(0,3) has a W03 term, whose p-legs carry
-        # index 0 alone
-        for left, right in _splits(g, h):
-            if right == (0, 2):
-                den, table = frame.w03_table()
-                scale = acc.factor(den)
-                for (n, m1, m2), c in table.items():
-                    tail, weight = _merge((m1,), (m2,))
-                    num[(n,) + tail] += weight * scale * c
-            elif left == (0, 2):
-                self._bergman_leg_term(frame, acc, right, lo, 2)
-            else:
-                self._pair_term(bracket, left, right, lo, 1 if left == right else 2)
-
-        # the one residue step: R[a,b] against each bracket entry, with every
-        # row needed put on the running denominator at once
-        tables = {pair: frame.r_table(*pair) for pair in {key[:2] for key in bracket.num}}
-        if tables:
-            rden = lcm(*(tden for tden, _ in tables.values()))
-            scale = acc.factor(bracket.den * rden)
-            rows = {pair: [(n, r * scale * (rden // tden))
-                           for n, r in table.items() if n >= lo]
-                    for pair, (tden, table) in tables.items()}
-            for (a, b, tail), c in bracket.num.items():
-                for n, r in rows[(a, b)]:
-                    num[(n,) + tail] += c * r
+            # the one residue step: R[a,b] against each bracket entry, with
+            # every row needed put on the running denominator at once
+            tables = {pair: frame.r_table(*pair) for pair in {key[:2] for key in bracket.num}}
+            if tables:
+                rden = lcm(*(tden for tden, _ in tables.values()))
+                scale = acc.factor(bracket.den * rden)
+                rows = {pair: [(n, r * scale * (rden // tden))
+                               for n, r in table.items() if n >= lo]
+                        for pair, (tden, table) in tables.items()}
+                for (a, b, tail), c in bracket.num.items():
+                    for n, r in rows[(a, b)]:
+                        num[(n,) + tail] += c * r
 
         sign = -self.conventions.sigma_kernel
         out = _Sum(acc.den)  # the core, times sign
@@ -525,13 +530,12 @@ class CorrStore:
             _fill(g, h, self.f, self.correlator(g, h - 1), out)
         return CorrDiff(g, h, self.f, *lowest_terms(out.den, out.num))
 
-    def _bergman_leg_term(self, frame: _Frame, acc: _Sum, right: tuple[int, int],
+    def _bergman_leg_term(self, frame: _Frame, acc: _Sum, lower: CorrDiff,
                           lo: int, mult: int) -> None:
-        """mult times B(q, p_j) against W(right) at q-bar, via E[b], on the
-        entries whose indices are all >= lo.  W(right) is read grouped by
+        """mult times B(q, p_j) against ``lower`` at q-bar, via E[b], on the
+        entries whose indices are all >= lo.  ``lower`` is read grouped by
         tail, so each (m, rest) is merged once, whatever legs b share it."""
         num = acc.num
-        lower = self.correlator(*right)
         for rest, legs in _by_tail(lower.nums, lo).items():
             merged: dict = {}  # m -> _merge((m,), rest), shared by every leg index b
             for b, c in legs:
@@ -544,14 +548,13 @@ class CorrStore:
                         tail, weight = merged[m]
                         num[(n,) + tail] += weight * c * e
 
-    def _pair_term(self, bracket: _Sum, left: tuple[int, int],
-                   right: tuple[int, int], lo: int, mult: int) -> None:
-        """Add mult times two lower tensors, with their legs at q and q-bar,
-        to the bracket, on the tails whose indices are all >= lo.  Both are
-        read grouped by tail, so each pair of tails is merged once and then
-        shared by every pair of legs (a, b)."""
+    def _pair_term(self, bracket: _Sum, wq: CorrDiff, wqb: CorrDiff,
+                   lo: int, mult: int) -> None:
+        """Add mult times two lower tensors, ``wq`` with its legs at q and
+        ``wqb`` at q-bar, to the bracket, on the tails whose indices are all
+        >= lo.  Both are read grouped by tail, so each pair of tails is
+        merged once and then shared by every pair of legs (a, b)."""
         num = bracket.num
-        wq, wqb = self.correlator(*left), self.correlator(*right)
         scale = mult * bracket.factor(wq.den * wqb.den)
         at_qbar = _by_tail(wqb.nums, lo).items()
         for tq, legs_q in _by_tail(wq.nums, lo).items():

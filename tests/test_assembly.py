@@ -454,10 +454,18 @@ def test_broken_fill_differs_from_its_audit_twin(monkeypatch, audit_stores, muta
 def test_empty_core_builds_no_frame():
     """W(0,6) and every tensor below it but W(0,3) have an empty core, so a
     default store builds only the frame of W(0,3); an audit store builds
-    the one frame that W(0,6) asks for."""
+    the one frame that W(0,6) asks for.  W(1,3), whose first term reads
+    W(0,4), has an empty core too: below it only W(0,3) and W(1,1) build a
+    frame, and both take the smallest window."""
     default = CorrStore(1, CONV)
     default.correlator(0, 6)
     assert set(default._frames) == {window_policy(0, 3)} == {4}
     audit = CorrStore(1, CONV, audit=True)
     audit.correlator(0, 6)
     assert set(audit._frames) == {window_policy(0, 6)} == {7}
+    default = CorrStore(1, CONV)
+    default.correlator(1, 3)
+    assert set(default._frames) == {window_policy(1, 1)} == {4}
+    audit = CorrStore(1, CONV, audit=True)
+    audit.correlator(1, 3)
+    assert set(audit._frames) == {window_policy(1, 3)} == {7}

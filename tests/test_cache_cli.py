@@ -209,6 +209,7 @@ REJECTED = {
     "correlator --g 0 --h 1": (2, "W(0,1) is a recursion base case with no tensor form"),
     "correlator --g 0 --h 2": (2, "W(0,2) is a recursion base case with no tensor form"),
     "correlator --g -1 --h 5": (2, "invalid correlator indices (g=-1, h=5)"),
+    "correlator --g -1 --h 30": (2, "invalid correlator indices (g=-1, h=30)"),
     "hodge --g 0": (2, f"--g must be between 1 and {HARD_G_CAP}"),
     f"hodge --g {PAST_G}": (2, f"--g must be between 1 and {HARD_G_CAP}"),
     "free-energy --g-max 1": (2, f"--g-max must be between 2 and {HARD_G_CAP}"),

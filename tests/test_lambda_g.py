@@ -8,16 +8,24 @@ integrand, and
     int psi^n lambda_g = multinomial(2g-3+h; n) b_g   on the index sum 2g-3+h,
 
 and 0 elsewhere, with b_g = (2^(2g-1)-1)/2^(2g-1) |B_2g|/(2g)! and b_0 = 1
-(Faber-Pandharipande, math/9810173).  The recursion computes none of the
-right side.
+(Faber-Pandharipande, math/9810173).  On the top index sum 3g-3+h only
+psi classes survive, so every lower power of u vanishes there and
+
+    H(g,h)[n] = (-1)^g <tau_n>_g u^g
+
+at every framing, with <tau_n>_g the Witten-Kontsevich numbers of
+``tests/wk.py``.  The recursion computes none of the right sides.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial, prod
 
 import pytest
 
 from eorec import Conventions, CorrStore
+
+from wk import wk
 
 Q = Fraction
 
@@ -63,8 +71,9 @@ def _lagrange(points: list[tuple[int, Fraction]], u: int) -> Fraction:
 
 
 def _mismatches(g: int, tables: dict[int, dict]) -> list:
-    """The entries whose fit through f = 1..g+1 misses f = g+2, or whose
-    value at u = 0 is not the lambda_g integral."""
+    """The entries whose fit through f = 1..g+1 misses f = g+2, whose value
+    at u = 0 is not the lambda_g integral, or, on the top index sum, whose
+    value at some framing is not (-1)^g <tau>_g u^g."""
     bad = []
     for key in sorted(set().union(*tables.values())):
         points = [(f * (f + 1), tables[f].get(key, Q(0))) for f in range(1, g + 2)]
@@ -73,6 +82,13 @@ def _mismatches(g: int, tables: dict[int, dict]) -> list:
             bad.append(("fit", key))
         if _lagrange(points, 0) != _lambda_g(g, key):
             bad.append(("u=0", key))
+    h = len(min(tables[1]))
+    degree = 3 * g - 3 + h
+    for key in combinations_with_replacement(range(degree + 1), h):
+        if sum(key) == degree and any(
+                table.get(key, Q(0)) != (-1) ** g * wk(g, key) * (f * (f + 1)) ** g
+                for f, table in tables.items()):
+            bad.append(("top", key))
     return bad
 
 
@@ -91,3 +107,19 @@ def test_one_perturbed_entry_breaks_the_reading(g, h, f):
     key = min(tables[f])
     tables[f][key] += Q(1, 7)
     assert _mismatches(g, tables)
+
+
+@pytest.mark.parametrize("g,h", [(g, h) for g, h in READINGS if g >= 1])
+def test_doubled_top_degree_breaks_only_the_top_reading(g, h):
+    """Every top-degree entry doubled at every framing is still a polynomial
+    of degree <= g in u that vanishes at u = 0, so the fit and the u = 0
+    reading miss it; the top index degree reading catches it."""
+    tables = _h_tables(g, h)
+    degree = 3 * g - 3 + h
+    for table in tables.values():
+        for key in table:
+            if sum(key) == degree:
+                table[key] *= 2
+    bad = _mismatches(g, tables)
+    assert bad
+    assert {kind for kind, _ in bad} == {"top"}
